@@ -66,7 +66,9 @@ def _fmt(value) -> str:
         return format(float(value), ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    # RFC 4180 quoting, so csv readers keep a field with a comma whole
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -533,14 +535,14 @@ def cmd_flow(args) -> int:
     final, series, states = run_flow(u0, T=args.T, dt=args.dt, record=True)
     n_snap = min(args.snapshots, len(states))
     pick = np.linspace(0, len(states) - 1, n_snap).round().astype(int)
-    rows = []
-    for si in pick:
-        st = states[si]
-        flat_u = st.u.ravel()
-        flat_th = st.theta.ravel()
-        for node in range(flat_u.size):
-            rows.append((st.t, node, flat_u[node], flat_th[node]))
-    write_csv(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], rows)
+    # write_csv's bytes; t is formatted once per snapshot and rows stream out
+    with open(out / "flow_snapshots.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("t,node,u,theta\n")
+        for si in pick:
+            st = states[si]
+            row = _fmt(st.t) + ",%d,%.17g,%.17g\n"
+            fh.writelines(row % r for r in zip(range(st.u.size), st.u.ravel().tolist(),
+                                                st.theta.ravel().tolist()))
     write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
     summary = {
         "t": list(series["t"]),

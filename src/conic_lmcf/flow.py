@@ -10,14 +10,13 @@ at the flat zero section is the heat equation, which drives the
 linearization-defect diagnostics.
 
 Discretization: uniform periodic grid on [0, 2π)^m, centered second-order
-differences for the Hessian, semi-implicit stepping
-
-    (I − dt·Δ) u^{n+1} = u^n + dt·(θ(u^n) − Δ u^n),
-
-with the implicit solve done by pointwise Jacobi iteration to a sup-norm
-fixed point.  Jacobi uses only rolls and elementwise arithmetic, so the
-whole step commutes with grid translations *bitwise* — an FFT solve does
-not (reductions reorder), and translation equivariance is a contract here.
+differences for the Hessian, and explicit steps ``u + dt·θ(u)`` (heat flow:
+``u + dt·Δu``).  Both are stable for ``dt ≤ dx²/(2m)``, since dθ = Δ at the
+flat section; a larger ``dt`` raises
+:class:`~conic_lmcf.errors.ValidationError`.  The stencil slices one
+wrap-padded copy of ``u`` and the rest is elementwise, so a step commutes
+with grid translations *bitwise* (an FFT would not: reductions reorder),
+and translation equivariance is a contract here.
 
 The graph stays admissible while ``det(I + Hess u) > 0`` at every node;
 the determinant dipping below 1e−6 (or going negative — the graph left the
@@ -60,68 +59,57 @@ def grid_coordinates(m, n):
 
 
 def default_dt(m, n, safety=0.9):
-    """Default step 0.25·dx²·safety (keeps the explicit remainder tame)."""
+    """Default step: ``safety`` times the explicit stability limit dx²/(2m)."""
     dx = 2.0 * np.pi / n
-    return 0.25 * dx * dx * safety
+    return safety * dx * dx / (2 * m)
+
+
+def _second_differences(u, dx):
+    """Centered second differences ``{(a, b): ∂_a∂_b u}``, ``a ≤ b``, sliced from
+    one wrap-padded copy of ``u``, so they commute with grid shifts bitwise."""
+    m, n = u.ndim, u.shape[0]
+    p = u
+    for axis in range(m):
+        p = np.concatenate((p.take([-1], axis), p, p.take([0], axis)), axis=axis)
+    e = np.eye(m, dtype=int)
+
+    def at(offset):
+        return p[tuple(slice(1 + o, n + 1 + o) for o in offset)]
+
+    d = {}
+    for a in range(m):
+        d[a, a] = (at(-e[a]) - 2.0 * u + at(e[a])) / (dx * dx)
+        for b in range(a + 1, m):
+            d[a, b] = (at(e[a] + e[b]) + at(-e[a] - e[b])
+                       - at(e[a] - e[b]) - at(e[b] - e[a])) / (4.0 * dx * dx)
+    return d
 
 
 def _laplacian(u, dx):
-    out = np.zeros_like(u)
-    for axis in range(u.ndim):
-        out += (np.roll(u, 1, axis) - 2.0 * u + np.roll(u, -1, axis))
-    return out / (dx * dx)
+    return sum(h for (a, b), h in _second_differences(u, dx).items() if a == b)
 
 
 def hessian_field(u, dx):
     """Centered-difference Hessian, shape ``u.shape + (m, m)``."""
     m = u.ndim
     H = np.empty(u.shape + (m, m))
-    for a in range(m):
-        H[..., a, a] = (np.roll(u, 1, a) - 2.0 * u + np.roll(u, -1, a)) / (dx * dx)
-        for b in range(a + 1, m):
-            upp = np.roll(np.roll(u, -1, a), -1, b)
-            umm = np.roll(np.roll(u, 1, a), 1, b)
-            upm = np.roll(np.roll(u, -1, a), 1, b)
-            ump = np.roll(np.roll(u, 1, a), -1, b)
-            H[..., a, b] = H[..., b, a] = (upp + umm - upm - ump) / (4.0 * dx * dx)
+    for (a, b), h in _second_differences(u, dx).items():
+        H[..., a, b] = H[..., b, a] = h
     return H
 
 
 def _hessian_eigenvalues(u, dx):
-    m = u.ndim
-    if m == 1:
-        lam = ((np.roll(u, 1, 0) - 2.0 * u + np.roll(u, -1, 0)) / (dx * dx))
-        return lam[..., None]
-    if m == 2:
-        h11 = (np.roll(u, 1, 0) - 2.0 * u + np.roll(u, -1, 0)) / (dx * dx)
-        h22 = (np.roll(u, 1, 1) - 2.0 * u + np.roll(u, -1, 1)) / (dx * dx)
-        upp = np.roll(np.roll(u, -1, 0), -1, 1)
-        umm = np.roll(np.roll(u, 1, 0), 1, 1)
-        upm = np.roll(np.roll(u, -1, 0), 1, 1)
-        ump = np.roll(np.roll(u, 1, 0), -1, 1)
-        h12 = (upp + umm - upm - ump) / (4.0 * dx * dx)
-        half_tr = 0.5 * (h11 + h22)
-        disc = np.sqrt(np.maximum(0.25 * (h11 - h22) ** 2 + h12 * h12, 0.0))
-        return np.stack([half_tr - disc, half_tr + disc], axis=-1)
-    return np.linalg.eigvalsh(hessian_field(u, dx))
+    if u.ndim != 2:
+        return np.linalg.eigvalsh(hessian_field(u, dx))
+    d = _second_differences(u, dx)
+    half_tr = 0.5 * (d[0, 0] + d[1, 1])
+    disc = np.sqrt(0.25 * (d[0, 0] - d[1, 1]) ** 2 + d[0, 1] * d[0, 1])
+    return np.stack([half_tr - disc, half_tr + disc], axis=-1)
 
 
 def graph_determinant(u, dx):
     """``det(I + Hess u)`` per node (positive on admissible graphs)."""
-    lam = _hessian_eigenvalues(u, dx)
-    return np.prod(1.0 + lam, axis=-1)
-
-
-def _check_graph(u, dx, context):
-    det = graph_determinant(u, dx)
-    bad = det < DET_FLOOR
-    if bad.any():
-        nodes = np.argwhere(bad)
-        raise GraphConditionError(
-            f"graph condition violated {context}: det(I+Hess) < {DET_FLOOR} "
-            f"at {len(nodes)} node(s), min det {det.min():.3e}",
-            nodes=[tuple(int(i) for i in nd) for nd in nodes[:16]])
-    return det
+    return np.prod(1.0 + _hessian_eigenvalues(u, dx), axis=-1)
 
 
 def lagrangian_angle(u, dx):
@@ -130,8 +118,15 @@ def lagrangian_angle(u, dx):
     Raises :class:`GraphConditionError` (with offending nodes) when the
     graph condition fails; otherwise θ ∈ (−mπ/2, mπ/2) by construction.
     """
-    _check_graph(u, dx, "in lagrangian_angle")
     lam = _hessian_eigenvalues(u, dx)
+    det = np.prod(1.0 + lam, axis=-1)
+    bad = det < DET_FLOOR
+    if bad.any():
+        nodes = np.argwhere(bad)
+        raise GraphConditionError(
+            f"graph condition violated in lagrangian_angle: det(I+Hess) < {DET_FLOOR} "
+            f"at {len(nodes)} node(s), min det {det.min():.3e}",
+            nodes=[tuple(int(i) for i in nd) for nd in nodes[:16]])
     return np.arctan(lam).sum(axis=-1)
 
 
@@ -163,43 +158,40 @@ class FlowState:
         return float(np.abs(self.theta - lagrangian_angle(self.u, self.dx)).max())
 
 
-def _jacobi_solve(b, dt, dx, m, tol_factor=1e-15, max_iter=400):
-    """Solve (I − dt·Δ) u = b by Jacobi iteration to a sup-norm fixed point.
+def _step_size(dt, m, n):
+    """``dt`` (default: :func:`default_dt`) checked against dx²/(2m)."""
+    if dt is None:
+        return default_dt(m, n)
+    dt = float(dt)
+    limit = default_dt(m, n, safety=1.0)
+    if not 0.0 < dt <= limit:
+        raise ValidationError(f"dt={dt:.6g} is outside the explicit scheme's stable range "
+                              f"(0, dx^2/(2m)] = (0, {limit:.6g}] at m={m}, n={n}")
+    return dt
 
-    Pointwise updates (rolls + arithmetic) keep the solve bitwise
-    equivariant under grid translations; the iteration matrix has spectral
-    radius 2m·dt/dx² / (1 + 2m·dt/dx²) < 1, so ~50 sweeps suffice at the
-    default step.
-    """
-    mu = dt / (dx * dx)
-    diag = 1.0 + 2.0 * m * mu
-    tol = tol_factor * max(1.0, float(np.abs(b).max()))
-    u = b / diag
-    for _ in range(max_iter):
-        nb = np.zeros_like(u)
-        for axis in range(m):
-            nb += np.roll(u, 1, axis) + np.roll(u, -1, axis)
-        u_new = (b + mu * nb) / diag
-        if float(np.abs(u_new - u).max()) <= tol:
-            return u_new
-        u = u_new
-    return u
+
+def _schedule(T, dt, m, n):
+    """Fewest equal steps reaching ``T`` whose size does not exceed ``dt``."""
+    dt = _step_size(dt, m, n)
+    T = float(T)
+    if not 0.0 < T < math.inf:
+        raise ValidationError(f"final time T must be positive and finite, got {T!r}")
+    n_steps = max(math.floor(T / dt), 1)
+    while T / n_steps > dt:
+        n_steps += 1
+    return n_steps, T / n_steps
 
 
 def flow_step(state, dt=None):
-    """One semi-implicit step of ``∂_t u = θ(u)``.
+    """One explicit step ``u + dt·θ(u)`` of ``∂_t u = θ(u)``.
 
-    The Laplacian is treated implicitly, the remainder ``θ(u) − Δu``
-    explicitly.  A graph-condition violation on the updated field rejects
-    the step and suggests ``dt/2``.
+    ``dt`` must lie in (0, dx²/(2m)].  A graph-condition violation on the
+    updated field rejects the step and suggests ``dt/2``.
     """
-    dt = default_dt(state.m, state.n) if dt is None else float(dt)
-    dx = state.dx
-    remainder = state.theta - _laplacian(state.u, dx)
-    b = state.u + dt * remainder
-    u_new = _jacobi_solve(b, dt, dx, state.m)
+    dt = _step_size(dt, state.m, state.n)
+    u_new = state.u + dt * state.theta
     try:
-        theta_new = lagrangian_angle(u_new, dx)
+        theta_new = lagrangian_angle(u_new, state.dx)
     except GraphConditionError as exc:
         raise GraphConditionError(
             f"step rejected at t={state.t:.6g}: {exc}; retry with dt={dt / 2:.3e}",
@@ -208,19 +200,18 @@ def flow_step(state, dt=None):
 
 
 def heat_step(state, dt=None):
-    """One step of the linearized flow ``∂_t u = Δu`` (same solver)."""
-    dt = default_dt(state.m, state.n) if dt is None else float(dt)
-    u_new = _jacobi_solve(state.u, dt, state.dx, state.m)
+    """One explicit step ``u + dt·Δu`` of the linearized flow ``∂_t u = Δu``."""
+    dt = _step_size(dt, state.m, state.n)
+    u_new = state.u + dt * _laplacian(state.u, state.dx)
     return FlowState(state.m, state.n, u_new, state.t + dt,
                      lagrangian_angle(u_new, state.dx))
 
 
 def _run(step, u0, T, dt, record):
+    u0 = np.asarray(u0, dtype=float)
+    # reject a bad T or dt (exit 2) before the initial angle can fail (exit 1)
+    n_steps, dt = _schedule(T, dt, u0.ndim, u0.shape[0])
     state = FlowState.from_potential(u0)
-    if dt is None:
-        dt = default_dt(state.m, state.n)
-    n_steps = max(int(round(T / dt)), 1)
-    dt = T / n_steps
     series = {"t": [state.t], "sup_theta": [float(np.abs(state.theta).max())],
               "amplitude": [float(np.abs(state.u).max())]}
     states = [state] if record else None
@@ -238,7 +229,7 @@ def run_flow(u0, T, dt=None, record=False):
     """Integrate the nonlinear flow to time ``T``; returns (state, series[, states]).
 
     ``series`` carries the per-step sup|θ| and amplitude histories.  ``dt``
-    is adjusted to divide ``T`` exactly.
+    is lowered, never raised, to divide ``T`` exactly.
     """
     state, series, states = _run(flow_step, u0, T, dt, record)
     return (state, series, states) if record else (state, series)
@@ -285,11 +276,13 @@ def linearization_defect(u0, epsilons, T, dt=None):
         b >= a for a, b in zip(eps, eps[1:])
     ):
         raise ValidationError("epsilons must be positive and decreasing")
-    defects = []
-    for e in eps:
-        nl, _ = run_flow(e * u0, T, dt)
-        lin, _ = run_heat(e * u0, T, dt)
-        defects.append(float(np.abs(nl.u - lin.u).max()))
+    finals = [run_flow(e * u0, T, dt)[0] for e in eps]
+    # the heat flow is linear: run it once on the unit profile, scale by ε
+    n_steps, step = _schedule(T, dt, finals[0].m, finals[0].n)
+    lin = u0
+    for _ in range(n_steps):
+        lin = lin + step * _laplacian(lin, finals[0].dx)
+    defects = [float(np.abs(nl.u - e * lin).max()) for nl, e in zip(finals, eps)]
     per_amp = [d / e for d, e in zip(defects, eps)]
     ratios = [b / a if a > 0 else math.nan for a, b in zip(defects, defects[1:])]
     ratios_pa = [b / a if a > 0 else math.nan

@@ -6,7 +6,8 @@ import json
 import pytest
 
 import conic_lmcf
-from conic_lmcf.cli import main
+from conic_lmcf import run_flow
+from conic_lmcf.cli import main, parse_initial_condition, write_csv
 
 
 def read_report(outdir):
@@ -30,6 +31,17 @@ def test_spectrum_sphere_csv(tmp_path, capsys):
     got = {float(r["lambda"]): int(r["multiplicity"]) for r in rows}
     assert got == {0.0: 1, 2.0: 3, 6.0: 5}
     assert "lambda=0" in capsys.readouterr().out
+
+
+def test_spectrum_csv_quotes_torus_basis_tags(tmp_path):
+    rc = main(["spectrum", "--link", "torus", "--dim", "2", "--lmax", "3",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "spectrum.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "multiplicity", "basis_tag"]
+    assert all(len(row) == 3 for row in rows)
+    assert ["1", "4", "k=(1,0)"] in rows
 
 
 def test_exponents_table_includes_fractional_root(tmp_path):
@@ -119,6 +131,20 @@ def test_flow_artifacts(tmp_path):
         summary = json.load(fh)
     sups = summary["sup_theta"]
     assert sups[-1] <= sups[0]
+
+
+def test_flow_snapshots_match_the_row_writer(tmp_path):
+    # flow_snapshots.csv is byte-identical to the states written row by row
+    rc = main(["flow", "--n", "16", "--T", "0.05", "--ic", "mixed", "--snapshots", "2",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    _, _, states = run_flow(parse_initial_condition("mixed", 2, 16), T=0.05, record=True)
+    rows = [(st.t, node, u, th)
+            for st in (states[0], states[-1])
+            for node, (u, th) in enumerate(zip(st.u.ravel(), st.theta.ravel()))]
+    write_csv(tmp_path / "expected.csv", ["t", "node", "u", "theta"], rows)
+    assert ((tmp_path / "flow_snapshots.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
 
 
 def test_defect_ratio_window(tmp_path, capsys):
@@ -226,6 +252,22 @@ def test_graph_condition_failure_exits_1(tmp_path, capsys):
                "--outdir", str(tmp_path)])
     assert rc == 1
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["flow", "defect"])
+@pytest.mark.parametrize("dt", ["0.05", "0", "-0.001"])
+def test_out_of_range_dt_exits_2(tmp_path, capsys, command, dt):
+    # at n = 32 the explicit stability limit dx^2/(2m) is about 0.0096
+    rc = main([command, "--n", "32", "--T", "0.1", "--dt", dt, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
+
+
+def test_bad_dt_is_reported_before_a_steep_initial_condition(tmp_path, capsys):
+    rc = main(["flow", "--n", "32", "--T", "0.1", "--dt", "0.05", "--ic", "2.0*sin(x1)",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
 
 
 def test_unparseable_forcing_exits_2(tmp_path, capsys):

@@ -11,10 +11,13 @@ from conic_lmcf import (
     catalog_initial_conditions,
     default_dt,
     flow_step,
+    graph_determinant,
     grid_coordinates,
+    heat_step,
     lagrangian_angle,
     linearization_defect,
     run_flow,
+    run_heat,
 )
 
 
@@ -161,6 +164,70 @@ def test_flow_refines_at_second_order_in_space():
     assert 3.4 < errs[0] / errs[1] < 4.6
 
 
+@pytest.mark.parametrize("n, T, dt, steps", [
+    (32, 0.1, None, 12), (48, 0.05, None, 13), (64, 0.025, None, 12),
+    (16, 0.05, None, 2),  # rounding T/dt to nearest took one step of 0.05 here
+    (8, 0.07, 0.01, 7),  # T/dt = 7.000000000000001: no extra step
+])
+def test_step_count_never_raises_dt(n, T, dt, steps):
+    requested = default_dt(2, n) if dt is None else dt
+    _, series = run_flow(sine_ic(2, n, 0.05), T=T, dt=dt)
+    assert len(series["t"]) - 1 == steps
+    assert T / steps <= requested
+    assert series["t"][-1] == pytest.approx(T)
+
+
+@pytest.mark.parametrize("factor", [1.01, 20.0, 0.0, -1.0, float("nan")])
+def test_out_of_range_dt_is_rejected(factor):
+    # the explicit step is stable up to dx^2/(2m) and no further
+    n = 16
+    dt = factor * (2 * np.pi / n) ** 2 / 4
+    u0 = sine_ic(2, n, 0.05)
+    state = FlowState.from_potential(u0)
+    for call in (lambda: flow_step(state, dt), lambda: heat_step(state, dt),
+                 lambda: run_flow(u0, T=0.1, dt=dt), lambda: run_heat(u0, T=0.1, dt=dt),
+                 lambda: linearization_defect(u0, [0.1, 0.05], T=0.1, dt=dt)):
+        with pytest.raises(ValidationError, match="dt"):
+            call()
+
+
+@pytest.mark.parametrize("T", [0.0, -0.1, float("inf"), float("nan")])
+def test_final_time_must_be_positive_and_finite(T):
+    with pytest.raises(ValidationError, match="T must be positive"):
+        run_flow(sine_ic(2, 16, 0.05), T=T)
+
+
+def test_dt_at_the_stability_limit_is_accepted():
+    n = 16
+    limit = (2 * np.pi / n) ** 2 / 4
+    out = flow_step(FlowState.from_potential(sine_ic(2, n, 0.05)), dt=limit)
+    assert out.t == limit
+
+
+def test_heat_flow_decays_a_sine_mode():
+    eps, T = 0.1, 0.5
+    final, series = run_heat(sine_ic(2, 32, eps), T=T)
+    # a sine mode is an eigenvector of the second difference with eigenvalue
+    # -(2 - 2 cos dx) / dx^2, so each explicit step multiplies it by 1 - dt * rate
+    dx = 2 * np.pi / 32
+    rate = (2 - 2 * np.cos(dx)) / dx**2
+    steps = len(series["t"]) - 1
+    expected = eps * (1 - T / steps * rate) ** steps
+    assert np.max(np.abs(final.u)) == pytest.approx(expected, rel=1e-12)
+    assert expected == pytest.approx(eps * np.exp(-T), rel=0.01)
+
+
+def test_three_dimensional_flow_stays_finite_and_graphical():
+    n = 12
+    u0 = catalog_initial_conditions(3, n)["mixed"]
+    _, series, states = run_flow(u0, T=5 * default_dt(3, n), record=True)
+    assert len(states) == 6
+    for st in states:
+        assert np.all(np.isfinite(st.u)) and np.all(np.isfinite(st.theta))
+        assert graph_determinant(st.u, st.dx).min() > 0.5
+    assert series["sup_theta"][-1] < series["sup_theta"][0]
+
+
 def test_steep_initial_condition_reports_nodes_and_smaller_dt():
     xs = grid_coordinates(2, 32)
     with pytest.raises(GraphConditionError) as exc:
@@ -205,9 +272,10 @@ def test_defect_rejects_bad_amplitude_lists(eps):
 
 
 def test_default_dt_respects_stability_factor():
-    m, n = 2, 64
-    assert default_dt(m, n) == pytest.approx(0.9 * (2 * np.pi / n) ** 2 / (2 * m))
-    assert default_dt(m, 2 * n) < default_dt(m, n)
+    n = 64
+    for m in (2, 3):
+        assert default_dt(m, n) == pytest.approx(0.9 * (2 * np.pi / n) ** 2 / (2 * m))
+        assert default_dt(m, 2 * n) < default_dt(m, n)
 
 
 def test_catalog_profiles_are_graphical():
