@@ -16,11 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -38,23 +36,7 @@ from .flow import (
     run_flow,
 )
 from .links import FlatTorus, MeshLink, RoundSphere
-from .radial import LaplaceTypeSpec, RadialGrid, solve_mode
-
-THREADS_ENV = "CONIC_LMCF_THREADS"
-
-
-def thread_count() -> int:
-    """Worker count for multi-mode solves, honouring CONIC_LMCF_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValidationError(f"{THREADS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +61,21 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_frames(path: Path, header, keys, frames) -> None:
+    """write_csv's bytes for a long table written one frame at a time.
+
+    ``frames`` yields ``(t, columns)`` with numeric ``t`` and float arrays as
+    columns; the frame's rows are ``(t, keys[j], columns[0][j], ...)``.  Keys
+    are formatted once per table and ``t`` once per frame.
+    """
+    keys = [_fmt(k) for k in keys]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, columns in frames:
+            row = _fmt(t) + ",%s" + ",%.17g" * len(columns) + "\n"
+            fh.writelines(map(row.__mod__, zip(keys, *(c.tolist() for c in columns))))
+
+
 def write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_jsonable)
@@ -95,10 +92,10 @@ def _jsonable(value):
 
 def write_columns(path: Path, *columns) -> None:
     """Whitespace-separated numeric columns (gnuplot-ready)."""
-    arrays = [np.asarray(c, dtype=float) for c in columns]
+    arrays = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = "  ".join(["%.17g"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in zip(*arrays):
-            fh.write("  ".join(format(v, ".17g") for v in row) + "\n")
+        fh.writelines(map(row.__mod__, zip(*arrays)))
 
 
 def _report_schema() -> dict:
@@ -438,17 +435,21 @@ def cmd_fredholm(args) -> int:
     return 0
 
 
-def _solve_one_mode(lam, args, forcing):
+def _solve_modes(lams, args, forcing):
+    if len(set(lams)) < len(lams):
+        raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
+    if args.store_every < 0:
+        raise ValidationError(f"--store-every must be >= 0, got {args.store_every}")
     grid = RadialGrid(R=args.radius, n_cells=args.n, q=args.q)
-    spec = LaplaceTypeSpec(lam=lam, m=args.m)
+    specs = [LaplaceTypeSpec(lam=lam, m=args.m) for lam in lams]
     outer = None
     if args.outer is not None:
         value = float(args.outer)
         outer = lambda t: value  # noqa: E731
     dt = args.dt if args.dt is not None else args.T / 400.0
-    return solve_mode(spec, grid, T=args.T, dt=dt, forcing=forcing,
-                      outer_bc=outer, inner_bc=args.inner,
-                      store_every=args.store_every)
+    return solve_modes(specs, grid, T=args.T, dt=dt, forcing=forcing,
+                       outer_bc=outer, inner_bc=args.inner,
+                       store_every=args.store_every)
 
 
 def cmd_heat(args) -> int:
@@ -458,28 +459,19 @@ def cmd_heat(args) -> int:
     lams = list(args.lam)
     if not lams:
         raise ValidationError("at least one --lam is required")
-    workers = min(thread_count(), len(lams))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(lambda lam: _solve_one_mode(lam, args, forcing), lams))
-    else:
-        sols = [_solve_one_mode(lam, args, forcing) for lam in lams]
+    sols = _solve_modes(lams, args, forcing)
     files = []
     sups = {}
     for lam, sol in zip(lams, sols):
-        name = f"mode_{_fmt(float(lam))}.csv"
-        rows = []
-        for ti, t in enumerate(sol.times):
-            for rj, r in enumerate(sol.grid.nodes):
-                rows.append((t, r, sol.values[ti, rj]))
-        write_csv(out / name, ["t", "r", "u"], rows)
-        files.append(name)
-        sups[_fmt(float(lam))] = float(np.max(np.abs(sol.final())))
-        write_columns(out / f"profile_{_fmt(float(lam))}.dat", sol.grid.nodes, sol.final())
-        files.append(f"profile_{_fmt(float(lam))}.dat")
+        tag = _fmt(float(lam))
+        write_frames(out / f"mode_{tag}.csv", ["t", "r", "u"], sol.grid.nodes,
+                     ((t, (u,)) for t, u in zip(sol.times.tolist(), sol.values)))
+        sups[tag] = float(np.max(np.abs(sol.final())))
+        write_columns(out / f"profile_{tag}.dat", sol.grid.nodes, sol.final())
+        files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]
     for lam in lams:
         print(f"lambda={lam:g}: sup|u(T)| = {sups[_fmt(float(lam))]:.6e}")
-    outputs = {"files": files, "sup_final": sups, "workers": workers}
+    outputs = {"files": files, "sup_final": sups}
     write_report(out, "heat",
                  _inputs_dict(args, "lam", "m", "radius", "n", "q", "T", "dt",
                               "forcing", "forcing_csv", "outer", "inner",
@@ -495,7 +487,7 @@ def cmd_asymptotics(args) -> int:
     lams = list(args.lam)
     if len(lams) != 1:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
-    sol = _solve_one_mode(lams[0], args, forcing)
+    sol = _solve_modes(lams, args, forcing)[0]
     link = FlatTorus(_parse_metric(args.metric)) if args.metric else None
     if link is None:
         from .cones import harvey_lawson_torus
@@ -535,14 +527,9 @@ def cmd_flow(args) -> int:
     final, series, states = run_flow(u0, T=args.T, dt=args.dt, record=True)
     n_snap = min(args.snapshots, len(states))
     pick = np.linspace(0, len(states) - 1, n_snap).round().astype(int)
-    # write_csv's bytes; t is formatted once per snapshot and rows stream out
-    with open(out / "flow_snapshots.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,node,u,theta\n")
-        for si in pick:
-            st = states[si]
-            row = _fmt(st.t) + ",%d,%.17g,%.17g\n"
-            fh.writelines(row % r for r in zip(range(st.u.size), st.u.ravel().tolist(),
-                                                st.theta.ravel().tolist()))
+    write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
+                 ((states[si].t, (states[si].u.ravel(), states[si].theta.ravel()))
+                  for si in pick))
     write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
     summary = {
         "t": list(series["t"]),
@@ -640,7 +627,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
     def add_heat_flags(a: _Arg) -> None:
         a.add("--lam", type=float, nargs="+", default=[0.0],
-              help="link eigenvalue(s); several run concurrently")
+              help="link eigenvalue(s); the modes share one factorisation and step loop")
         a.add("--m", type=int, default=3, help="cone dimension")
         a.add("--radius", type=float, default=1.0, help="outer radius of the annulus")
         a.add("--n", type=int, default=400, help="number of grid cells")

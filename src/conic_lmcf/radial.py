@@ -13,7 +13,13 @@ with ``u(0, ·) = 0``.  The discretization:
   growth ``u ~ c·r^{α₊(λ)}`` (Dirichlet-zero available as a fallback flag),
 * outer boundary: Dirichlet data,
 * backward Euler in time (the r⁻² potential is stiff; damping beats
-  second-order accuracy here), factored once per run.
+  second-order accuracy here).
+
+The modes of one run share the grid, the time step and the forcing, so
+:func:`solve_modes` stacks their tridiagonal ``I − dt·L_λ`` blocks into one
+block-diagonal matrix, factors it once, and advances all modes together with
+one forcing evaluation and one back-substitution per step.  The blocks do not
+couple, so each mode gets the same bits as a one-mode solve.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "radial_operator",
     "apply_radial_operator",
     "solve_mode",
+    "solve_modes",
 ]
 
 
@@ -165,12 +172,10 @@ def radial_operator(spec, grid, inner_bc="extrapolation", alpha_inner=None):
     coef1 = (spec.m - 1) / r + spec.drift_values(r)
     coef0 = -spec.lam / r ** 2 + spec.zeroth_values(r)
 
-    n = len(r)
-    L = sp.lil_matrix((n, n))
-    rows = np.arange(1, n - 1)
-    for off in range(3):
-        L[rows, rows + off - 1] = (c2[1:-1, off] + coef1[1:-1] * c1[1:-1, off])
-    L[rows, rows] = L[rows, rows].toarray().ravel() + coef0[1:-1]
+    # weights on (u_{j-1}, u_j, u_{j+1}); the end rows of c1 and c2 are zero
+    rows = c2 + coef1[:, None] * c1
+    rows[1:-1, 1] += coef0[1:-1]
+    L = sp.diags([rows[1:, 0], rows[:, 1], rows[:-1, 2]], [-1, 0, 1], format="csr")
 
     if inner_bc == "extrapolation":
         alpha = alpha_inner
@@ -182,7 +187,7 @@ def radial_operator(spec, grid, inner_bc="extrapolation", alpha_inner=None):
     else:
         raise ValidationError(f"unknown inner boundary condition {inner_bc!r}")
     meta = {"inner_weights": w, "inner_bc": inner_bc}
-    return L.tocsr(), meta
+    return L, meta
 
 
 def apply_radial_operator(spec, grid, u):
@@ -197,45 +202,61 @@ def apply_radial_operator(spec, grid, u):
 # --- time stepping -------------------------------------------------------------
 
 
-def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
-               alpha_inner=None, store_every=1):
-    """Backward-Euler solve of ``∂_t u = L u + f`` from ``u(0, ·) = 0``.
-
-    ``forcing(t, r)`` returns the mode forcing on the nodes (``None`` means
-    zero); ``outer_bc(t)`` supplies Dirichlet data at ``r = R`` (default 0).
-    The implicit matrix is factored once; each step solves
-
-        (I − dt·L) u^{n+1} = u^n + dt·f(t^{n+1}, ·)
-
-    with the extrapolation (or Dirichlet-zero) row at ``r_min`` and the
-    Dirichlet row at ``R``.  Solutions are recorded every ``store_every``
-    steps (``store_every=0`` keeps only the initial and final states).
-    """
-    if dt <= 0 or T <= 0:
-        raise ValidationError("need dt > 0 and T > 0")
-    r = grid.nodes
-    n = len(r)
+def _implicit_block(spec, grid, dt, inner_bc, alpha_inner):
+    """``I − dt·L`` with the inner extrapolation row and the outer Dirichlet row."""
     L, meta = radial_operator(spec, grid, inner_bc=inner_bc, alpha_inner=alpha_inner)
     w = meta["inner_weights"]
+    lower, diag, upper = (-dt * L.diagonal(k) for k in (-1, 0, 1))
+    diag += 1.0
+    diag[0] = diag[-1] = 1.0
+    lower[-1] = 0.0
+    upper[0] = -w[0]
+    corner = np.zeros(len(diag) - 2)
+    corner[0] = -w[1]
+    A = sp.diags([lower, diag, upper, corner], [-1, 0, 1, 2], format="csc")
+    # drop the zeros a sparse assembly would not store, so splu sees the same pattern
+    A.eliminate_zeros()
+    return A
 
-    A = sp.lil_matrix(sp.eye(n) - dt * L)
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    A[0, 1] = -w[0]
-    A[0, 2] = -w[1]
-    A[-1, :] = 0.0
-    A[-1, -1] = 1.0
+
+def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
+                alpha_inner=None, store_every=1):
+    """Backward-Euler solve of ``∂_t u = L_λ u + f`` for several modes at once.
+
+    All modes share the grid, the time step, the forcing ``f(t, r)`` (``None``
+    means zero) and the outer Dirichlet data ``outer_bc(t)`` (default 0).
+    Their implicit matrices are stacked block-diagonally and factored once;
+    each step evaluates the forcing once and solves
+
+        (I − dt·L_λ) u_λ^{n+1} = u_λ^n + dt·f(t^{n+1}, ·)
+
+    for every mode in one back-substitution, with the extrapolation (or
+    Dirichlet-zero) row at ``r_min`` and the Dirichlet row at ``R``.  Blocks
+    do not couple, so each mode gets the bits a one-mode solve would give.
+    ``alpha_inner`` holds one inner exponent per mode (``None``: α₊(λ)).
+    Solutions are recorded every ``store_every`` steps (``store_every=0``
+    keeps only the initial and final states).  Returns one
+    :class:`ModeSolution` per spec.
+    """
+    if dt <= 0 or T <= 0 or store_every < 0:
+        raise ValidationError("need dt > 0, T > 0 and store_every >= 0")
+    specs = list(specs)
+    alphas = [None] * len(specs) if alpha_inner is None else list(alpha_inner)
+    r = grid.nodes
+    n = len(r)
+    A = sp.block_diag([_implicit_block(spec, grid, dt, inner_bc, alpha)
+                       for spec, alpha in zip(specs, alphas)], format="csc")
     try:
-        lu = splu(A.tocsc())
+        lu = splu(A)
     except RuntimeError as exc:
         raise NumericalError(f"implicit system is singular at step 0: {exc}") from exc
 
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         n_steps = int(np.ceil(T / dt - 1e-12))
-    u = np.zeros(n)
+    u = np.zeros((len(specs), n))
     times = [0.0]
-    frames = [u.copy()]
+    frames = [u]
     for k in range(1, n_steps + 1):
         t_new = k * dt
         if forcing is None:
@@ -245,12 +266,25 @@ def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapo
             if not np.all(np.isfinite(fvals)):
                 raise NumericalError(f"forcing invalid at step {k} (t={t_new:.6g})")
             rhs = u + dt * fvals
-        rhs[0] = 0.0
-        rhs[-1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
-        u = lu.solve(rhs)
+        rhs[:, 0] = 0.0
+        rhs[:, -1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
+        u = lu.solve(rhs.ravel()).reshape(rhs.shape)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
         if (store_every and k % store_every == 0) or k == n_steps:
             times.append(t_new)
-            frames.append(u.copy())
-    return ModeSolution(grid, np.array(times), np.array(frames), spec.lam, spec)
+            frames.append(u)
+    times = np.array(times)
+    values = np.stack(frames, axis=1)
+    return [ModeSolution(grid, times, v, spec.lam, spec) for spec, v in zip(specs, values)]
+
+
+def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
+               alpha_inner=None, store_every=1):
+    """Backward-Euler solve of ``∂_t u = L u + f`` from ``u(0, ·) = 0``.
+
+    The one-mode case of :func:`solve_modes`, which documents the arguments.
+    """
+    return solve_modes([spec], grid, T, dt, forcing=forcing, outer_bc=outer_bc,
+                       inner_bc=inner_bc, alpha_inner=[alpha_inner],
+                       store_every=store_every)[0]

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import conic_lmcf
-from conic_lmcf import run_flow
+from conic_lmcf import LaplaceTypeSpec, RadialGrid, run_flow, solve_mode
 from conic_lmcf.cli import main, parse_initial_condition, write_csv
 
 
@@ -89,20 +89,46 @@ def test_fredholm_index(tmp_path, capsys):
     assert read_report(tmp_path)["outputs"]["index"] == -13
 
 
-def test_heat_runs_modes_concurrently(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONIC_LMCF_THREADS", "2")
+def test_heat_writes_every_mode(tmp_path):
     rc = main(
         ["heat", "--lam", "0", "2", "--n", "60", "--T", "0.05",
          "--outdir", str(tmp_path)]
     )
     assert rc == 0
     report = read_report(tmp_path)
-    assert report["outputs"]["workers"] == 2
     files = set(report["outputs"]["files"])
     assert {"mode_0.csv", "profile_0.dat", "mode_2.csv", "profile_2.dat"} <= files
     # gnuplot companion: two whitespace-separated columns
     line = (tmp_path / "profile_0.dat").read_text().strip().splitlines()[0]
     assert len(line.split()) == 2
+
+
+def test_mode_csv_matches_the_row_writer(tmp_path):
+    # mode_*.csv is byte-identical to the solution written row by row
+    rc = main(["heat", "--lam", "0", "6", "--n", "40", "--T", "0.05", "--forcing", "t*r^0.5",
+               "--store-every", "3", "--outdir", str(tmp_path)])
+    assert rc == 0
+    grid = RadialGrid(R=1.0, n_cells=40)
+    for lam in (0.0, 6.0):
+        sol = solve_mode(LaplaceTypeSpec(lam=lam, m=3), grid, T=0.05, dt=0.05 / 400,
+                         forcing=lambda t, r: t * r**0.5, store_every=3)
+        rows = [(t, r, u) for t, frame in zip(sol.times, sol.values)
+                for r, u in zip(grid.nodes, frame)]
+        write_csv(tmp_path / "expected.csv", ["t", "r", "u"], rows)
+        assert ((tmp_path / f"mode_{lam:g}.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_two_mode_run_equals_two_one_mode_runs(tmp_path):
+    argv = ["heat", "--n", "50", "--T", "0.05", "--forcing", "r^1.5", "--store-every", "2"]
+    assert main(argv + ["--lam", "2", "8", "--outdir", str(tmp_path / "both")]) == 0
+    for lam in ("2", "8"):
+        single = tmp_path / lam
+        assert main(argv + ["--lam", lam, "--outdir", str(single)]) == 0
+        for name in (f"mode_{lam}.csv", f"profile_{lam}.dat"):
+            assert (tmp_path / "both" / name).read_bytes() == (single / name).read_bytes()
+        sups = [read_report(d)["outputs"]["sup_final"][lam] for d in (tmp_path / "both", single)]
+        assert sups[0] == sups[1]
 
 
 def test_asymptotics_extracts_terms(tmp_path, capsys):
@@ -286,12 +312,20 @@ def test_initial_condition_rejects_unknown_names(tmp_path, capsys):
     assert "allowed" in capsys.readouterr().err
 
 
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONIC_LMCF_THREADS", "many")
-    rc = main(["heat", "--lam", "0", "--n", "50", "--T", "0.05",
+def test_repeated_eigenvalue_exits_2(tmp_path, capsys):
+    rc = main(["heat", "--lam", "2", "2", "--n", "50", "--T", "0.05",
                "--outdir", str(tmp_path)])
     assert rc == 2
-    assert "CONIC_LMCF_THREADS" in capsys.readouterr().err
+    assert "--lam" in capsys.readouterr().err
+    assert not (tmp_path / "mode_2.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["heat", "asymptotics"])
+def test_negative_store_every_exits_2(tmp_path, capsys, command):
+    rc = main([command, "--lam", "0", "--n", "50", "--T", "0.05", "--store-every", "-3",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "--store-every" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_an_argparse_error(tmp_path):

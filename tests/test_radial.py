@@ -13,6 +13,7 @@ from conic_lmcf import (
     apply_radial_operator,
     radial_operator,
     solve_mode,
+    solve_modes,
 )
 
 
@@ -205,6 +206,33 @@ def test_invalid_forcing_reports_step():
     with pytest.raises(NumericalError) as err:
         solve_mode(spec, grid, T=0.1, dt=0.01, forcing=bad_forcing)
     assert "step" in str(err.value)
+
+
+def test_invalid_forcing_reports_step_for_several_modes():
+    grid = RadialGrid(R=1.0, n_cells=100)
+    specs = [LaplaceTypeSpec(lam=lam, m=3) for lam in (0.0, 2.0)]
+
+    def bad_forcing(t, r):
+        return np.full_like(r, np.nan) if t > 0.05 else np.zeros_like(r)
+
+    with pytest.raises(NumericalError, match="step 6"):
+        solve_modes(specs, grid, T=0.1, dt=0.01, forcing=bad_forcing)
+
+
+def test_solve_modes_matches_one_mode_solves():
+    # the block-diagonal system does not couple the modes: each gets the
+    # bits of its own one-mode solve
+    grid = RadialGrid(R=1.0, n_cells=120)
+    lams = (0.0, 3.5, 12.0)
+    kwargs = dict(T=0.1, dt=0.1 / 50, forcing=lambda t, r: t * np.sqrt(r),
+                  outer_bc=lambda t: 0.25, store_every=2)
+    together = solve_modes([LaplaceTypeSpec(lam=lam, m=3) for lam in lams], grid, **kwargs)
+    assert [sol.lam for sol in together] == list(lams)
+    for lam, sol in zip(lams, together):
+        alone = solve_mode(LaplaceTypeSpec(lam=lam, m=3), grid, **kwargs)
+        assert np.array_equal(sol.times, alone.times)
+        assert np.array_equal(sol.values, alone.values)
+        assert sol.values.shape == (26, 120)
 
 
 def test_dirichlet_inner_flag():
