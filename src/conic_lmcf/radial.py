@@ -24,6 +24,7 @@ couple, so each mode gets the same bits as a one-mode solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,15 +149,14 @@ def _stencil(r):
 
 
 def _inner_weights(r, alpha):
-    """Weights (w1, w2) with ``u_0 = w1 u_1 + w2 u_2`` exact on r^α, r^{α+2}."""
-    A = np.array([[r[1] ** alpha, r[1] ** (alpha + 2.0)],
-                  [r[2] ** alpha, r[2] ** (alpha + 2.0)]])
-    rhs = np.array([r[0] ** alpha, r[0] ** (alpha + 2.0)])
-    try:
-        w = np.linalg.solve(A.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"inner extrapolation row is singular: {exc}") from exc
-    return w
+    """Weights (w1, w2) with ``u_0 = w1 u_1 + w2 u_2`` exact on r^α, r^{α+2}.
+
+    The 2×2 system is solved in closed form with the powers taken as ratios
+    ``(r_0/r_j)^α``, so a large α cannot underflow ``r_j^α`` to zero.
+    """
+    d = r[2] ** 2 - r[1] ** 2
+    return np.array([(r[0] / r[1]) ** alpha * (r[2] ** 2 - r[0] ** 2) / d,
+                     (r[0] / r[2]) ** alpha * (r[0] ** 2 - r[1] ** 2) / d])
 
 
 def radial_operator(spec, grid, inner_bc="extrapolation", alpha_inner=None):
@@ -238,10 +238,19 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     keeps only the initial and final states).  Returns one
     :class:`ModeSolution` per spec.
     """
-    if dt <= 0 or T <= 0 or store_every < 0:
-        raise ValidationError("need dt > 0, T > 0 and store_every >= 0")
+    if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
+        raise ValidationError("need finite dt > 0 and T > 0, and store_every >= 0")
     specs = list(specs)
     alphas = [None] * len(specs) if alpha_inner is None else list(alpha_inner)
+    # keep dt when it divides T; otherwise take the fewest equal steps no
+    # longer than dt and end the last one exactly at T
+    n_steps = int(round(T / dt))
+    t_last = n_steps * dt
+    if n_steps < 1 or abs(t_last - T) > 1e-9 * T:
+        n_steps = max(math.floor(T / dt), 1)
+        while T / n_steps > dt:
+            n_steps += 1
+        dt, t_last = T / n_steps, T
     r = grid.nodes
     n = len(r)
     A = sp.block_diag([_implicit_block(spec, grid, dt, inner_bc, alpha)
@@ -251,14 +260,11 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     except RuntimeError as exc:
         raise NumericalError(f"implicit system is singular at step 0: {exc}") from exc
 
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        n_steps = int(np.ceil(T / dt - 1e-12))
     u = np.zeros((len(specs), n))
     times = [0.0]
     frames = [u]
     for k in range(1, n_steps + 1):
-        t_new = k * dt
+        t_new = k * dt if k < n_steps else t_last
         if forcing is None:
             rhs = u.copy()
         else:

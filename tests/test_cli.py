@@ -312,6 +312,14 @@ def test_initial_condition_rejects_unknown_names(tmp_path, capsys):
     assert "allowed" in capsys.readouterr().err
 
 
+def test_large_eigenvalue_mode_solves(tmp_path):
+    # the inner extrapolation row stays well posed at alpha of about 140
+    rc = main(["heat", "--lam", "20000", "--n", "100", "--T", "0.05", "--forcing", "r^0.5",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert read_report(tmp_path)["outputs"]["sup_final"]["20000"] > 0.0
+
+
 def test_repeated_eigenvalue_exits_2(tmp_path, capsys):
     rc = main(["heat", "--lam", "2", "2", "--n", "50", "--T", "0.05",
                "--outdir", str(tmp_path)])

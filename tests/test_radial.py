@@ -235,6 +235,40 @@ def test_solve_modes_matches_one_mode_solves():
         assert sol.values.shape == (26, 120)
 
 
+def test_step_that_does_not_divide_T_ends_at_T():
+    grid = RadialGrid(R=1.0, n_cells=50)
+    sol = solve_mode(LaplaceTypeSpec(lam=2.0, m=3), grid, T=0.1, dt=0.03,
+                     forcing=lambda t, r: np.ones_like(r), store_every=1)
+    assert sol.times[-1] == 0.1
+    assert np.max(np.diff(sol.times)) <= 0.03
+    assert len(sol.times) == 5
+
+
+@pytest.mark.parametrize("T, dt", [(np.nan, 0.01), (np.inf, 0.01), (0.1, np.nan), (0.1, 0.0)])
+def test_non_finite_times_are_rejected(T, dt):
+    grid = RadialGrid(R=1.0, n_cells=50)
+    with pytest.raises(ValidationError):
+        solve_mode(LaplaceTypeSpec(lam=0.0, m=3), grid, T=T, dt=dt)
+
+
+def test_inner_weights_are_exact_on_the_admissible_powers():
+    from conic_lmcf import exponent_roots
+
+    grid = RadialGrid(R=1.0, n_cells=100)
+    r = grid.nodes
+    alpha = exponent_roots(6.0, 3)[0]
+    w = radial_operator(LaplaceTypeSpec(lam=6.0, m=3), grid)[1]["inner_weights"]
+    for p in (alpha, alpha + 2.0):
+        assert abs(w[0] * r[1] ** p + w[1] * r[2] ** p - r[0] ** p) <= 1e-14 * r[0] ** p
+
+
+def test_inner_weights_do_not_underflow_at_large_eigenvalues():
+    # alpha is about 70 at lambda = 5000: r_j^alpha underflows, the ratios do not
+    grid = RadialGrid(R=1.0, n_cells=400)
+    w = radial_operator(LaplaceTypeSpec(lam=5000.0, m=3), grid)[1]["inner_weights"]
+    assert w[0] > 0.0 > w[1]
+
+
 def test_dirichlet_inner_flag():
     grid = RadialGrid(R=1.0, n_cells=200)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
