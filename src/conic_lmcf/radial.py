@@ -16,7 +16,7 @@ with ``u(0, ·) = 0``.  The discretization:
   second-order accuracy here).
 
 The modes of one run share the grid, the time step and the forcing, so
-:func:`solve_modes` stacks their tridiagonal ``I − dt·L_λ`` blocks into one
+:func:`solve_modes` stacks their ``I − dt·L_λ`` blocks into one
 block-diagonal matrix, factors it once, and advances all modes together with
 one forcing evaluation and one back-substitution per step.  The blocks do not
 couple, so each mode gets the same bits as a one-mode solve.
@@ -213,10 +213,7 @@ def _implicit_block(spec, grid, dt, inner_bc, alpha_inner):
     upper[0] = -w[0]
     corner = np.zeros(len(diag) - 2)
     corner[0] = -w[1]
-    A = sp.diags([lower, diag, upper, corner], [-1, 0, 1, 2], format="csc")
-    # drop the zeros a sparse assembly would not store, so splu sees the same pattern
-    A.eliminate_zeros()
-    return A
+    return sp.diags([lower, diag, upper, corner], [-1, 0, 1, 2], format="csc")
 
 
 def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
