@@ -340,6 +340,8 @@ def parse_initial_condition(expr: str, m: int, n: int) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
+    if args.link == "mesh" and args.count < 1:
+        raise ValidationError(f"--count must be a positive integer, got {args.count}")
     out = _outdir(args)
     link = build_link(args)
     if isinstance(link, MeshLink):

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+import scipy.sparse.linalg as spla
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "EigenEntry",
@@ -248,27 +248,45 @@ class RoundSphere:
 
 
 def read_off(path):
-    """Read an OFF file; returns ``(vertices, faces)`` arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+    """Read an OFF file; returns ``(vertices, faces)`` arrays.
+
+    ``#`` starts a comment that runs to the end of its line.  Every face
+    must be a triangle record ``3 i j k``.  A file that cannot be read, a
+    malformed or truncated record, or a non-triangle face raises
+    :class:`ValidationError` naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read mesh file {path}: {exc}") from exc
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
     if not tokens or tokens[0] != "OFF":
-        raise ValidationError("not an OFF file (missing OFF header)")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValidationError("only triangle faces are supported")
-        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += cnt + 1
-    return verts, np.array(faces, dtype=int)
+        raise ValidationError(f"{path} is not an OFF file (missing OFF header)")
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed OFF header counts") from exc
+    if nv < 1 or nf < 1:
+        raise ValidationError(f"{path}: OFF header needs positive vertex and face "
+                              f"counts, got {nv} and {nf}")
+    pos = 4 + 3 * nv
+    end = pos + 4 * nf
+    if len(tokens) < end:
+        raise ValidationError(f"{path} is truncated: the header promises {nv} "
+                              f"vertices and {nf} triangles")
+    try:
+        verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+        records = np.array(tokens[pos:end], dtype=int).reshape(nf, 4)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed vertex or face record") from exc
+    # records stay aligned up to the first non-triangle, whose count is then
+    # read in the first column
+    if np.any(records[:, 0] != 3):
+        raise ValidationError(f"{path}: only triangle faces are supported")
+    return verts, records[:, 1:]
 
 
 class MeshLink:
@@ -276,7 +294,10 @@ class MeshLink:
 
     Stores faces plus, per face, the lengths of the edges opposite each
     corner.  Embedded meshes compute those from vertex positions; intrinsic
-    meshes supply them directly.
+    meshes supply them directly.  Eigenvalues come from shift-invert Lanczos
+    on the cotangent stiffness ``K`` and lumped mass ``M``, with ``K + 0.5·M``
+    factored once by a symmetric-mode sparse LU and a fixed start vector, so
+    repeated solves return the same bits.
     """
 
     variant = "Mesh"
@@ -312,19 +333,28 @@ class MeshLink:
 
     @staticmethod
     def _validate_closed(n_vertices, faces):
+        """Reject meshes that are not closed, oriented and non-degenerate.
+
+        Directed edge ``u → v`` is encoded as ``u·n + v``.  Each directed edge
+        may occur once, and its reverse must occur too.  Degenerate faces are
+        reported first, by number.
+        """
+        if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) == 0:
+            raise ValidationError("faces must be a nonempty (n, 3) index array")
         if faces.min() < 0 or faces.max() >= n_vertices:
             raise ValidationError("face index out of range")
-        directed = {}
-        for f, (a, b, c) in enumerate(faces):
-            for u, v in ((a, b), (b, c), (c, a)):
-                if u == v:
-                    raise ValidationError(f"degenerate face {f}")
-                if (u, v) in directed:
-                    raise ValidationError("mesh is not orientable (repeated directed edge)")
-                directed[(u, v)] = f
-        for (u, v) in directed:
-            if (v, u) not in directed:
-                raise ValidationError("mesh is not closed (boundary edge found)")
+        u = faces.ravel()               # edges (a,b), (b,c), (c,a) of each face
+        v = faces[:, [1, 2, 0]].ravel()
+        degenerate = np.flatnonzero(u == v)
+        if degenerate.size:
+            raise ValidationError(f"degenerate face {degenerate[0] // 3}")
+        keys = np.sort(u * n_vertices + v)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValidationError("mesh is not orientable (repeated directed edge)")
+        # the keys are distinct, so the mesh is closed exactly when reversing
+        # every edge gives back the same set of keys
+        if not np.array_equal(np.sort(v * n_vertices + u), keys):
+            raise ValidationError("mesh is not closed (boundary edge found)")
 
     def _init_intrinsic(self, n_vertices, faces, lengths):
         if lengths.shape != (len(faces), 3):
@@ -374,11 +404,32 @@ class MeshLink:
     # -- spectrum
 
     def eigenvalues(self, count):
-        """Lowest ``count`` eigenvalues of Δ_h (raw, with multiplicity)."""
-        if count >= self.n_vertices - 1:
-            raise ValidationError("count must be well below the vertex count")
-        vals = eigsh(self.stiffness, k=count, M=self.mass, sigma=-0.5,
-                     which="LM", return_eigenvectors=False)
+        """Lowest ``count`` eigenvalues of Δ_h (raw, with multiplicity).
+
+        Shift-invert Lanczos about σ = −0.5.  ``K + 0.5·M`` is symmetric
+        positive definite (a Gram matrix of P1 gradients plus a positive
+        lumped mass), so SuperLU factors it in symmetric mode: a minimum-degree
+        ordering of its symmetric pattern and no pivoting.  The Lanczos start
+        vector is fixed and is not the constant λ = 0 eigenvector.
+        """
+        n = self.n_vertices
+        if count < 1 or count >= n - 1:
+            raise ValidationError(f"count must be between 1 and {n - 2} for a mesh "
+                                  f"with {n} vertices, got {count}")
+        lu = spla.splu((self.stiffness + 0.5 * self.mass).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        shift_inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            vals = spla.eigsh(self.stiffness, k=count, M=self.mass, sigma=-0.5,
+                              which="LM", v0=start, OPinv=shift_inverse,
+                              return_eigenvectors=False)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(
+                f"mesh eigen-solve (shift-invert Lanczos) did not converge: "
+                f"{len(exc.eigenvalues)} of {count} eigenvalues converged; "
+                f"change --count") from exc
         vals = np.sort(vals)
         return np.clip(vals, 0.0, None)
 

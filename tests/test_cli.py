@@ -2,8 +2,12 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, run_flow, solve_mode
@@ -340,3 +344,97 @@ def test_unknown_flag_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fredholm", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# mesh links
+# ---------------------------------------------------------------------------
+
+OCTAHEDRON_OFF = """OFF
+6 8 0
+1 0 0
+-1 0 0
+0 1 0
+0 -1 0
+0 0 1
+0 0 -1
+3 0 2 4
+3 2 1 4
+3 1 3 4
+3 3 0 4
+3 2 0 5
+3 1 2 5
+3 3 1 5
+3 0 3 5
+"""
+
+
+def write_torus_off(path, nu=12, nv=8, R=2.0, a=0.7):
+    """Torus of revolution sampled on an ``nu × nv`` grid, as an OFF file."""
+    lines = ["OFF", f"{nu * nv} {2 * nu * nv} 0"]
+    for i in range(nu):
+        for j in range(nv):
+            phi, th = 2 * math.pi * i / nu, 2 * math.pi * j / nv
+            rho = R + a * math.cos(th)
+            lines.append(f"{rho * math.cos(phi)!r} {rho * math.sin(phi)!r} {a * math.sin(th)!r}")
+    for i in range(nu):
+        for j in range(nv):
+            p, q = i * nv + j, ((i + 1) % nu) * nv + j
+            r, s = ((i + 1) % nu) * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+            lines += [f"3 {p} {q} {r}", f"3 {p} {r} {s}"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_mesh_spectrum_csv_repeats_in_process(tmp_path):
+    off = write_torus_off(tmp_path / "torus.off")
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        assert main(["spectrum", "--link", "mesh", "--mesh-file", str(off), "--count", "8",
+                     "--outdir", str(d)]) == 0
+    first = (dirs[0] / "spectrum.csv").read_bytes()
+    assert first == (dirs[1] / "spectrum.csv").read_bytes()
+    assert first.startswith(b"lambda,multiplicity,basis_tag\n0,1,mesh\n")
+
+
+MALFORMED_OFF = {
+    "truncated.off": OCTAHEDRON_OFF[:OCTAHEDRON_OFF.index("3 1 2 5")],
+    "header.off": "OFF\nsix 8 0\n",
+    "no_faces.off": OCTAHEDRON_OFF.replace("6 8 0", "6 0 0").split("3 0 2 4")[0],
+    "missing.off": None,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_OFF)
+def test_malformed_mesh_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    if MALFORMED_OFF[name] is not None:
+        path.write_text(MALFORMED_OFF[name])
+    rc = main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", "3",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_non_positive_mesh_count_exits_2(tmp_path, capsys, count):
+    path = tmp_path / "oct.off"
+    path.write_text(OCTAHEDRON_OFF)
+    rc = main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", count,
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--count" in capsys.readouterr().err
+
+
+def test_unconverged_mesh_spectrum_exits_1(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    path = tmp_path / "oct.off"
+    path.write_text(OCTAHEDRON_OFF)
+    rc = main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", "3",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "mesh eigen-solve" in err and "--count" in err

@@ -6,13 +6,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from conic_lmcf import (
     EigenEntry,
     FlatTorus,
     MeshLink,
+    NumericalError,
     RoundSphere,
     ValidationError,
+    read_off,
     sphere_multiplicity,
 )
 
@@ -248,3 +255,181 @@ def test_sphere_multiplicity_small_values():
     assert [sphere_multiplicity(l, 2) for l in range(4)] == [1, 3, 5, 7]
     assert [sphere_multiplicity(l, 3) for l in range(4)] == [1, 4, 9, 16]
     assert sphere_multiplicity(2, 2) == math.comb(4, 2) - 1
+
+
+def test_off_reader_skips_comments_and_blank_lines(tmp_path):
+    plain = tmp_path / "plain.off"
+    plain.write_text(octahedron_off_text())
+    lines = octahedron_off_text().splitlines()
+    commented = ["# octahedron", "", lines[0] + "  # header", lines[1], "", "   "]
+    commented += [line + " # vertex" for line in lines[2:8]]
+    commented += ["# faces follow", ""] + lines[8:] + ["# end"]
+    noisy = tmp_path / "noisy.off"
+    noisy.write_text("\n".join(commented) + "\n")
+    for got, want in zip(read_off(noisy), read_off(plain)):
+        assert np.array_equal(got, want)
+
+
+def test_off_reader_rejects_a_quad_face(tmp_path):
+    path = tmp_path / "quad.off"
+    path.write_text(octahedron_off_text().replace("3 0 3 5", "4 0 3 5 1"))
+    with pytest.raises(ValidationError, match="triangle"):
+        read_off(path)
+
+
+def read_off_by_lines(path):
+    """Oracle: the line-by-line, face-by-face OFF reader."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = []
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                tokens.extend(line.split())
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4
+    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
+    pos += 3 * nv
+    faces = []
+    for _ in range(nf):
+        cnt = int(tokens[pos])
+        if cnt != 3:
+            raise ValidationError("only triangle faces are supported")
+        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
+        pos += cnt + 1
+    return verts, np.array(faces, dtype=int)
+
+
+def test_off_reader_matches_the_line_reader(tmp_path):
+    path = tmp_path / "oct.off"
+    path.write_text(octahedron_off_text())
+    verts, faces = read_off(path)
+    ref_verts, ref_faces = read_off_by_lines(path)
+    assert verts.dtype == ref_verts.dtype and np.array_equal(verts, ref_verts)
+    assert faces.dtype == ref_faces.dtype and np.array_equal(faces, ref_faces)
+
+
+def validate_closed_by_walk(n_vertices, faces):
+    """Oracle: walk the directed edges face by face with a dict."""
+    if faces.min() < 0 or faces.max() >= n_vertices:
+        raise ValidationError("face index out of range")
+    directed = {}
+    for f, (a, b, c) in enumerate(faces):
+        for u, v in ((a, b), (b, c), (c, a)):
+            if u == v:
+                raise ValidationError(f"degenerate face {f}")
+            if (u, v) in directed:
+                raise ValidationError("mesh is not orientable (repeated directed edge)")
+            directed[(u, v)] = f
+    for (u, v) in directed:
+        if (v, u) not in directed:
+            raise ValidationError("mesh is not closed (boundary edge found)")
+
+
+OCTAHEDRON_FACES = [
+    (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+    (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
+
+
+def torus_grid_faces(nu, nv):
+    """Closed oriented triangulation of an ``nu × nv`` periodic grid."""
+    faces = []
+    for i in range(nu):
+        for j in range(nv):
+            p, q = i * nv + j, ((i + 1) % nu) * nv + j
+            r, s = ((i + 1) % nu) * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+            faces += [(p, q, r), (p, r, s)]
+    return nu * nv, faces
+
+
+@st.composite
+def closed_and_mutated_meshes(draw):
+    """A closed mesh with permuted vertices and faces, then a few random edits."""
+    shape = draw(st.one_of(st.just((None, None)),
+                           st.tuples(st.integers(3, 6), st.integers(3, 6))))
+    n, faces = (6, OCTAHEDRON_FACES) if shape[0] is None else torus_grid_faces(*shape)
+    perm = draw(st.permutations(range(n)))
+    faces = [tuple(perm[k] for k in f) for f in draw(st.permutations(faces))]
+    edits = draw(st.lists(st.tuples(st.sampled_from(["flip", "drop", "duplicate", "collapse"]),
+                                    st.integers(0, 10**6)), max_size=3))
+    for kind, at in edits:
+        k = at % len(faces)
+        a, b, c = faces[k]
+        if kind == "flip":
+            faces[k] = (a, c, b)
+        elif kind == "drop" and len(faces) > 1:
+            del faces[k]
+        elif kind == "duplicate":
+            faces.insert(at % (len(faces) + 1), faces[k])
+        elif kind == "collapse":
+            faces[k] = (a, a, c)
+    return n, np.array(faces, dtype=int)
+
+
+def outcome(check, n, faces):
+    try:
+        check(n, faces)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_and_mutated_meshes())
+def test_closedness_check_agrees_with_the_edge_walk(mesh):
+    n, faces = mesh
+    got = outcome(MeshLink._validate_closed, n, faces)
+    want = outcome(validate_closed_by_walk, n, faces)
+    assert (got is None) == (want is None)
+    # with several defects the walk reports whichever comes first in face
+    # order, while the array check reports a degenerate face first
+    if not np.any(faces == np.roll(faces, 1, axis=1)):
+        assert got == want
+
+
+def test_closedness_check_names_the_degenerate_face():
+    faces = np.array(OCTAHEDRON_FACES)
+    faces[5] = (1, 1, 5)
+    with pytest.raises(ValidationError, match="degenerate face 5"):
+        MeshLink._validate_closed(6, faces)
+
+
+@pytest.mark.parametrize("faces", [np.zeros((0, 3), dtype=int), np.array([0, 1, 2])])
+def test_closedness_check_rejects_empty_or_flat_face_arrays(faces):
+    with pytest.raises(ValidationError, match="nonempty"):
+        MeshLink._validate_closed(6, faces)
+
+
+def octahedron_link(tmp_path):
+    path = tmp_path / "oct.off"
+    path.write_text(octahedron_off_text())
+    return MeshLink.from_off(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: FlatTorus(HEX_METRIC).triangulate(8),
+    octahedron_link,
+])
+def test_mesh_eigenvalues_match_a_dense_solve_and_repeat(tmp_path, build):
+    mesh = build(tmp_path)
+    count = min(7, mesh.n_vertices - 2)
+    first = mesh.eigenvalues(count)
+    assert first.tobytes() == mesh.eigenvalues(count).tobytes()
+    dense = scipy.linalg.eigh(mesh.stiffness.toarray(), mesh.mass.toarray(),
+                              eigvals_only=True)
+    assert np.max(np.abs(first - np.clip(dense[:count], 0.0, None))) < 1e-12
+
+
+def test_mesh_eigenvalue_count_must_be_positive():
+    mesh = FlatTorus(HEX_METRIC).triangulate(6)
+    for count in (0, -1, mesh.n_vertices - 1):
+        with pytest.raises(ValidationError, match="count"):
+            mesh.eigenvalues(count)
+
+
+def test_unconverged_mesh_solve_is_a_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(2), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="mesh eigen-solve.*2 of 5.*--count"):
+        FlatTorus(HEX_METRIC).triangulate(8).eigenvalues(5)
