@@ -4,149 +4,54 @@ The package splits into cone-side linear analysis (link spectra, homogeneity
 exponents, Fredholm and stability indices, radial heat solves with conical
 asymptotics, weighted norms) and a periodic graphical flow integrator used to
 measure how far the nonlinear flow sits from its heat-flow linearisation.
+
+The names below are re-exported lazily (PEP 562): ``conic_lmcf.run_flow``
+imports :mod:`conic_lmcf.flow` on first use, so a command that never touches
+the radial solver or a mesh link never imports SciPy's sparse stack.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    AsymptoticExpansion,
-    extend_asymptotic,
-    extract_asymptotics,
-    laplace_of_terms,
-    synthesize,
-)
-from .cones import (
-    MomentElement,
-    RestrictionResult,
-    SLCone,
-    StabilityReport,
-    catalog_cone,
-    cone_from_json,
-    eigenspace_projection_residual,
-    hamiltonian_field,
-    harvey_lawson_torus,
-    moment_eval,
-    plane_cone,
-    restrict_to_cone,
-    stability_index,
-    su_basis,
-    translation_basis,
-    verify_hamiltonian,
-)
-from .errors import (
-    DegenerateDataError,
-    ExceptionalWeightError,
-    GraphConditionError,
-    MissingDerivativeError,
-    MixedHomogeneityError,
-    NumericalError,
-    ValidationError,
-    WindowError,
-)
-from .exponents import ExponentEntry, ExponentTable, exponent_roots, fredholm_index
-from .flow import (
-    DefectReport,
-    FlowState,
-    catalog_initial_conditions,
-    default_dt,
-    flow_step,
-    graph_determinant,
-    grid_coordinates,
-    heat_step,
-    hessian_field,
-    lagrangian_angle,
-    linearization_defect,
-    run_flow,
-    run_heat,
-)
-from .links import EigenEntry, FlatTorus, MeshLink, RoundSphere, read_off, sphere_multiplicity
-from .norms import (
-    RadiusFunction,
-    WeightVector,
-    decay_rate,
-    dyadic_annulus_suprema,
-    holder_norm,
-    smooth_cutoff,
-    sobolev_norm,
-)
-from .radial import (
-    LaplaceTypeSpec,
-    ModeSolution,
-    RadialGrid,
-    apply_radial_operator,
-    radial_operator,
-    solve_mode,
-    solve_modes,
-)
+# submodule -> the public names it contributes to the package namespace
+_EXPORTS = {
+    "asymptotics": ("AsymptoticExpansion", "extend_asymptotic", "extract_asymptotics",
+                    "laplace_of_terms", "synthesize"),
+    "cones": ("MomentElement", "RestrictionResult", "SLCone", "StabilityReport",
+              "catalog_cone", "cone_from_json", "eigenspace_projection_residual",
+              "hamiltonian_field", "harvey_lawson_torus", "moment_eval", "plane_cone",
+              "restrict_to_cone", "stability_index", "su_basis", "translation_basis",
+              "verify_hamiltonian"),
+    "errors": ("DegenerateDataError", "ExceptionalWeightError", "GraphConditionError",
+               "MissingDerivativeError", "MixedHomogeneityError", "NumericalError",
+               "ValidationError", "WindowError"),
+    "exponents": ("ExponentEntry", "ExponentTable", "exponent_roots", "fredholm_index"),
+    "flow": ("DefectReport", "FlowState", "catalog_initial_conditions", "default_dt",
+             "flow_step", "graph_determinant", "grid_coordinates", "heat_step",
+             "hessian_field", "lagrangian_angle", "linearization_defect", "run_flow",
+             "run_heat"),
+    "links": ("EigenEntry", "FlatTorus", "MeshLink", "RoundSphere", "read_off",
+              "sphere_multiplicity"),
+    "norms": ("RadiusFunction", "WeightVector", "decay_rate", "dyadic_annulus_suprema",
+              "holder_norm", "smooth_cutoff", "sobolev_norm"),
+    "radial": ("LaplaceTypeSpec", "ModeSolution", "RadialGrid", "apply_radial_operator",
+               "radial_operator", "solve_mode", "solve_modes"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AsymptoticExpansion",
-    "DefectReport",
-    "DegenerateDataError",
-    "EigenEntry",
-    "ExceptionalWeightError",
-    "ExponentEntry",
-    "ExponentTable",
-    "FlatTorus",
-    "FlowState",
-    "GraphConditionError",
-    "LaplaceTypeSpec",
-    "MeshLink",
-    "MissingDerivativeError",
-    "MixedHomogeneityError",
-    "ModeSolution",
-    "MomentElement",
-    "NumericalError",
-    "RadialGrid",
-    "RadiusFunction",
-    "RestrictionResult",
-    "RoundSphere",
-    "SLCone",
-    "StabilityReport",
-    "ValidationError",
-    "WeightVector",
-    "WindowError",
-    "apply_radial_operator",
-    "catalog_cone",
-    "catalog_initial_conditions",
-    "cone_from_json",
-    "decay_rate",
-    "default_dt",
-    "dyadic_annulus_suprema",
-    "eigenspace_projection_residual",
-    "exponent_roots",
-    "extend_asymptotic",
-    "extract_asymptotics",
-    "flow_step",
-    "fredholm_index",
-    "graph_determinant",
-    "grid_coordinates",
-    "hamiltonian_field",
-    "harvey_lawson_torus",
-    "heat_step",
-    "hessian_field",
-    "holder_norm",
-    "lagrangian_angle",
-    "laplace_of_terms",
-    "linearization_defect",
-    "moment_eval",
-    "plane_cone",
-    "radial_operator",
-    "read_off",
-    "restrict_to_cone",
-    "run_flow",
-    "run_heat",
-    "smooth_cutoff",
-    "sobolev_norm",
-    "solve_mode",
-    "solve_modes",
-    "sphere_multiplicity",
-    "stability_index",
-    "su_basis",
-    "synthesize",
-    "translation_basis",
-    "verify_hamiltonian",
-]
+__all__ = ["__version__", *sorted(_SUBMODULE)]
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

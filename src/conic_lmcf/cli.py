@@ -36,7 +36,6 @@ from .flow import (
     run_flow,
 )
 from .links import FlatTorus, MeshLink, RoundSphere
-from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +277,20 @@ def parse_forcing(expr: str | None, csv_path: str | None):
     )
 
 
-def _forcing_from_csv(path: str):
-    from scipy.interpolate import RegularGridInterpolator
+def _bracket(nodes, x):
+    """Cell ``(lo, hi)`` of sorted ``nodes`` holding ``x``, and ``x``'s weight ``w`` on ``hi``.
 
+    ``x`` lies within ``[nodes[0], nodes[-1]]``, and the last node falls in
+    the last cell.  A one-node axis gives ``lo = hi = 0`` and ``w = 0``.
+    """
+    if nodes.size == 1:
+        lo = np.zeros(np.shape(x), dtype=int)
+        return lo, lo, np.zeros(np.shape(x))
+    lo = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    return lo, lo + 1, (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
+
+
+def _forcing_from_csv(path: str):
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -298,12 +308,14 @@ def _forcing_from_csv(path: str):
             return np.interp(np.clip(r, _rs[0], _rs[-1]), _rs, _row)
 
         return f_const
-    interp = RegularGridInterpolator((ts, rs), grid_f, bounds_error=False, fill_value=None)
 
     def f(t, r):
-        rr = np.clip(np.asarray(r, dtype=float), rs[0], rs[-1])
-        tt = np.full_like(rr, np.clip(t, ts[0], ts[-1]))
-        return interp(np.stack([tt, rr], axis=-1))
+        # bilinear on the cell holding the clipped (t, r), with scipy's
+        # RegularGridInterpolator weights and summation order
+        i0, i1, y0 = _bracket(ts, np.clip(t, ts[0], ts[-1]))
+        j0, j1, y1 = _bracket(rs, np.clip(np.asarray(r, dtype=float), rs[0], rs[-1]))
+        return (grid_f[i0, j0] * (1 - y0) * (1 - y1) + grid_f[i0, j1] * (1 - y0) * y1
+                + grid_f[i1, j0] * y0 * (1 - y1) + grid_f[i1, j1] * y0 * y1)
 
     return f
 
@@ -438,6 +450,9 @@ def cmd_fredholm(args) -> int:
 
 
 def _solve_modes(lams, args, forcing):
+    # imported here: the radial solver loads SciPy's sparse stack
+    from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
+
     if len(set(lams)) < len(lams):
         raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
     if args.store_every < 0:
@@ -524,14 +539,13 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
+    if args.snapshots < 0:
+        raise ValidationError(f"--snapshots must be >= 0, got {args.snapshots}")
     out = _outdir(args)
     u0 = args.amplitude * parse_initial_condition(args.ic, args.m, args.n)
-    final, series, states = run_flow(u0, T=args.T, dt=args.dt, record=True)
-    n_snap = min(args.snapshots, len(states))
-    pick = np.linspace(0, len(states) - 1, n_snap).round().astype(int)
+    final, series, states = run_flow(u0, T=args.T, dt=args.dt, snapshots=args.snapshots)
     write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
-                 ((states[si].t, (states[si].u.ravel(), states[si].theta.ravel()))
-                  for si in pick))
+                 ((st.t, (st.u.ravel(), st.theta.ravel())) for st in states))
     write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
     summary = {
         "t": list(series["t"]),

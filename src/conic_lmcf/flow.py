@@ -207,37 +207,53 @@ def heat_step(state, dt=None):
                      lagrangian_angle(u_new, state.dx))
 
 
-def _run(step, u0, T, dt, record):
+def _snapshot_steps(count, n_steps):
+    """``min(count, n_steps + 1)`` evenly spaced step indices from 0 to ``n_steps``."""
+    if count < 0:
+        raise ValidationError(f"snapshots must be a nonnegative count, got {count}")
+    return np.linspace(0, n_steps, min(count, n_steps + 1)).round().astype(int).tolist()
+
+
+def _run(step, u0, T, dt, record=False, snapshots=None):
     u0 = np.asarray(u0, dtype=float)
-    # reject a bad T or dt (exit 2) before the initial angle can fail (exit 1)
+    # reject a bad T, dt or snapshot count (exit 2) before the initial angle
+    # can fail (exit 1)
     n_steps, dt = _schedule(T, dt, u0.ndim, u0.shape[0])
+    if snapshots is not None:
+        pick = _snapshot_steps(snapshots, n_steps)
+    else:
+        pick = range(n_steps + 1) if record else ()
+    keep = set(pick)
     state = FlowState.from_potential(u0)
     series = {"t": [state.t], "sup_theta": [float(np.abs(state.theta).max())],
               "amplitude": [float(np.abs(state.u).max())]}
-    states = [state] if record else None
-    for _ in range(n_steps):
+    kept = {0: state} if 0 in keep else {}
+    for k in range(1, n_steps + 1):
         state = step(state, dt)
         series["t"].append(state.t)
         series["sup_theta"].append(float(np.abs(state.theta).max()))
         series["amplitude"].append(float(np.abs(state.u).max()))
-        if record:
-            states.append(state)
-    return state, series, states
+        if k in keep:
+            kept[k] = state
+    return state, series, [kept[k] for k in pick]
 
 
-def run_flow(u0, T, dt=None, record=False):
+def run_flow(u0, T, dt=None, record=False, snapshots=None):
     """Integrate the nonlinear flow to time ``T``; returns (state, series[, states]).
 
     ``series`` carries the per-step sup|θ| and amplitude histories.  ``dt``
-    is lowered, never raised, to divide ``T`` exactly.
+    is lowered, never raised, to divide ``T`` exactly.  ``record=True``
+    also returns every state.  ``snapshots=k`` instead returns the states at
+    ``min(k, n_steps + 1)`` evenly spaced steps from the first to the last
+    (the first alone when ``k = 1``) and holds no other state in memory.
     """
-    state, series, states = _run(flow_step, u0, T, dt, record)
-    return (state, series, states) if record else (state, series)
+    state, series, states = _run(flow_step, u0, T, dt, record, snapshots)
+    return (state, series, states) if record or snapshots is not None else (state, series)
 
 
 def run_heat(u0, T, dt=None):
     """Integrate the linearized (heat) flow with the same discretization."""
-    state, series, _ = _run(heat_step, u0, T, dt, False)
+    state, series, _ = _run(heat_step, u0, T, dt)
     return state, series
 
 

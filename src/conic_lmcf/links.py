@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 
@@ -251,8 +249,9 @@ def read_off(path):
     """Read an OFF file; returns ``(vertices, faces)`` arrays.
 
     ``#`` starts a comment that runs to the end of its line.  Every face
-    must be a triangle record ``3 i j k``.  A file that cannot be read, a
-    malformed or truncated record, or a non-triangle face raises
+    must be a triangle record ``3 i j k``, and the file ends with the last
+    record the header promises.  A file that cannot be read, a malformed or
+    truncated record, trailing data, or a non-triangle face raises
     :class:`ValidationError` naming the file.
     """
     try:
@@ -286,6 +285,9 @@ def read_off(path):
     # read in the first column
     if np.any(records[:, 0] != 3):
         raise ValidationError(f"{path}: only triangle faces are supported")
+    if len(tokens) > end:
+        raise ValidationError(f"{path} has {len(tokens) - end} trailing tokens after "
+                              f"the {nv} vertices and {nf} triangles its header promises")
     return verts, records[:, 1:]
 
 
@@ -369,6 +371,10 @@ class MeshLink:
         return len(self.faces)
 
     def _build_system(self):
+        # SciPy's sparse stack loads only here and in eigenvalues, so the
+        # lattice and sphere links never pay for the import
+        import scipy.sparse as sp
+
         faces, L = self.faces, self.face_edge_lengths
         a, b, c = L[:, 0], L[:, 1], L[:, 2]
         s = 0.5 * (a + b + c)
@@ -412,6 +418,8 @@ class MeshLink:
         ordering of its symmetric pattern and no pivoting.  The Lanczos start
         vector is fixed and is not the constant λ = 0 eigenvector.
         """
+        import scipy.sparse.linalg as spla
+
         n = self.n_vertices
         if count < 1 or count >= n - 1:
             raise ValidationError(f"count must be between 1 and {n - 2} for a mesh "

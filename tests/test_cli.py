@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, run_flow, solve_mode
-from conic_lmcf.cli import main, parse_initial_condition, write_csv
+from conic_lmcf.cli import main, parse_forcing, parse_initial_condition, write_csv
 
 
 def read_report(outdir):
@@ -135,6 +139,39 @@ def test_two_mode_run_equals_two_one_mode_runs(tmp_path):
         assert sups[0] == sups[1]
 
 
+@pytest.mark.parametrize("rs", [[0.0, 0.05, 0.3, 0.31, 0.7, 1.0], [0.5]])
+def test_forcing_table_matches_the_grid_interpolator(tmp_path, rs):
+    # bilinear in (t, r), both clipped to the table, as RegularGridInterpolator
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(5)
+    ts, rs = np.array([0.0, 0.01, 0.035, 0.1]), np.array(rs)
+    table = rng.normal(size=(ts.size, rs.size))
+    rows = [(t, r, table[i, j]) for i, t in enumerate(ts) for j, r in enumerate(rs)]
+    rng.shuffle(rows)
+    write_csv(tmp_path / "f.csv", ["t", "r", "f"], rows)
+    f = parse_forcing(None, str(tmp_path / "f.csv"))
+    oracle = RegularGridInterpolator((ts, rs), table)
+    r = np.concatenate([rs, rng.uniform(-0.5, 1.5, 300), [-np.inf, np.inf]])
+    for t in [*ts, -1.0, 0.02, 0.0999, 0.5, *rng.uniform(-0.05, 0.15, 20)]:
+        xi = np.stack(np.broadcast_arrays(np.clip(t, ts[0], ts[-1]),
+                                          np.clip(r, rs[0], rs[-1])), axis=-1)
+        np.testing.assert_allclose(f(t, r), oracle(xi), rtol=1e-15, atol=0)
+
+
+def test_heat_reads_a_forcing_table(tmp_path):
+    # t*r is bilinear, so its table reproduces the closed-form forcing
+    ts, rs = np.linspace(0.0, 0.05, 3), np.linspace(0.0, 1.0, 5)
+    write_csv(tmp_path / "f.csv", ["t", "r", "f"], [(t, r, t * r) for t in ts for r in rs])
+    argv = ["heat", "--lam", "2", "--n", "50", "--T", "0.05"]
+    assert main(argv + ["--forcing-csv", str(tmp_path / "f.csv"),
+                        "--outdir", str(tmp_path / "table")]) == 0
+    assert main(argv + ["--forcing", "t*r^1", "--outdir", str(tmp_path / "formula")]) == 0
+    table, formula = (np.loadtxt(tmp_path / d / "profile_2.dat") for d in ("table", "formula"))
+    assert np.abs(table[:, 1]).max() > 1e-4
+    np.testing.assert_allclose(table, formula, rtol=1e-12, atol=0)
+
+
 def test_asymptotics_extracts_terms(tmp_path, capsys):
     rc = main(
         ["asymptotics", "--lam", "0", "--n", "400", "--T", "0.1",
@@ -161,6 +198,34 @@ def test_flow_artifacts(tmp_path):
         summary = json.load(fh)
     sups = summary["sup_theta"]
     assert sups[-1] <= sups[0]
+
+
+def test_flow_holds_only_the_snapshots_it_writes(tmp_path):
+    # keeping every state of this run took about 400 MB.  The peak is the
+    # child's VmHWM: its ru_maxrss starts at the pytest process's peak, which
+    # the exec carries over
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("peak RSS is read from /proc/self/status")
+    script = ("import sys\n"
+              "from conic_lmcf.cli import main\n"
+              "rc = main(['flow', '--n', '128', '--T', '0.5', '--outdir', sys.argv[1]])\n"
+              "with open('/proc/self/status', encoding='ascii') as fh:\n"
+              "    print(rc, next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:')))\n")
+    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kib = proc.stdout.split()[-2:]
+    assert rc == "0"
+    assert int(peak_kib) / 1024 < 120
+
+
+def test_negative_snapshot_count_exits_2(tmp_path, capsys):
+    rc = main(["flow", "--n", "16", "--T", "0.01", "--snapshots", "-1",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "--snapshots" in capsys.readouterr().err
 
 
 def test_flow_snapshots_match_the_row_writer(tmp_path):
@@ -402,6 +467,7 @@ MALFORMED_OFF = {
     "header.off": "OFF\nsix 8 0\n",
     "no_faces.off": OCTAHEDRON_OFF.replace("6 8 0", "6 0 0").split("3 0 2 4")[0],
     "missing.off": None,
+    "trailing.off": OCTAHEDRON_OFF + "3 0 1 2\nstray words\n",
 }
 
 

@@ -119,6 +119,18 @@ def test_run_flow_record_returns_states():
     assert set(series) == {"t", "sup_theta", "amplitude"}
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 50])
+def test_snapshots_are_evenly_spaced_recorded_states(count):
+    u0 = sine_ic(2, 16, 0.05)
+    _, _, every = run_flow(u0, T=0.2, record=True)
+    _, _, kept = run_flow(u0, T=0.2, snapshots=count)
+    pick = np.linspace(0, len(every) - 1, min(count, len(every))).round().astype(int)
+    assert [st.t for st in kept] == [every[i].t for i in pick]
+    assert all(np.array_equal(st.u, every[i].u) for st, i in zip(kept, pick))
+    with pytest.raises(ValidationError, match="snapshots"):
+        run_flow(u0, T=0.2, snapshots=-1)
+
+
 @pytest.mark.parametrize("name", sorted(catalog_initial_conditions(2, 48)))
 def test_sup_angle_is_monotone_decreasing(name):
     u0 = catalog_initial_conditions(2, 48)[name]

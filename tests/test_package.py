@@ -1,0 +1,71 @@
+"""The package namespace: lazy re-exports, and what each command imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import conic_lmcf
+
+
+def test_exports_resolve_to_their_submodule_objects():
+    names = [name for name in conic_lmcf.__all__ if name != "__version__"]
+    for name in names:
+        module = importlib.import_module(f"conic_lmcf.{conic_lmcf._SUBMODULE[name]}")
+        assert getattr(conic_lmcf, name) is getattr(module, name)
+    assert set(conic_lmcf.__all__) <= set(dir(conic_lmcf))
+    namespace = {}
+    exec("from conic_lmcf import *", namespace)  # noqa: S102 - the star import under test
+    assert set(conic_lmcf.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        conic_lmcf.no_such_name  # noqa: B018
+
+
+# Runs each command through cli.main in one fresh interpreter and records,
+# after each, which of the probed modules are loaded.  sys.modules only grows,
+# so the first command that loads a module is the one that needs it.
+PROBE = """
+import json, sys
+import conic_lmcf
+probed = ("numpy", "scipy", "scipy.sparse", "scipy.interpolate")
+loaded = {"import conic_lmcf": [m for m in probed if m in sys.modules]}
+from conic_lmcf.cli import main
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    try:
+        main(argv + ["--outdir", f"{sys.argv[2]}/{i}"] if argv[0] != "--version" else argv)
+    except SystemExit:
+        pass
+    loaded[" ".join(argv)] = [m for m in probed[2:] if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_a_sparse_matrix_do_not_load_scipy_sparse(tmp_path):
+    table = tmp_path / "forcing.csv"
+    table.write_text("t,r,f\n0,0,1\n0,1,2\n0.1,0,3\n0.1,1,4\n", encoding="utf-8")
+    commands = [
+        ["--version"],
+        ["exponents", "--link", "hl-torus"],
+        ["fredholm", "--gamma", "2.1"],
+        ["stability", "--samples", "12"],
+        ["flow", "--n", "16", "--T", "0.01"],
+        ["defect", "--n", "16", "--T", "0.01"],
+        ["spectrum", "--link", "torus", "--lmax", "3"],
+        ["spectrum", "--link", "sphere", "--lmax", "3"],
+        # the radial solver builds a sparse matrix; the table needs no interpolate
+        ["heat", "--n", "20", "--T", "0.01", "--forcing-csv", str(table)],
+    ]
+    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    expected = {" ".join(argv): [] for argv in commands}
+    expected["import conic_lmcf"] = []
+    expected[" ".join(commands[-1])] = ["scipy.sparse"]
+    assert loaded == expected
