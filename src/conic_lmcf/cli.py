@@ -293,8 +293,10 @@ def _bracket(nodes, x):
 def _forcing_from_csv(path: str):
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read forcing table {path}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"forcing table {path} holds a non-finite entry")
     if data.shape[1] != 3:
         raise ValidationError("forcing CSV needs exactly three columns: t,r,f")
     ts = np.unique(data[:, 0])

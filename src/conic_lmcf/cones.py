@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedHomogeneityError, ValidationError, WindowError
+from .errors import MixedHomogeneityError, NumericalError, ValidationError, WindowError
 from .links import FlatTorus, RoundSphere
 
 __all__ = [
@@ -470,6 +470,22 @@ class StabilityReport:
         }
 
 
+def _gap_rank(svals):
+    """Numerical rank from descending singular values: the count above ``1e-8·σ₀``.
+
+    The count is trusted only at a clear gap: when a value is dropped, the
+    smallest kept one must exceed the largest dropped one by a factor of at
+    least 1e4, otherwise :class:`NumericalError` is raised.
+    """
+    rank = int((svals > 1e-8 * svals[0]).sum())
+    if 0 < rank < len(svals) and svals[rank - 1] < 1e4 * svals[rank]:
+        raise NumericalError(
+            f"moment-map span rank is ambiguous: singular values {svals[rank - 1]:.3g} "
+            f"(kept) and {svals[rank]:.3g} (dropped) are within a factor 1e4; "
+            f"change --samples or --seed")
+    return rank
+
+
 def stability_index(cone, table, n=24, seed=0):
     """Stability index of a special Lagrangian cone, with rank diagnostics.
 
@@ -493,8 +509,7 @@ def stability_index(cone, table, n=24, seed=0):
 
     def span_rank(elements):
         rows = np.stack([moment_eval(X, pts) for X in elements])
-        svals = np.linalg.svd(rows, compute_uv=False)
-        return int((svals > 1e-8 * svals[0]).sum())
+        return _gap_rank(np.linalg.svd(rows, compute_uv=False))
 
     rank_tr = span_rank([MomentElement(np.zeros((m, m)), v) for v in translation_basis(m)])
     rank_su = span_rank([MomentElement(A, np.zeros(m)) for A in su_basis(m)])

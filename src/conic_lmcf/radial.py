@@ -15,11 +15,16 @@ with ``u(0, ·) = 0``.  The discretization:
 * backward Euler in time (the r⁻² potential is stiff; damping beats
   second-order accuracy here).
 
-The modes of one run share the grid, the time step and the forcing, so
-:func:`solve_modes` stacks their ``I − dt·L_λ`` blocks into one
-block-diagonal matrix, factors it once, and advances all modes together with
-one forcing evaluation and one back-substitution per step.  The blocks do not
-couple, so each mode gets the same bits as a one-mode solve.
+The inner row is the only part of ``I − dt·L_λ`` outside the three central
+bands, and its right-hand side is always zero, so the implicit step
+substitutes ``u_0 = w1·u_1 + w2·u_2`` into row 1 and solves a tridiagonal
+system; ``u_0`` is rebuilt from the weights afterwards.  The modes of one
+run share the grid, the time step and the forcing, so :func:`solve_modes`
+stacks their bands with a zero coupling between blocks, factors the stacked
+system once with LAPACK's ``dgttrf``, and advances all modes together with
+one forcing evaluation and one ``dgttrs`` solve per step.  Pivoting cannot
+cross a zero sub-diagonal entry, so each mode gets the same bits as a
+one-mode solve.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
 from .errors import NumericalError, ValidationError
 from .exponents import exponent_roots
@@ -202,18 +208,23 @@ def apply_radial_operator(spec, grid, u):
 # --- time stepping -------------------------------------------------------------
 
 
-def _implicit_block(spec, grid, dt, inner_bc, alpha_inner):
-    """``I − dt·L`` with the inner extrapolation row and the outer Dirichlet row."""
+def _implicit_rows(spec, grid, dt, inner_bc, alpha_inner):
+    """Bands ``(lower, diag, upper)`` of ``I − dt·L`` with ``u_0`` eliminated.
+
+    ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
+    identity row with zero couplings (the step overwrites its solution from
+    the weights); the last row is the outer Dirichlet row.  The weights are
+    returned as a fourth item.
+    """
     L, meta = radial_operator(spec, grid, inner_bc=inner_bc, alpha_inner=alpha_inner)
     w = meta["inner_weights"]
     lower, diag, upper = (-dt * L.diagonal(k) for k in (-1, 0, 1))
     diag += 1.0
+    diag[1] += lower[0] * w[0]
+    upper[1] += lower[0] * w[1]
     diag[0] = diag[-1] = 1.0
-    lower[-1] = 0.0
-    upper[0] = -w[0]
-    corner = np.zeros(len(diag) - 2)
-    corner[0] = -w[1]
-    return sp.diags([lower, diag, upper, corner], [-1, 0, 1, 2], format="csc")
+    lower[0] = lower[-1] = upper[0] = 0.0
+    return lower, diag, upper, w
 
 
 def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
@@ -222,17 +233,20 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
 
     All modes share the grid, the time step, the forcing ``f(t, r)`` (``None``
     means zero) and the outer Dirichlet data ``outer_bc(t)`` (default 0).
-    Their implicit matrices are stacked block-diagonally and factored once;
-    each step evaluates the forcing once and solves
+    Each step solves
 
         (I − dt·L_λ) u_λ^{n+1} = u_λ^n + dt·f(t^{n+1}, ·)
 
-    for every mode in one back-substitution, with the extrapolation (or
-    Dirichlet-zero) row at ``r_min`` and the Dirichlet row at ``R``.  Blocks
-    do not couple, so each mode gets the bits a one-mode solve would give.
-    ``alpha_inner`` holds one inner exponent per mode (``None``: α₊(λ)).
-    Solutions are recorded every ``store_every`` steps (``store_every=0``
-    keeps only the initial and final states).  Returns one
+    with the extrapolation (or Dirichlet-zero) row ``u_0 = w1·u_1 + w2·u_2``
+    at ``r_min`` and the Dirichlet row at ``R``.  The inner row is eliminated
+    into row 1, which makes each mode's matrix tridiagonal; the modes' bands
+    are concatenated with a zero coupling between blocks, factored once with
+    ``dgttrf``, and every step evaluates the forcing once, solves all modes
+    with one ``dgttrs`` call and rebuilds ``u_0`` from the weights.  Pivoting
+    does not cross the zero couplings, so each mode gets the bits a one-mode
+    solve would give.  ``alpha_inner`` holds one inner exponent per mode
+    (``None``: α₊(λ)).  Solutions are recorded every ``store_every`` steps
+    (``store_every=0`` keeps only the initial and final states).  Returns one
     :class:`ModeSolution` per spec.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
@@ -250,12 +264,17 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         dt, t_last = T / n_steps, T
     r = grid.nodes
     n = len(r)
-    A = sp.block_diag([_implicit_block(spec, grid, dt, inner_bc, alpha)
-                       for spec, alpha in zip(specs, alphas)], format="csc")
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise NumericalError(f"implicit system is singular at step 0: {exc}") from exc
+    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt, inner_bc, alpha)
+                                  for spec, alpha in zip(specs, alphas)))
+    w = np.array(w)
+    # a zero between blocks: the last row of one mode and the first of the next do not couple
+    lower, upper = (np.concatenate([np.append(band, 0.0) for band in bands])[:-1]
+                    for bands in (lower, upper))
+    lower, diag, upper, upper2, ipiv, info = dgttrf(lower, np.concatenate(diag), upper)
+    if info > 0:
+        mode, node = divmod(info - 1, n)
+        raise NumericalError(f"implicit system is singular at step 0 "
+                             f"(zero pivot at node {node} of the λ={specs[mode].lam:g} mode)")
 
     u = np.zeros((len(specs), n))
     times = [0.0]
@@ -271,7 +290,9 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
             rhs = u + dt * fvals
         rhs[:, 0] = 0.0
         rhs[:, -1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
-        u = lu.solve(rhs.ravel()).reshape(rhs.shape)
+        u = dgttrs(lower, diag, upper, upper2, ipiv, rhs.ravel(), overwrite_b=True)[0]
+        u = u.reshape(rhs.shape)
+        u[:, 0] = w[:, 0] * u[:, 1] + w[:, 1] * u[:, 2]
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
         if (store_every and k % store_every == 0) or k == n_steps:

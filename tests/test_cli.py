@@ -372,6 +372,15 @@ def test_unparseable_forcing_exits_2(tmp_path, capsys):
     assert "forcing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0,0,abc", "0,0", "0,0,nan", "0,0,inf"])
+def test_malformed_forcing_table_exits_2(tmp_path, capsys, row):
+    (tmp_path / "f.csv").write_text(f"t,r,f\n{row}\n0,1,1\n", encoding="utf-8")
+    rc = main(["heat", "--lam", "0", "--n", "50", "--T", "0.05",
+               "--forcing-csv", str(tmp_path / "f.csv"), "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "f.csv" in capsys.readouterr().err
+
+
 def test_initial_condition_rejects_unknown_names(tmp_path, capsys):
     rc = main(
         ["flow", "--n", "16", "--T", "0.01",

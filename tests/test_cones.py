@@ -13,6 +13,7 @@ from conic_lmcf import (
     ExponentTable,
     MixedHomogeneityError,
     MomentElement,
+    NumericalError,
     ValidationError,
     WindowError,
     catalog_cone,
@@ -28,6 +29,7 @@ from conic_lmcf import (
     translation_basis,
     verify_hamiltonian,
 )
+from conic_lmcf.cones import _gap_rank
 
 
 def random_moment_element(rng, m=3):
@@ -306,3 +308,20 @@ def test_stability_nonnegative_for_synthetic_minimal_link():
     table = ExponentTable.for_link(cone.link, m=3, alpha_max=3.0)
     report = stability_index(cone, table)
     assert report.index >= 0
+
+
+@pytest.mark.parametrize("svals, rank", [
+    ([3.0, 2.0, 1.0, 1e-9, 1e-15], 3),   # clear gap: 1.0 / 1e-9 = 1e9
+    ([3.0, 2.0, 1.0], 3),                 # nothing dropped
+    ([3.0, 1e-5, 0.0], 2),                # the dropped value is an exact zero
+    ([0.0, 0.0], 0),                      # a zero matrix has rank 0
+])
+def test_gap_rank_counts_values_above_the_cut(svals, rank):
+    assert _gap_rank(np.array(svals)) == rank
+
+
+def test_gap_rank_rejects_an_ambiguous_gap():
+    # 2e-8 is kept and 5e-9 dropped, but they are only a factor 4 apart
+    with pytest.raises(NumericalError, match="ambiguous"):
+        _gap_rank(np.array([1.0, 0.5, 2e-8, 5e-9]))
+

@@ -235,6 +235,59 @@ def test_solve_modes_matches_one_mode_solves():
         assert sol.values.shape == (26, 120)
 
 
+def _dense_backward_euler(spec, grid, times, forcing, outer_bc, inner_bc):
+    """Step the full ``I − dt·L`` matrix, inner row and corner included, densely."""
+    r = grid.nodes
+    n = len(r)
+    L, meta = radial_operator(spec, grid, inner_bc=inner_bc)
+    w = meta["inner_weights"]
+    dt = times[-1] / (len(times) - 1)
+    A = np.eye(n) - dt * L.toarray()
+    A[0, :3] = [1.0, -w[0], -w[1]]
+    A[-1] = 0.0
+    A[-1, -1] = 1.0
+    u = np.zeros(n)
+    frames = [u]
+    for t in times[1:]:
+        rhs = u + dt * forcing(t, r)
+        rhs[0] = 0.0
+        rhs[-1] = outer_bc(t) if outer_bc is not None else 0.0
+        u = np.linalg.solve(A, rhs)
+        frames.append(u)
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("inner_bc", ["extrapolation", "dirichlet0"])
+@pytest.mark.parametrize("outer_bc", [None, lambda t: 1.0 + t])
+def test_solve_modes_matches_a_dense_solve_of_the_full_matrix(inner_bc, outer_bc):
+    grid = RadialGrid(R=1.0, n_cells=8)
+    lams = (0.0, 2.0, 6.0, 40.0, 5000.0)
+
+    def forcing(t, r):
+        return np.sqrt(r) + t * r
+
+    sols = solve_modes([LaplaceTypeSpec(lam=lam, m=3) for lam in lams], grid, T=0.1, dt=0.03,
+                       forcing=forcing, outer_bc=outer_bc, inner_bc=inner_bc)
+    for lam, sol in zip(lams, sols):
+        assert len(sol.times) == 5 and sol.times[-1] == 0.1
+        dense = _dense_backward_euler(LaplaceTypeSpec(lam=lam, m=3), grid, sol.times,
+                                      forcing, outer_bc, inner_bc)
+        assert np.max(np.abs(sol.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_zero_pivot_is_a_numerical_error_at_step_0():
+    # on the uniform grid r_j = j/8 every stencil weight is exact: with m = 4
+    # and drift 8 the sub-diagonal entry of row 2 is 64 - 4·16 = 0, and with
+    # potential 130 and dt = 0.5 the diagonal of row 1 is 1 - 0.5·2 = 0, so
+    # the column of u_1 is zero under the Dirichlet-zero inner row
+    grid = RadialGrid(R=1.0, n_cells=8, q=1.0)
+    spec = LaplaceTypeSpec(lam=0.0, m=4, drift=lambda r: np.full_like(r, 8.0),
+                           zeroth=lambda r: np.full_like(r, 130.0))
+    with pytest.raises(NumericalError, match="step 0"):
+        solve_modes([LaplaceTypeSpec(lam=2.0, m=3), spec], grid, T=1.0, dt=0.5,
+                    inner_bc="dirichlet0")
+
+
 def test_step_that_does_not_divide_T_ends_at_T():
     grid = RadialGrid(R=1.0, n_cells=50)
     sol = solve_mode(LaplaceTypeSpec(lam=2.0, m=3), grid, T=0.1, dt=0.03,
