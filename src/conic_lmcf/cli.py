@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import extract_asymptotics
-from .cones import SLCone, catalog_cone, cone_from_json, stability_index
+from .asymptotics import extract_asymptotics, synthesize
+from .cones import SLCone, catalog_cone, cone_from_json, harvey_lawson_torus, stability_index
 from .errors import NumericalError, ValidationError
 from .exponents import ExponentTable, fredholm_index
 from .flow import (
@@ -186,23 +186,6 @@ class _Arg:
         return self.parser.add_argument(name, **kwargs)
 
 
-def _add_common(arg: _Arg) -> None:
-    arg.add("--outdir", type=str, default="out", help="directory for artifacts (created if missing)")
-    arg.add("--seed", type=int, default=0, help="seed for any randomised sampling")
-    arg.parser.add_argument("--config", type=str, default=None,
-                            help="JSON file of flag defaults (explicit flags take precedence)")
-
-
-def _add_link_flags(arg: _Arg) -> None:
-    arg.add("--link", type=str, default="hl-torus",
-            choices=["hl-torus", "torus", "sphere", "mesh"],
-            help="which cone link to use")
-    arg.add("--dim", type=int, default=2, help="link dimension (sphere/torus)")
-    arg.add("--metric", type=str, default=None,
-            help="flat-torus metric, rows separated by ';' e.g. '0.667,0.333;0.333,0.667'")
-    arg.add("--mesh-file", type=str, default=None, help="OFF file for --link mesh")
-
-
 def _parse_metric(text: str) -> np.ndarray:
     try:
         rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
@@ -213,15 +196,13 @@ def _parse_metric(text: str) -> np.ndarray:
 
 def build_link(args):
     if args.link == "hl-torus":
-        from .cones import harvey_lawson_torus
-
         return harvey_lawson_torus().link
     if args.link == "sphere":
         return RoundSphere(args.dim)
     if args.link == "torus":
-        if args.metric is None:
-            return FlatTorus(np.eye(args.dim))
-        return FlatTorus(_parse_metric(args.metric))
+        # FlatTorus rejects the 0 x 0 metric of a --dim below 1
+        return FlatTorus(np.eye(max(args.dim, 0)) if args.metric is None
+                         else _parse_metric(args.metric))
     if args.link == "mesh":
         if args.mesh_file is None:
             raise ValidationError("--link mesh requires --mesh-file")
@@ -230,19 +211,9 @@ def build_link(args):
 
 
 def _build_cone(args) -> SLCone:
-    if getattr(args, "cone_json", None):
+    if args.cone_json:
         return cone_from_json(args.cone_json)
     return catalog_cone(args.cone)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _inputs_dict(args, *names) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 # ----------------------------------------------------------------------
@@ -349,14 +320,13 @@ def parse_initial_condition(expr: str, m: int, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes its artifacts into ``out`` and returns
+# the report's outputs
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum(args, out: Path) -> dict:
     if args.link == "mesh" and args.count < 1:
         raise ValidationError(f"--count must be a positive integer, got {args.count}")
-    out = _outdir(args)
     link = build_link(args)
     if isinstance(link, MeshLink):
         entries = link.spectrum(count=args.count)
@@ -366,20 +336,14 @@ def cmd_spectrum(args) -> int:
     write_csv(out / "spectrum.csv", ["lambda", "multiplicity", "basis_tag"], rows)
     for e in entries:
         print(f"lambda={e.lam:.12g}  multiplicity={e.multiplicity}  {e.basis_tag}")
-    outputs = {
+    return {
         "files": ["spectrum.csv"],
         "n_eigenvalues": len(entries),
         "total_multiplicity": int(sum(e.multiplicity for e in entries)),
     }
-    write_report(out, "spectrum",
-                 _inputs_dict(args, "link", "dim", "metric", "mesh_file", "lmax", "count", "seed"),
-                 outputs, t0)
-    return 0
 
 
-def cmd_exponents(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_exponents(args, out: Path) -> dict:
     link = build_link(args)
     table = ExponentTable.for_link(link, m=args.m, alpha_max=args.alpha_max)
     rows = []
@@ -391,20 +355,14 @@ def cmd_exponents(args) -> int:
               ["lambda", "multiplicity", "alpha_plus", "alpha_minus"], rows)
     for lam, mult, hi, lo in rows:
         print(f"lambda={lam:.12g}  mult={mult}  alpha+={hi:.12g}  alpha-={lo:.12g}")
-    outputs = {
+    return {
         "files": ["exponents.csv"],
         "window": [table.alpha_lo, table.alpha_hi],
         "n_exponents": len(table.entries),
     }
-    write_report(out, "exponents",
-                 _inputs_dict(args, "link", "dim", "metric", "mesh_file", "m", "alpha_max", "seed"),
-                 outputs, t0)
-    return 0
 
 
-def cmd_stability(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_stability(args, out: Path) -> dict:
     cone = _build_cone(args)
     table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=args.alpha_max)
     report = stability_index(cone, table, n=args.samples, seed=args.seed)
@@ -420,16 +378,10 @@ def cmd_stability(args) -> int:
         print(f"note: {note}")
     payload = report.to_dict()
     write_json(out / "stability.json", payload)
-    outputs = {"files": ["stability.json"], **payload}
-    write_report(out, "stability",
-                 _inputs_dict(args, "cone", "cone_json", "alpha_max", "samples", "seed"),
-                 outputs, t0)
-    return 0
+    return {"files": ["stability.json"], **payload}
 
 
-def cmd_fredholm(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_fredholm(args, out: Path) -> dict:
     cone = _build_cone(args)
     gammas = list(args.gamma)
     alpha_max = max([args.alpha_max] + [abs(g) + 1.0 for g in gammas])
@@ -444,41 +396,35 @@ def cmd_fredholm(args) -> int:
         "counts": [table.count_M(g) for g in gammas],
     }
     write_json(out / "fredholm.json", payload)
-    outputs = {"files": ["fredholm.json"], **payload}
-    write_report(out, "fredholm",
-                 _inputs_dict(args, "cone", "cone_json", "with_asymptotics", "alpha_max", "seed"),
-                 outputs | {"gammas": gammas}, t0)
-    return 0
+    return {"files": ["fredholm.json"], **payload}
 
 
-def _solve_modes(lams, args, forcing):
+def _solve_modes(lams, args, forcing, store_every=0):
     # imported here: the radial solver loads SciPy's sparse stack
     from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
 
     if len(set(lams)) < len(lams):
         raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
-    if args.store_every < 0:
-        raise ValidationError(f"--store-every must be >= 0, got {args.store_every}")
-    grid = RadialGrid(R=args.radius, n_cells=args.n, q=args.q)
-    specs = [LaplaceTypeSpec(lam=lam, m=args.m) for lam in lams]
+    if store_every < 0:
+        raise ValidationError(f"--store-every must be >= 0, got {store_every}")
     outer = None
     if args.outer is not None:
-        value = float(args.outer)
-        outer = lambda t: value  # noqa: E731
+        if not math.isfinite(args.outer):
+            raise ValidationError(f"--outer must be finite, got {args.outer}")
+        outer = lambda t, value=float(args.outer): value  # noqa: E731
+    grid = RadialGrid(R=args.radius, n_cells=args.n, q=args.q)
+    specs = [LaplaceTypeSpec(lam=lam, m=args.m) for lam in lams]
     dt = args.dt if args.dt is not None else args.T / 400.0
     return solve_modes(specs, grid, T=args.T, dt=dt, forcing=forcing,
-                       outer_bc=outer, inner_bc=args.inner,
-                       store_every=args.store_every)
+                       outer_bc=outer, inner_bc=args.inner, store_every=store_every)
 
 
-def cmd_heat(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_heat(args, out: Path) -> dict:
     forcing = parse_forcing(args.forcing, args.forcing_csv)
     lams = list(args.lam)
     if not lams:
         raise ValidationError("at least one --lam is required")
-    sols = _solve_modes(lams, args, forcing)
+    sols = _solve_modes(lams, args, forcing, args.store_every)
     files = []
     sups = {}
     for lam, sol in zip(lams, sols):
@@ -490,28 +436,17 @@ def cmd_heat(args) -> int:
         files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]
     for lam in lams:
         print(f"lambda={lam:g}: sup|u(T)| = {sups[_fmt(float(lam))]:.6e}")
-    outputs = {"files": files, "sup_final": sups}
-    write_report(out, "heat",
-                 _inputs_dict(args, "lam", "m", "radius", "n", "q", "T", "dt",
-                              "forcing", "forcing_csv", "outer", "inner",
-                              "store_every", "seed"),
-                 outputs, t0)
-    return 0
+    return {"files": files, "sup_final": sups}
 
 
-def cmd_asymptotics(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_asymptotics(args, out: Path) -> dict:
     forcing = parse_forcing(args.forcing, args.forcing_csv)
     lams = list(args.lam)
     if len(lams) != 1:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
+    # the fit reads the final frame only, so no intermediate frame is kept
     sol = _solve_modes(lams, args, forcing)[0]
-    link = FlatTorus(_parse_metric(args.metric)) if args.metric else None
-    if link is None:
-        from .cones import harvey_lawson_torus
-
-        link = harvey_lawson_torus().link
+    link = FlatTorus(_parse_metric(args.metric)) if args.metric else harvey_lawson_torus().link
     table = ExponentTable.for_link(link, m=args.m, alpha_max=max(args.gamma + 1.0, 3.0))
     expansion = extract_asymptotics(sol, table, gamma=args.gamma)
     for alpha, k, coeff in expansion.terms:
@@ -526,24 +461,14 @@ def cmd_asymptotics(args) -> int:
         "time": expansion.time,
     }
     write_json(out / "asymptotics.json", payload)
-    from .asymptotics import synthesize
-
     remainder = sol.final() - synthesize(expansion.terms, sol.grid.nodes)
     write_columns(out / "remainder.dat", sol.grid.nodes, np.abs(remainder))
-    outputs = {"files": ["asymptotics.json", "remainder.dat"], **payload}
-    write_report(out, "asymptotics",
-                 _inputs_dict(args, "lam", "m", "radius", "n", "q", "T", "dt",
-                              "forcing", "forcing_csv", "outer", "inner", "metric",
-                              "gamma", "seed"),
-                 outputs, t0)
-    return 0
+    return {"files": ["asymptotics.json", "remainder.dat"], **payload}
 
 
-def cmd_flow(args) -> int:
-    t0 = time.perf_counter()
+def cmd_flow(args, out: Path) -> dict:
     if args.snapshots < 0:
         raise ValidationError(f"--snapshots must be >= 0, got {args.snapshots}")
-    out = _outdir(args)
     u0 = args.amplitude * parse_initial_condition(args.ic, args.m, args.n)
     final, series, states = run_flow(u0, T=args.T, dt=args.dt, snapshots=args.snapshots)
     write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
@@ -557,22 +482,15 @@ def cmd_flow(args) -> int:
     write_json(out / "flow_summary.json", summary)
     print(f"final time {final.t:g}: sup|u| = {np.max(np.abs(final.u)):.6e}, "
           f"sup|theta| = {np.max(np.abs(final.theta)):.6e}")
-    outputs = {
+    return {
         "files": ["flow_snapshots.csv", "sup_theta.dat", "flow_summary.json"],
         "sup_u_final": float(np.max(np.abs(final.u))),
         "sup_theta_final": float(np.max(np.abs(final.theta))),
         "n_steps": len(series["t"]) - 1,
     }
-    write_report(out, "flow",
-                 _inputs_dict(args, "m", "n", "T", "dt", "ic", "amplitude",
-                              "snapshots", "seed"),
-                 outputs, t0)
-    return 0
 
 
-def cmd_defect(args) -> int:
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_defect(args, out: Path) -> dict:
     u0 = parse_initial_condition(args.ic, args.m, args.n)
     report = linearization_defect(u0, epsilons=list(args.eps), T=args.T, dt=args.dt)
     for eps, d, dn in zip(report.epsilons, report.defects, report.defects_per_amplitude):
@@ -588,15 +506,11 @@ def cmd_defect(args) -> int:
     }
     write_json(out / "defect.json", payload)
     write_columns(out / "defect.dat", report.epsilons, report.defects)
-    outputs = {"files": ["defect.json", "defect.dat"], **payload}
-    write_report(out, "defect",
-                 _inputs_dict(args, "m", "n", "T", "dt", "ic", "seed") | {"eps": list(args.eps)},
-                 outputs, t0)
-    return 0
+    return {"files": ["defect.json", "defect.dat"], **payload}
 
 
 # ----------------------------------------------------------------------
-# parser assembly
+# parser assembly and the command runner
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
@@ -607,110 +521,111 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"conic-lmcf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="link Laplacian spectrum with multiplicities")
-    a = _Arg(p, config)
-    _add_common(a)
-    _add_link_flags(a)
-    a.add("--lmax", type=float, default=10.0, help="largest eigenvalue to report")
-    a.add("--count", type=int, default=10, help="eigenvalue count for mesh links")
-    p.set_defaults(handler=cmd_spectrum)
+    def command(handler, help) -> _Arg:
+        p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
+        p.set_defaults(handler=handler)
+        a = _Arg(p, config)
+        a.add("--outdir", type=str, default="out", help="directory for artifacts (created if missing)")
+        a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
+        p.add_argument("--config", type=str, default=None,
+                       help="JSON file of flag defaults (explicit flags take precedence)")
+        return a
 
-    p = sub.add_parser("exponents", help="homogeneity exponents of a cone Laplacian")
-    a = _Arg(p, config)
-    _add_common(a)
-    _add_link_flags(a)
-    a.add("--m", type=int, default=3, help="cone dimension")
-    a.add("--alpha-max", type=float, default=5.0, help="upper edge of the exponent window")
-    p.set_defaults(handler=cmd_exponents)
+    def link_flags(a: _Arg) -> None:
+        a.add("--link", type=str, default="hl-torus",
+              choices=["hl-torus", "torus", "sphere", "mesh"], help="which cone link to use")
+        a.add("--dim", type=int, default=2, help="link dimension (sphere/torus)")
+        a.add("--metric", type=str, default=None,
+              help="flat-torus metric, rows separated by ';' e.g. '0.667,0.333;0.333,0.667'")
+        a.add("--mesh-file", type=str, default=None, help="OFF file for --link mesh")
 
-    p = sub.add_parser("stability", help="stability index of a special Lagrangian cone")
-    a = _Arg(p, config)
-    _add_common(a)
-    a.add("--cone", type=str, default="hl-torus-3", help="catalog cone name")
-    a.add("--cone-json", type=str, default=None, help="cone description file (overrides --cone)")
-    a.add("--alpha-max", type=float, default=3.0, help="exponent window upper edge (must exceed 2)")
-    a.add("--samples", type=int, default=24, help="link sample resolution for rank checks")
-    p.set_defaults(handler=cmd_stability)
+    def cone_flags(a: _Arg) -> None:
+        a.add("--cone", type=str, default="hl-torus-3", help="catalog cone name")
+        a.add("--cone-json", type=str, default=None, help="cone description file (overrides --cone)")
 
-    p = sub.add_parser("fredholm", help="Fredholm index of the weighted Laplacian")
-    a = _Arg(p, config)
-    _add_common(a)
-    a.add("--cone", type=str, default="hl-torus-3", help="catalog cone name")
-    a.add("--cone-json", type=str, default=None, help="cone description file (overrides --cone)")
-    a.add("--gamma", type=float, nargs="+", required=True, help="weight, one per cone end")
-    a.add("--with-asymptotics", action="store_true",
-          help="index of the extended operator with polyhomogeneous unknowns")
-    a.add("--alpha-max", type=float, default=3.0, help="minimum exponent window upper edge")
-    p.set_defaults(handler=cmd_fredholm)
-
-    def add_heat_flags(a: _Arg) -> None:
+    def radial_flags(a: _Arg) -> None:
         a.add("--lam", type=float, nargs="+", default=[0.0],
               help="link eigenvalue(s); the modes share one factorisation and step loop")
         a.add("--m", type=int, default=3, help="cone dimension")
-        a.add("--radius", type=float, default=1.0, help="outer radius of the annulus")
+        a.add("--radius", type=float, default=1.0, help="outer radius of the annulus (finite)")
         a.add("--n", type=int, default=400, help="number of grid cells")
         a.add("--q", type=float, default=2.0, help="grid grading power")
         a.add("--T", type=float, default=0.1, help="final time")
         a.add("--dt", type=float, default=None, help="time step (default T/400)")
         a.add("--forcing", type=str, default=None, help="'r^a', 't*r^a' or 't^2*r^a'")
         a.add("--forcing-csv", type=str, default=None, help="CSV table t,r,f")
-        a.add("--outer", type=float, default=None, help="constant outer Dirichlet value")
+        a.add("--outer", type=float, default=None, help="constant outer Dirichlet value (finite)")
         a.add("--inner", type=str, default="extrapolation",
               choices=["extrapolation", "dirichlet0"], help="inner boundary treatment")
 
-    p = sub.add_parser("heat", help="radial mode solves of the cone heat equation")
-    a = _Arg(p, config)
-    _add_common(a)
-    add_heat_flags(a)
-    a.add("--store-every", type=int, default=0, help="keep every k-th frame (0: first/last)")
-    p.set_defaults(handler=cmd_heat)
+    def torus_flags(a: _Arg, ic: str) -> None:
+        a.add("--m", type=int, default=2, help="number of dimensions")
+        a.add("--n", type=int, default=64, help="grid points per axis")
+        a.add("--T", type=float, default=0.5, help="final time")
+        a.add("--dt", type=float, default=None, help="time step (default from grid)")
+        a.add("--ic", type=str, default=ic, help="catalog name or expression in sin, cos, x1..xm, pi")
 
-    p = sub.add_parser("asymptotics", help="extract the conical expansion of a heat solution")
-    a = _Arg(p, config)
-    _add_common(a)
-    add_heat_flags(a)
+    a = command(cmd_spectrum, "link Laplacian spectrum with multiplicities")
+    link_flags(a)
+    a.add("--lmax", type=float, default=10.0, help="largest eigenvalue to report")
+    a.add("--count", type=int, default=10, help="eigenvalue count for mesh links")
+
+    a = command(cmd_exponents, "homogeneity exponents of a cone Laplacian")
+    link_flags(a)
+    a.add("--m", type=int, default=3, help="cone dimension")
+    a.add("--alpha-max", type=float, default=5.0, help="upper edge of the exponent window")
+
+    a = command(cmd_stability, "stability index of a special Lagrangian cone")
+    cone_flags(a)
+    a.add("--alpha-max", type=float, default=3.0, help="exponent window upper edge (must exceed 2)")
+    a.add("--samples", type=int, default=24, help="link sample resolution for rank checks")
+
+    a = command(cmd_fredholm, "Fredholm index of the weighted Laplacian")
+    cone_flags(a)
+    a.add("--gamma", type=float, nargs="+", required=True, help="weight, one per cone end")
+    a.add("--with-asymptotics", action="store_true",
+          help="index of the extended operator with polyhomogeneous unknowns")
+    a.add("--alpha-max", type=float, default=3.0, help="minimum exponent window upper edge")
+
+    a = command(cmd_heat, "radial mode solves of the cone heat equation")
+    radial_flags(a)
+    a.add("--store-every", type=int, default=0, help="keep every k-th frame (0: first/last)")
+
+    a = command(cmd_asymptotics, "extract the conical expansion of a heat solution")
+    radial_flags(a)
     a.add("--metric", type=str, default=None, help="flat-torus link metric (default hl-torus-3)")
     a.add("--gamma", type=float, default=2.4, help="expansion is resolved below this rate")
-    a.add("--store-every", type=int, default=0, help="keep every k-th frame (0: first/last)")
-    p.set_defaults(handler=cmd_asymptotics)
 
-    p = sub.add_parser("flow", help="periodic graphical Lagrangian mean curvature flow")
-    a = _Arg(p, config)
-    _add_common(a)
-    a.add("--m", type=int, default=2, help="number of dimensions")
-    a.add("--n", type=int, default=64, help="grid points per axis")
-    a.add("--T", type=float, default=0.5, help="final time")
-    a.add("--dt", type=float, default=None, help="time step (default from grid)")
-    a.add("--ic", type=str, default="sine",
-          help="catalog name or expression in sin, cos, x1..xm, pi")
+    a = command(cmd_flow, "periodic graphical Lagrangian mean curvature flow")
+    torus_flags(a, ic="sine")
     a.add("--amplitude", type=float, default=1.0, help="scale factor on the initial potential")
     a.add("--snapshots", type=int, default=5, help="number of recorded field snapshots")
-    p.set_defaults(handler=cmd_flow)
 
-    p = sub.add_parser("defect", help="defect of the heat-flow linearisation, halved amplitudes")
-    a = _Arg(p, config)
-    _add_common(a)
-    a.add("--m", type=int, default=2, help="number of dimensions")
-    a.add("--n", type=int, default=64, help="grid points per axis")
-    a.add("--T", type=float, default=0.5, help="final time")
-    a.add("--dt", type=float, default=None, help="time step (default from grid)")
-    a.add("--ic", type=str, default="mixed",
-          help="catalog name or expression in sin, cos, x1..xm, pi")
+    a = command(cmd_defect, "defect of the heat-flow linearisation, halved amplitudes")
+    torus_flags(a, ic="mixed")
     a.add("--eps", type=float, nargs="+", default=[0.1, 0.05, 0.025],
           help="decreasing amplitude ladder")
-    p.set_defaults(handler=cmd_defect)
-
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, run the subcommand into ``--outdir`` and write its report.
+
+    The report's inputs are every parsed flag except ``--outdir`` and
+    ``--config``.
+    """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = _preload_config(argv)
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = build_parser(_preload_config(argv)).parse_args(argv)
+        out = Path(args.outdir)
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        outputs = args.handler(args, out)
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "handler", "outdir", "config")}
+        write_report(out, args.command, inputs, outputs, t0)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -499,6 +499,8 @@ def stability_index(cone, table, n=24, seed=0):
     """
     if table.alpha_hi < 2.0 - table.tol:
         raise WindowError("exponent table window must cover [0, 2]")
+    if n < 1:
+        raise ValidationError(f"need n >= 1 link samples per axis, got n={n}")
     m = cone.m
     m_plus = table.count_M_closed(2.0)
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}

@@ -52,8 +52,15 @@ __all__ = [
 DET_FLOOR = 1e-6
 
 
+def _check_grid(m, n):
+    if m < 1 or n < 1:
+        raise ValidationError(f"the periodic grid needs m >= 1 axes of n >= 1 points, "
+                              f"got m={m}, n={n}")
+
+
 def grid_coordinates(m, n):
     """Coordinate arrays of the uniform periodic grid on [0, 2π)^m."""
+    _check_grid(m, n)
     x = 2.0 * np.pi * np.arange(n) / n
     return np.meshgrid(*([x] * m), indexing="ij")
 
@@ -153,10 +160,6 @@ class FlowState:
     def dx(self):
         return 2.0 * np.pi / self.n
 
-    def theta_consistency(self):
-        """|stored θ − recomputed θ|_∞ (≤ 1e−12 by construction)."""
-        return float(np.abs(self.theta - lagrangian_angle(self.u, self.dx)).max())
-
 
 def _step_size(dt, m, n):
     """``dt`` (default: :func:`default_dt`) checked against dx²/(2m)."""
@@ -172,6 +175,7 @@ def _step_size(dt, m, n):
 
 def _schedule(T, dt, m, n):
     """Fewest equal steps reaching ``T`` whose size does not exceed ``dt``."""
+    _check_grid(m, n)
     dt = _step_size(dt, m, n)
     T = float(T)
     if not 0.0 < T < math.inf:

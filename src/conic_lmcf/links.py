@@ -81,6 +81,8 @@ class FlatTorus:
         H = np.atleast_2d(np.asarray(metric, dtype=float))
         if H.shape[0] != H.shape[1]:
             raise ValidationError("metric must be square")
+        if H.size == 0:
+            raise ValidationError("flat torus needs dimension >= 1, got an empty metric")
         if not np.allclose(H, H.T, atol=1e-12):
             raise ValidationError("metric must be symmetric")
         if np.linalg.eigvalsh(H).min() <= 0:

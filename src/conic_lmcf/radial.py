@@ -60,8 +60,10 @@ class RadialGrid:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.R <= 0 or self.n_cells < 8 or self.q < 1:
-            raise ValidationError("need R > 0, n_cells >= 8, q >= 1")
+        if not (0 < self.R < math.inf and self.n_cells >= 8 and 1 <= self.q < math.inf):
+            raise ValidationError(
+                "need a finite radius R > 0, n_cells >= 8 and a finite q >= 1; "
+                f"got R={self.R}, n_cells={self.n_cells}, q={self.q}")
 
     @property
     def nodes(self):

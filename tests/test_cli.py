@@ -406,12 +406,35 @@ def test_repeated_eigenvalue_exits_2(tmp_path, capsys):
     assert not (tmp_path / "mode_2.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["heat", "asymptotics"])
+@pytest.mark.parametrize("command", ["heat"])
 def test_negative_store_every_exits_2(tmp_path, capsys, command):
     rc = main([command, "--lam", "0", "--n", "50", "--T", "0.05", "--store-every", "-3",
                "--outdir", str(tmp_path)])
     assert rc == 2
     assert "--store-every" in capsys.readouterr().err
+
+
+HEAT = ["heat", "--lam", "2", "--n", "50", "--T", "0.05"]
+OUT_OF_RANGE = {
+    "outer-inf": (HEAT + ["--outer", "inf"], "--outer"),
+    "outer-nan": (HEAT + ["--outer", "nan"], "--outer"),
+    "radius-inf": (HEAT + ["--radius", "inf"], "radius"),
+    "radius-nan": (HEAT + ["--radius", "nan"], "radius"),
+    "flow-m-0": (["flow", "--m", "0", "--T", "0.01"], "m=0"),
+    "defect-m-0": (["defect", "--m", "0", "--T", "0.01"], "m=0"),
+    "flow-n-0": (["flow", "--n", "0", "--T", "0.01"], "n=0"),
+    "samples-0": (["stability", "--samples", "0"], "link samples"),
+    "spectrum-dim-0": (["spectrum", "--link", "torus", "--dim", "0"], "dimension"),
+    "exponents-dim-0": (["exponents", "--link", "torus", "--dim", "0"], "dimension"),
+    "spectrum-dim-negative": (["spectrum", "--link", "torus", "--dim", "-1"], "dimension"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_value_exits_2(tmp_path, capsys, case):
+    argv, needle = OUT_OF_RANGE[case]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_unknown_flag_is_an_argparse_error(tmp_path):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import scipy
 
-from conic_lmcf.cli import main
+from conic_lmcf.cli import build_parser, main
 
 RUNS = {
     "spectrum": ["spectrum", "--link", "torus", "--dim", "2", "--lmax", "3"],
@@ -54,7 +54,7 @@ GOLDEN = {
     },
     "fredholm": {
         "fredholm.json": "f70119b9e8f2b55ff735b0b00a65d128244995669ebc8145a7db8aa982ed811f",
-        "report.json": "6592d8c18a41f096ccae2695807c06faf3108c26130517ed18c99c5bf6faa28f",
+        "report.json": "d81c40c16d7c91dbc3c5818b351c1d6935c47648d16eab14026dc010ee78f5f6",
     },
     "heat": {
         "mode_0.csv": "8172810a78e96b518c6fc65d9db7a10ac0684211a89bc61006a1c6221e4a79fe",
@@ -113,6 +113,14 @@ def runs(tmp_path_factory):
 @pytest.mark.parametrize("command", list(RUNS))
 def test_artifact_digests_are_unchanged(runs, command):
     assert digests(runs / command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_report_inputs_are_the_parsed_flags(runs, command):
+    subparsers = build_parser({})._subparsers._group_actions[0].choices
+    flags = {a.dest for a in subparsers[command]._actions} - {"help", "outdir", "config"}
+    report = json.loads((runs / command / "report.json").read_text(encoding="utf-8"))
+    assert set(report["inputs"]) == flags
 
 
 if __name__ == "__main__":
