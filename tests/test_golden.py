@@ -1,5 +1,7 @@
 """Golden digests: the SHA-256 of every artifact of one small run per subcommand.
 
+Two more runs pin the expression paths of ``--ic`` and ``--forcing``.
+
 A refactor that keeps the CLI's behaviour keeps these digests.  ``report.json``
 is hashed without ``wall_time_s`` and ``versions``, the two fields that vary
 with the clock and the toolchain rather than with the program.  The float
@@ -35,6 +37,11 @@ RUNS = {
                     "--gamma", "2.5", "--forcing", "r^0.5"],
     "flow": ["flow", "--n", "16", "--T", "0.05", "--ic", "mixed", "--snapshots", "3"],
     "defect": ["defect", "--n", "16", "--T", "0.1", "--eps", "0.1", "0.05"],
+    # the expression paths of --ic and --forcing
+    "flow-expression": ["flow", "--n", "16", "--T", "0.05",
+                        "--ic=-(0.06*cos((x1+2*pi*5/16)+(x2+2*pi*3/16))+0.04*sin(x1-2*x2))"],
+    "heat-expression": ["heat", "--lam", "0", "2", "--n", "50", "--T", "0.05",
+                        "--forcing", " t^2*r^0.5 "],
 }
 
 TOOLCHAIN = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -79,6 +86,19 @@ GOLDEN = {
         "defect.json": "141b2e550e2844ee0006ced8f4996ee44a1c5610542f100e253994a7fd33093f",
         "report.json": "431f0d0a4263d4ec4eeec995ec7a98f04cafa00b33df1b19399ce482a2c8b8e7",
     },
+    "flow-expression": {
+        "flow_snapshots.csv": "e53d27cbc17b321543645ebdf1ddf5df06fbf5162a6ef43e55b4c33969c20f66",
+        "flow_summary.json": "e516d85ed4d7bd2a8a58324758526cf9cdafff669a7f66ede11267407fd8f4a5",
+        "report.json": "daf567d6ad14999a5157b1e3dd65bdfba700f89387188e367ffe691816895937",
+        "sup_theta.dat": "0b5ea202abc364608b45baa4e5fb0c7728baed4099f7cf301f5c54fa130bb836",
+    },
+    "heat-expression": {
+        "mode_0.csv": "d37c5e9eb39a375cf424e15b7e110db48aa3aa6e413c1676b5c52dfd59fc6b11",
+        "mode_2.csv": "c535b95cb938b36dc12ef7b03c936d514554c4a33d0956cc0bbe526fd392e911",
+        "profile_0.dat": "52d58ced3307c1f93d6f0a864d4a2a2e35b5165331102169bd0a901d8ff19c27",
+        "profile_2.dat": "da1ebde5487b7d86ffebff737709971cf9c14308be3f581e0c490f3f4400b290",
+        "report.json": "04f1af9ec54918ef7ee355aef74532595c7bb4a4233c2b8c7388e5950669a83f",
+    },
 }
 
 
@@ -118,7 +138,7 @@ def test_artifact_digests_are_unchanged(runs, command):
 @pytest.mark.parametrize("command", list(RUNS))
 def test_report_inputs_are_the_parsed_flags(runs, command):
     subparsers = build_parser({})._subparsers._group_actions[0].choices
-    flags = {a.dest for a in subparsers[command]._actions} - {"help", "outdir", "config"}
+    flags = {a.dest for a in subparsers[RUNS[command][0]]._actions} - {"help", "outdir", "config"}
     report = json.loads((runs / command / "report.json").read_text(encoding="utf-8"))
     assert set(report["inputs"]) == flags
 
