@@ -14,9 +14,9 @@ out-of-contract parameters), 1 for runtime numerical failures.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
-import re
 import sys
 import time
 from importlib import resources
@@ -220,32 +220,54 @@ def _build_cone(args) -> SLCone:
 # forcing / initial-condition parsing
 
 
-_POWER = r"([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)"
+def compile_expression(text: str, variables, flag: str):
+    """Compile ``text`` into a function of ``variables``; errors name ``flag``.
+
+    Only number literals, ``+ - * / **`` (``^`` is ``**``), unary ``±``,
+    ``sin(x)``, ``cos(x)``, ``pi`` and the variables pass the check, and only
+    the checked tree is compiled.  Literals are floats, so powers overflow
+    instead of building huge integers.  A literal exponent 2 is a product:
+    exactly rounded, where a float's ``x**2`` calls libm ``pow``.
+    """
+    allowed = "allowed: numbers, + - * / ^ **, sin(), cos(), pi, " + ", ".join(variables)
+    at = {"lineno": 1, "col_offset": 0}  # the location compile() asks of every new node
+
+    def checked(node):
+        match node:
+            case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
+                return ast.Constant(float(value), **at)
+            case ast.Name(id=name) if name == "pi" or name in variables:
+                return node
+            case ast.Call(ast.Name(id="sin" | "cos") as func, [arg], []):
+                return ast.Call(func, [checked(arg)], [], **at)
+            case ast.BinOp(left, ast.Pow(), ast.Constant(value=2)):
+                return ast.Call(ast.Name("square", ast.Load(), **at), [checked(left)], [], **at)
+            case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow() as op,
+                           right):
+                return ast.BinOp(checked(left), op, checked(right), **at)
+            case ast.UnaryOp(ast.UAdd() | ast.USub() as op, operand):
+                return ast.UnaryOp(op, checked(operand), **at)
+        raise ValueError(f"{ast.unparse(node)!r} is outside the expression grammar")
+
+    try:
+        lam = ast.parse(f"lambda {', '.join(variables)}: 0", mode="eval")
+        lam.body.body = checked(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
+        code = compile(lam, flag, "eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ValidationError(f"cannot parse {flag} {text!r}: {exc}; {allowed}") from exc
+    return eval(code, {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "pi": math.pi,
+                       "square": lambda x: x * x})
 
 
 def parse_forcing(expr: str | None, csv_path: str | None):
-    """Build f(t, r) from 'r^a' / 't*r^a' shorthand or a (t, r, f) CSV table."""
+    """Build f(t, r) from an expression in ``t`` and ``r`` or a (t, r, f) CSV table."""
     if expr and csv_path:
         raise ValidationError("give either --forcing or --forcing-csv, not both")
     if csv_path:
         return _forcing_from_csv(csv_path)
     if not expr or expr.strip() in ("0", "none"):
         return None
-    m = re.fullmatch(rf"\s*r\^{_POWER}\s*", expr)
-    if m:
-        a = float(m.group(1))
-        return lambda t, r: r**a
-    m = re.fullmatch(rf"\s*t\s*\*\s*r\^{_POWER}\s*", expr)
-    if m:
-        a = float(m.group(1))
-        return lambda t, r: t * r**a
-    m = re.fullmatch(rf"\s*t\^2\s*\*\s*r\^{_POWER}\s*", expr)
-    if m:
-        a = float(m.group(1))
-        return lambda t, r: t * t * r**a
-    raise ValidationError(
-        f"cannot parse forcing {expr!r}; use 'r^a', 't*r^a', 't^2*r^a' or --forcing-csv"
-    )
+    return compile_expression(expr, ("t", "r"), "--forcing")
 
 
 def _bracket(nodes, x):
@@ -293,30 +315,20 @@ def _forcing_from_csv(path: str):
     return f
 
 
-_IC_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
 def parse_initial_condition(expr: str, m: int, n: int) -> np.ndarray:
-    """Catalog name or a closed-form expression in sin/cos/x1..xm/pi."""
+    """Catalog name or an expression in x1..xm (see :func:`compile_expression`)."""
     catalog = catalog_initial_conditions(m, n)
     if expr in catalog:
         return catalog[expr]
-    allowed = {"sin", "cos", "pi"} | {f"x{i + 1}" for i in range(m)}
-    for token in _IC_TOKEN.findall(expr):
-        if token not in allowed:
-            raise ValidationError(
-                f"unknown name {token!r} in initial condition; allowed: "
-                + ", ".join(sorted(allowed)) + ", or one of " + ", ".join(sorted(catalog))
-            )
+    f = compile_expression(expr, [f"x{i + 1}" for i in range(m)], "--ic")
     xs = grid_coordinates(m, n)
-    names = {"sin": np.sin, "cos": np.cos, "pi": math.pi}
-    names.update({f"x{i + 1}": xs[i] for i in range(m)})
     try:
-        values = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - whitelisted names only
-    except Exception as exc:
-        raise ValidationError(f"cannot evaluate initial condition {expr!r}: {exc}") from exc
-    arr = np.broadcast_to(np.asarray(values, dtype=float), xs[0].shape).copy()
-    return arr
+        values = np.asarray(f(*xs), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("a value on the grid is not finite")
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot evaluate --ic {expr!r}: {exc}") from exc
+    return np.broadcast_to(values, xs[0].shape).copy()
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +419,7 @@ def _solve_modes(lams, args, forcing, store_every=0):
         raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
     if store_every < 0:
         raise ValidationError(f"--store-every must be >= 0, got {store_every}")
-    outer = None
-    if args.outer is not None:
-        if not math.isfinite(args.outer):
-            raise ValidationError(f"--outer must be finite, got {args.outer}")
-        outer = lambda t, value=float(args.outer): value  # noqa: E731
+    outer = None if args.outer is None else lambda t, value=args.outer: value
     grid = RadialGrid(R=args.radius, n_cells=args.n, q=args.q)
     specs = [LaplaceTypeSpec(lam=lam, m=args.m) for lam in lams]
     dt = args.dt if args.dt is not None else args.T / 400.0
@@ -552,7 +560,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         a.add("--q", type=float, default=2.0, help="grid grading power")
         a.add("--T", type=float, default=0.1, help="final time")
         a.add("--dt", type=float, default=None, help="time step (default T/400)")
-        a.add("--forcing", type=str, default=None, help="'r^a', 't*r^a' or 't^2*r^a'")
+        a.add("--forcing", type=str, default=None, help="expression in t and r, e.g. 't*r^0.5'")
         a.add("--forcing-csv", type=str, default=None, help="CSV table t,r,f")
         a.add("--outer", type=float, default=None, help="constant outer Dirichlet value (finite)")
         a.add("--inner", type=str, default="extrapolation",
@@ -563,7 +571,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         a.add("--n", type=int, default=64, help="grid points per axis")
         a.add("--T", type=float, default=0.5, help="final time")
         a.add("--dt", type=float, default=None, help="time step (default from grid)")
-        a.add("--ic", type=str, default=ic, help="catalog name or expression in sin, cos, x1..xm, pi")
+        a.add("--ic", type=str, default=ic, help="catalog name or expression in x1..xm")
 
     a = command(cmd_spectrum, "link Laplacian spectrum with multiplicities")
     link_flags(a)
@@ -611,13 +619,17 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse ``argv``, run the subcommand into ``--outdir`` and write its report.
 
-    The report's inputs are every parsed flag except ``--outdir`` and
-    ``--config``.
+    Every float flag must be finite.  The report's inputs are every parsed
+    flag except ``--outdir`` and ``--config``.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = build_parser(_preload_config(argv)).parse_args(argv)
+        for dest, value in vars(args).items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise ValidationError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         out = Path(args.outdir)
         out.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()

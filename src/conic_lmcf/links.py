@@ -75,8 +75,6 @@ def _check_sorted(entries):
 class FlatTorus:
     """Flat torus ``T^d = (R/2πZ)^d`` with constant metric matrix ``H``."""
 
-    variant = "FlatTorus"
-
     def __init__(self, metric):
         H = np.atleast_2d(np.asarray(metric, dtype=float))
         if H.shape[0] != H.shape[1]:
@@ -105,8 +103,8 @@ class FlatTorus:
         Integer vectors are enumerated over the bounding box of the
         ellipsoid ``kᵀH⁻¹k ≤ lam_max`` (``k_i² ≤ lam_max·H_ii``).
         """
-        if lam_max < 0:
-            raise ValidationError("lam_max must be nonnegative")
+        if not 0 <= lam_max < math.inf:
+            raise ValidationError(f"lam_max must be finite and nonnegative, got {lam_max}")
         bounds = [int(math.floor(math.sqrt(lam_max * self.metric[i, i]) + 1e-9))
                   for i in range(self.dim)]
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
@@ -224,8 +222,6 @@ def sphere_multiplicity(l, dim):
 class RoundSphere:
     """Unit round sphere ``S^dim``."""
 
-    variant = "RoundSphere"
-
     def __init__(self, dim):
         if int(dim) < 1:
             raise ValidationError("sphere dimension must be >= 1")
@@ -235,6 +231,8 @@ class RoundSphere:
         return f"RoundSphere(dim={self.dim})"
 
     def spectrum(self, lam_max, group_tol=1e-9):
+        if not lam_max < math.inf:
+            raise ValidationError(f"lam_max must be finite, got {lam_max}")
         entries = []
         l = 0
         while l * (l + self.dim - 1) <= lam_max + group_tol:
@@ -304,7 +302,6 @@ class MeshLink:
     repeated solves return the same bits.
     """
 
-    variant = "Mesh"
     dim = 2
 
     def __init__(self, vertices, faces):
@@ -407,7 +404,6 @@ class MeshLink:
         vals = np.concatenate(vals)
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         self.mass = sp.diags(mass)
-        self.total_area = float(mass.sum())
 
     # -- spectrum
 

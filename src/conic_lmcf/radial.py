@@ -167,7 +167,7 @@ def _inner_weights(r, alpha):
                      (r[0] / r[2]) ** alpha * (r[0] ** 2 - r[1] ** 2) / d])
 
 
-def radial_operator(spec, grid, inner_bc="extrapolation", alpha_inner=None):
+def radial_operator(spec, grid, inner_bc="extrapolation"):
     """Assemble the discrete operator rows of ``L`` on the grid.
 
     Returns ``(L, meta)`` where ``L`` is an ``n×n`` CSR matrix whose
@@ -186,10 +186,7 @@ def radial_operator(spec, grid, inner_bc="extrapolation", alpha_inner=None):
     L = sp.diags([rows[1:, 0], rows[:, 1], rows[:-1, 2]], [-1, 0, 1], format="csr")
 
     if inner_bc == "extrapolation":
-        alpha = alpha_inner
-        if alpha is None:
-            alpha = exponent_roots(spec.lam, spec.m)[0]
-        w = _inner_weights(r, alpha)
+        w = _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
     elif inner_bc == "dirichlet0":
         w = np.zeros(2)
     else:
@@ -210,7 +207,7 @@ def apply_radial_operator(spec, grid, u):
 # --- time stepping -------------------------------------------------------------
 
 
-def _implicit_rows(spec, grid, dt, inner_bc, alpha_inner):
+def _implicit_rows(spec, grid, dt, inner_bc):
     """Bands ``(lower, diag, upper)`` of ``I − dt·L`` with ``u_0`` eliminated.
 
     ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
@@ -218,7 +215,7 @@ def _implicit_rows(spec, grid, dt, inner_bc, alpha_inner):
     the weights); the last row is the outer Dirichlet row.  The weights are
     returned as a fourth item.
     """
-    L, meta = radial_operator(spec, grid, inner_bc=inner_bc, alpha_inner=alpha_inner)
+    L, meta = radial_operator(spec, grid, inner_bc=inner_bc)
     w = meta["inner_weights"]
     lower, diag, upper = (-dt * L.diagonal(k) for k in (-1, 0, 1))
     diag += 1.0
@@ -230,7 +227,7 @@ def _implicit_rows(spec, grid, dt, inner_bc, alpha_inner):
 
 
 def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
-                alpha_inner=None, store_every=1):
+                store_every=1):
     """Backward-Euler solve of ``∂_t u = L_λ u + f`` for several modes at once.
 
     All modes share the grid, the time step, the forcing ``f(t, r)`` (``None``
@@ -246,15 +243,15 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     ``dgttrf``, and every step evaluates the forcing once, solves all modes
     with one ``dgttrs`` call and rebuilds ``u_0`` from the weights.  Pivoting
     does not cross the zero couplings, so each mode gets the bits a one-mode
-    solve would give.  ``alpha_inner`` holds one inner exponent per mode
-    (``None``: α₊(λ)).  Solutions are recorded every ``store_every`` steps
+    solve would give.  The inner exponent of each mode is α₊(λ).  A forcing
+    that raises or returns a non-finite value raises :class:`NumericalError`
+    naming the step.  Solutions are recorded every ``store_every`` steps
     (``store_every=0`` keeps only the initial and final states).  Returns one
     :class:`ModeSolution` per spec.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
         raise ValidationError("need finite dt > 0 and T > 0, and store_every >= 0")
     specs = list(specs)
-    alphas = [None] * len(specs) if alpha_inner is None else list(alpha_inner)
     # keep dt when it divides T; otherwise take the fewest equal steps no
     # longer than dt and end the last one exactly at T
     n_steps = int(round(T / dt))
@@ -266,8 +263,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         dt, t_last = T / n_steps, T
     r = grid.nodes
     n = len(r)
-    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt, inner_bc, alpha)
-                                  for spec, alpha in zip(specs, alphas)))
+    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt, inner_bc) for spec in specs))
     w = np.array(w)
     # a zero between blocks: the last row of one mode and the first of the next do not couple
     lower, upper = (np.concatenate([np.append(band, 0.0) for band in bands])[:-1]
@@ -286,9 +282,12 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         if forcing is None:
             rhs = u.copy()
         else:
-            fvals = np.broadcast_to(np.asarray(forcing(t_new, r), dtype=float), r.shape)
-            if not np.all(np.isfinite(fvals)):
-                raise NumericalError(f"forcing invalid at step {k} (t={t_new:.6g})")
+            try:
+                fvals = np.broadcast_to(np.asarray(forcing(t_new, r), dtype=float), r.shape)
+                if not np.all(np.isfinite(fvals)):
+                    raise ValueError("a value is not finite")
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise NumericalError(f"forcing invalid at step {k} (t={t_new:.6g}): {exc}") from exc
             rhs = u + dt * fvals
         rhs[:, 0] = 0.0
         rhs[:, -1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
@@ -306,11 +305,10 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
 
 
 def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
-               alpha_inner=None, store_every=1):
+               store_every=1):
     """Backward-Euler solve of ``∂_t u = L u + f`` from ``u(0, ·) = 0``.
 
     The one-mode case of :func:`solve_modes`, which documents the arguments.
     """
     return solve_modes([spec], grid, T, dt, forcing=forcing, outer_bc=outer_bc,
-                       inner_bc=inner_bc, alpha_inner=[alpha_inner],
-                       store_every=store_every)[0]
+                       inner_bc=inner_bc, store_every=store_every)[0]

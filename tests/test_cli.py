@@ -6,16 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
-from conic_lmcf import LaplaceTypeSpec, RadialGrid, run_flow, solve_mode
-from conic_lmcf.cli import main, parse_forcing, parse_initial_condition, write_csv
+from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode
+from conic_lmcf.cli import (compile_expression, main, parse_forcing, parse_initial_condition,
+                            write_csv)
+from conic_lmcf.flow import grid_coordinates
 
 
 def read_report(outdir):
@@ -390,6 +395,128 @@ def test_initial_condition_rejects_unknown_names(tmp_path, capsys):
     assert "allowed" in capsys.readouterr().err
 
 
+def run_capped(argv, outdir):
+    """Exit code and stderr of the CLI in a child held to 1 GiB of address space and 30 s."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "conic_lmcf", *argv, "--outdir", str(outdir)],
+                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=30)
+    return proc.returncode, proc.stderr
+
+
+def test_initial_condition_with_a_huge_power_exits_2(tmp_path):
+    # integer literals made this a 370-million-digit integer power that never returned
+    rc, err = run_capped(["flow", "--n", "16", "--T", "0.01", "--ic", "9**9**9"], tmp_path)
+    assert rc == 2, err
+
+
+def test_initial_condition_list_is_rejected_before_it_is_built(tmp_path):
+    # ``[1]*10**9`` tried to allocate gigabytes; the grammar has no lists
+    rc, err = run_capped(["flow", "--n", "16", "--T", "0.01", "--ic", "[1]*10**9"], tmp_path)
+    assert rc == 2, err
+    assert "outside the expression grammar" in err
+
+
+SMALL_HEAT = ["heat", "--lam", "0", "--n", "50", "--T", "0.05"]
+EXPRESSION_RUNS = {
+    "ic-overflow": (["flow", "--n", "16", "--T", "0.01", "--ic=1e308*10"], 2, "--ic"),
+    "ic-exponent-literal": (["flow", "--n", "16", "--T", "0.01", "--ic=1e-3*sin(x1)"], 0, ""),
+    "ic-caret": (["flow", "--n", "16", "--T", "0.01", "--ic", "0.01*sin(x1)^2"], 0, ""),
+    "forcing-sum": (SMALL_HEAT + ["--forcing", "r^0.5 + t"], 0, ""),
+    "forcing-pole": (SMALL_HEAT + ["--forcing", "1/(t-t)"], 1, "step 1"),
+    "forcing-huge-power": (SMALL_HEAT + ["--forcing", "9**9**9"], 1, "step 1"),
+    "forcing-complex": (SMALL_HEAT + ["--forcing", "(t-1)^0.5"], 1, "step 1"),
+    "forcing-unknown-name": (SMALL_HEAT + ["--forcing", "x1*r"], 2, "allowed"),
+}
+
+
+@pytest.mark.parametrize("case", EXPRESSION_RUNS)
+def test_expression_flag_exit_codes(tmp_path, capsys, case):
+    argv, code, needle = EXPRESSION_RUNS[case]
+    assert main(argv + ["--outdir", str(tmp_path)]) == code
+    assert needle in capsys.readouterr().err
+
+
+TOKENS = ["x1", "x2", "t", "r", "pi", "sin", "cos", "(", ")", "+", "-", "*", "/", "^", "**",
+          "9", "0.5", "1e308", "2", " ", ",", "[1]", "__import__", "'os'", ".", "e", "j", "_"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(TOKENS), max_size=16).map("".join)))
+def test_any_text_compiles_or_is_rejected_quickly(text):
+    start = time.perf_counter()
+    for variables in (["t", "r"], ["x1", "x2"]):
+        try:
+            assert callable(compile_expression(text, variables, "--ic"))
+        except ValidationError:
+            pass
+    try:
+        assert np.all(np.isfinite(parse_initial_condition(text, 2, 4)))
+    except ValidationError:
+        pass
+    assert time.perf_counter() - start < 2.0
+
+
+def grammar_expressions(variables):
+    """Expression texts over ``variables`` whose Python ``eval`` is float arithmetic.
+
+    Integer literals appear only as a factor of a float-valued operand, so
+    integer-only arithmetic (an unsigned zero, exact big powers) never
+    happens.  Powers take a variable base: ``**2`` compiles to a product,
+    which differs from libm ``pow`` on a float base, not on an array.
+    """
+    leaves = st.one_of(st.sampled_from(variables + ["pi"]), st.floats(0.01, 10).map(repr))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda a: f"({''.join(a)})"),
+            inner.map(lambda a: f"-{a}"),
+            st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda a: f"{a[0]}({a[1]})"),
+            st.tuples(st.integers(1, 9), inner).map(lambda a: f"{a[0]}*{a[1]}"),
+            st.tuples(st.sampled_from(variables), st.sampled_from(["2", "3", "0.5", "-1"]))
+            .map(lambda a: f"{a[0]}**{a[1]}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_expressions(["x1", "x2"]))
+def test_compiled_expression_has_the_bits_of_eval(text):
+    xs = grid_coordinates(2, 8)
+    names = {"sin": np.sin, "cos": np.cos, "pi": math.pi, "x1": xs[0], "x2": xs[1]}
+    f = compile_expression(text, ["x1", "x2"], "--ic")
+    with np.errstate(all="ignore"):
+        try:
+            expected = eval(text, {"__builtins__": {}}, names)  # the parser this one replaced
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                f(*xs)
+            return
+        got = f(*xs)
+    assert (np.broadcast_to(np.asarray(got, dtype=float), xs[0].shape).tobytes()
+            == np.broadcast_to(np.asarray(expected, dtype=float), xs[0].shape).tobytes())
+
+
+def test_forcing_shorthands_keep_their_bits():
+    # a float's t**2 goes through libm pow, which differs from t*t for about
+    # one t in a thousand, so many t are needed to pin the product
+    rng = np.random.default_rng(0)
+    r = rng.uniform(0.0, 1.0, 8)
+    ts = rng.uniform(0.0, 1.0, 20000).tolist()
+    for a in (0.5, -0.25, 1.5, 2.0, 3.0):
+        for text, old, n_t in ((f"r^{a}", lambda t: r**a, 10),
+                               (f"t*r^{a}", lambda t: t * r**a, 1000),
+                               (f" t^2 * r^{a} ", lambda t: t * t * r**a, len(ts))):
+            f = parse_forcing(text, None)
+            assert all(f(t, r).tobytes() == old(t).tobytes() for t in ts[:n_t]), text
+
+
 def test_large_eigenvalue_mode_solves(tmp_path):
     # the inner extrapolation row stays well posed at alpha of about 140
     rc = main(["heat", "--lam", "20000", "--n", "100", "--T", "0.05", "--forcing", "r^0.5",
@@ -427,6 +554,15 @@ OUT_OF_RANGE = {
     "spectrum-dim-0": (["spectrum", "--link", "torus", "--dim", "0"], "dimension"),
     "exponents-dim-0": (["exponents", "--link", "torus", "--dim", "0"], "dimension"),
     "spectrum-dim-negative": (["spectrum", "--link", "torus", "--dim", "-1"], "dimension"),
+    "sphere-lmax-inf": (["spectrum", "--link", "sphere", "--lmax", "inf"], "--lmax"),
+    "lmax-nan": (["spectrum", "--lmax", "nan"], "--lmax"),
+    "exponents-alpha-max-nan": (["exponents", "--alpha-max", "nan"], "--alpha-max"),
+    "stability-alpha-max-nan": (["stability", "--alpha-max", "nan"], "--alpha-max"),
+    "asymptotics-gamma-nan": (["asymptotics", "--gamma", "nan"], "--gamma"),
+    "fredholm-gamma-nan": (["fredholm", "--gamma", "2.1", "nan"], "--gamma"),
+    "flow-amplitude-nan": (["flow", "--n", "16", "--T", "0.01", "--amplitude", "nan"],
+                           "--amplitude"),
+    "defect-eps-nan": (["defect", "--n", "16", "--T", "0.01", "--eps", "nan"], "--eps"),
 }
 
 

@@ -433,3 +433,10 @@ def test_unconverged_mesh_solve_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(NumericalError, match="mesh eigen-solve.*2 of 5.*--count"):
         FlatTorus(HEX_METRIC).triangulate(8).eigenvalues(5)
+
+
+@pytest.mark.parametrize("link", [RoundSphere(2), FlatTorus(np.eye(2))])
+@pytest.mark.parametrize("lam_max", [math.inf, math.nan])
+def test_spectrum_rejects_a_non_finite_bound(link, lam_max):
+    with pytest.raises(ValidationError, match="lam_max"):
+        link.spectrum(lam_max)
