@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +96,35 @@ def write_columns(path: Path, *columns) -> None:
         fh.writelines(map(row.__mod__, zip(*arrays)))
 
 
-def _report_schema() -> dict:
-    text = resources.files("conic_lmcf").joinpath("schemas/report.schema.json").read_text("utf-8")
-    return json.loads(text)
+_REPORT_KEYS = ("command", "inputs", "outputs", "versions", "wall_time_s")
+_VERSION_KEYS = ("python", "numpy", "scipy", "conic-lmcf")
+
+
+def _check_report(report: dict) -> None:
+    """Raise ``ValueError`` naming the key where ``report`` breaks ``report.schema.json``.
+
+    ``report`` holds JSON values only.  The checks are the schema's, with
+    draft-07 meanings: a number is an int or float but not a bool, and
+    ``minimum: 0`` rejects only a value below 0.
+    """
+    if set(report) != set(_REPORT_KEYS):
+        raise ValueError(f"report keys {sorted(report)} are not {list(_REPORT_KEYS)}")
+    outputs, versions, wall = report["outputs"], report["versions"], report["wall_time_s"]
+    for key, ok in (
+        ("command", isinstance(report["command"], str) and report["command"] != ""),
+        ("inputs", isinstance(report["inputs"], dict)),
+        ("outputs", isinstance(outputs, dict) and isinstance(outputs.get("files"), list)
+         and all(isinstance(name, str) for name in outputs["files"])),
+        ("versions", isinstance(versions, dict)
+         and all(isinstance(versions.get(name), str) for name in _VERSION_KEYS)),
+        ("wall_time_s", isinstance(wall, (int, float)) and not isinstance(wall, bool)
+         and not wall < 0),
+    ):
+        if not ok:
+            raise ValueError(f"report {key!r} breaks report.schema.json: {report[key]!r:.200}")
 
 
 def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: float) -> None:
-    import jsonschema
-
     report = {
         "command": command,
         "inputs": inputs,
@@ -117,10 +137,10 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
         },
         "wall_time_s": time.perf_counter() - t0,
     }
-    # round-trip through the serialiser so the validated object is exactly
+    # round-trip through the serialiser so the checked object is exactly
     # what lands on disk
     canonical = json.loads(json.dumps(report, sort_keys=True, default=_jsonable))
-    jsonschema.validate(canonical, _report_schema())
+    _check_report(canonical)
     write_json(outdir / "report.json", canonical)
 
 

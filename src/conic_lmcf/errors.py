@@ -3,8 +3,12 @@
 Two failure families matter to callers (and to the CLI exit-code mapping):
 ``ValidationError`` for inputs that violate a documented precondition, and
 ``NumericalError`` for computations that start from valid inputs but fail
-numerically.
+numerically.  :func:`check_count` holds the one limit on how much work a
+single call may enumerate.
 """
+
+#: The most time steps, lattice points or eigenvalues one call may enumerate.
+COUNT_LIMIT = 1_000_000
 
 
 class ValidationError(ValueError):
@@ -50,3 +54,14 @@ class GraphConditionError(NumericalError):
         super().__init__(message)
         self.nodes = nodes if nodes is not None else []
         self.suggested_dt = suggested_dt
+
+
+def check_count(count: float, what: str, fix: str) -> None:
+    """Refuse, before any work, a call whose estimated ``count`` exceeds :data:`COUNT_LIMIT`.
+
+    ``count`` may be ``inf`` or ``nan``; both are refused.  The message says
+    ``what`` is counted and ``fix``, the flags to change.
+    """
+    if not count <= COUNT_LIMIT:
+        raise ValidationError(f"{what}: about {count:.3g}, over the limit of "
+                              f"{COUNT_LIMIT:,}; {fix}")

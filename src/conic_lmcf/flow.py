@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphConditionError, ValidationError
+from .errors import GraphConditionError, ValidationError, check_count
 
 __all__ = [
     "FlowState",
@@ -174,12 +174,16 @@ def _step_size(dt, m, n):
 
 
 def _schedule(T, dt, m, n):
-    """Fewest equal steps reaching ``T`` whose size does not exceed ``dt``."""
+    """Fewest equal steps reaching ``T`` whose size does not exceed ``dt``.
+
+    More than :data:`~conic_lmcf.errors.COUNT_LIMIT` steps are refused.
+    """
     _check_grid(m, n)
     dt = _step_size(dt, m, n)
     T = float(T)
     if not 0.0 < T < math.inf:
         raise ValidationError(f"final time T must be positive and finite, got {T!r}")
+    check_count(T / dt, f"time steps of dt={dt:.6g} to reach T={T:g}", "lower --T or raise --dt")
     n_steps = max(math.floor(T / dt), 1)
     while T / n_steps > dt:
         n_steps += 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_count
 
 __all__ = [
     "EigenEntry",
@@ -101,12 +101,16 @@ class FlatTorus:
         """All eigenvalues ≤ ``lam_max`` as sorted :class:`EigenEntry` rows.
 
         Integer vectors are enumerated over the bounding box of the
-        ellipsoid ``kᵀH⁻¹k ≤ lam_max`` (``k_i² ≤ lam_max·H_ii``).
+        ellipsoid ``kᵀH⁻¹k ≤ lam_max`` (``k_i² ≤ lam_max·H_ii``); a box of
+        more than :data:`~conic_lmcf.errors.COUNT_LIMIT` points is refused.
         """
         if not 0 <= lam_max < math.inf:
             raise ValidationError(f"lam_max must be finite and nonnegative, got {lam_max}")
-        bounds = [int(math.floor(math.sqrt(lam_max * self.metric[i, i]) + 1e-9))
-                  for i in range(self.dim)]
+        radii = [math.sqrt(lam_max * self.metric[i, i]) + 1e-9 for i in range(self.dim)]
+        check_count(math.prod(2 * r + 1 for r in radii),
+                    f"lattice points with k^T H^-1 k <= {lam_max:g} in their bounding box",
+                    "lower --lmax (or --alpha-max)")
+        bounds = [math.floor(r) for r in radii]
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
         lams = np.einsum("ni,ij,nj->n", ks, self._Hinv, ks)
@@ -231,8 +235,14 @@ class RoundSphere:
         return f"RoundSphere(dim={self.dim})"
 
     def spectrum(self, lam_max, group_tol=1e-9):
+        """Eigenvalues ``l(l + dim − 1) ≤ lam_max``; more than COUNT_LIMIT of them are refused."""
         if not lam_max < math.inf:
             raise ValidationError(f"lam_max must be finite, got {lam_max}")
+        # the degrees l >= 0 with l(l + d - 1) <= lam_max + group_tol, counted in closed form
+        d = self.dim - 1
+        check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + group_tol, 0.0)) - d) / 2,
+                    f"eigenvalues of S^{self.dim} up to {lam_max:g}",
+                    "lower --lmax (or --alpha-max)")
         entries = []
         l = 0
         while l * (l + self.dim - 1) <= lam_max + group_tol:

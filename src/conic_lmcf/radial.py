@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_count
 from .exponents import exponent_roots
 
 __all__ = [
@@ -246,11 +246,13 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     solve would give.  The inner exponent of each mode is α₊(λ).  A forcing
     that raises or returns a non-finite value raises :class:`NumericalError`
     naming the step.  Solutions are recorded every ``store_every`` steps
-    (``store_every=0`` keeps only the initial and final states).  Returns one
+    (``store_every=0`` keeps only the initial and final states).  More than
+    :data:`~conic_lmcf.errors.COUNT_LIMIT` steps are refused.  Returns one
     :class:`ModeSolution` per spec.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
         raise ValidationError("need finite dt > 0 and T > 0, and store_every >= 0")
+    check_count(T / dt, f"time steps of dt={dt:.6g} to reach T={T:g}", "lower --T or raise --dt")
     specs = list(specs)
     # keep dt when it divides T; otherwise take the fewest equal steps no
     # longer than dt and end the last one exactly at T

@@ -18,8 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode
-from conic_lmcf.cli import (compile_expression, main, parse_forcing, parse_initial_condition,
-                            write_csv)
+from conic_lmcf.cli import (_check_report, compile_expression, main, parse_forcing,
+                            parse_initial_condition, write_csv)
 from conic_lmcf.flow import grid_coordinates
 
 
@@ -294,6 +294,94 @@ def test_reports_record_versions(tmp_path):
     assert set(versions) == {"python", "numpy", "scipy", "conic-lmcf"}
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=4)
+NUMERIC_OUTPUTS = st.recursive(
+    st.floats(allow_nan=False) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=4)
+REPORT_BREAKS = ("missing key", "extra key", "command", "inputs", "outputs", "files",
+                 "files entry", "versions", "versions key", "versions value", "wall_time_s")
+
+
+@st.composite
+def report_dicts(draw):
+    """A valid report with nested numeric outputs, broken at up to two places."""
+    def other_than(*types):
+        return draw(JSON_VALUES.filter(lambda value: not isinstance(value, types)))
+
+    version_keys = ["python", "numpy", "scipy", "conic-lmcf"]
+    report = {
+        "command": draw(st.text(min_size=1, max_size=6)),
+        "inputs": draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3)),
+        "outputs": {**draw(st.dictionaries(st.text(max_size=4), NUMERIC_OUTPUTS, max_size=3)),
+                    "files": draw(st.lists(st.text(max_size=8), max_size=3))},
+        "versions": {**draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)),
+                     **{key: draw(st.text(max_size=6)) for key in version_keys}},
+        "wall_time_s": draw(st.floats(min_value=0.0) | st.integers(min_value=0)
+                            | st.just(math.nan)),
+    }
+    count = draw(st.integers(0, 2))
+    breaks = draw(st.sets(st.sampled_from(REPORT_BREAKS), min_size=count, max_size=count))
+    if "command" in breaks:
+        report["command"] = draw(st.just("")) if draw(st.booleans()) else other_than(str)
+    if "inputs" in breaks:
+        report["inputs"] = other_than(dict)
+    if "files" in breaks:
+        report["outputs"]["files"] = other_than(list) if draw(st.booleans()) else None
+        if report["outputs"]["files"] is None:
+            del report["outputs"]["files"]
+    if "files entry" in breaks and "files" not in breaks:
+        report["outputs"]["files"].insert(draw(st.integers(0, 3)), other_than(str))
+    if "outputs" in breaks:
+        report["outputs"] = other_than(dict)
+    if "versions key" in breaks:
+        del report["versions"][draw(st.sampled_from(version_keys))]
+    if "versions value" in breaks:
+        report["versions"][draw(st.sampled_from(version_keys))] = other_than(str)
+    if "versions" in breaks:
+        report["versions"] = other_than(dict)
+    if "wall_time_s" in breaks:
+        report["wall_time_s"] = draw(st.booleans() | st.floats(max_value=-1e-300)
+                                     | st.integers(max_value=-1)) if draw(st.booleans()) \
+            else other_than(int, float)
+    if "missing key" in breaks:
+        del report[draw(st.sampled_from(sorted(report)))]
+    if "extra key" in breaks:
+        report[draw(st.text(max_size=12).filter(lambda key: key not in report))] = \
+            draw(JSON_VALUES)
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_dicts())
+def test_report_check_agrees_with_jsonschema(report):
+    """Oracle: the direct check accepts exactly the reports the shipped schema accepts."""
+    import jsonschema
+    from importlib import resources
+
+    schema = json.loads(resources.files("conic_lmcf.schemas")
+                        .joinpath("report.schema.json").read_text())
+    valid = jsonschema.Draft7Validator(schema).is_valid(report)
+    if valid:
+        _check_report(report)
+    else:
+        with pytest.raises(ValueError, match="report"):
+            _check_report(report)
+
+
+def test_a_broken_report_names_the_key(tmp_path, monkeypatch):
+    monkeypatch.setattr(conic_lmcf.cli, "__version__", None)
+    with pytest.raises(ValueError, match="'versions' breaks report.schema.json"):
+        main(["fredholm", "--gamma", "2.1", "--outdir", str(tmp_path)])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     argv = ["heat", "--lam", "0", "--n", "80", "--T", "0.05",
             "--forcing", "r^0.5"]
@@ -420,6 +508,26 @@ def test_initial_condition_list_is_rejected_before_it_is_built(tmp_path):
     rc, err = run_capped(["flow", "--n", "16", "--T", "0.01", "--ic", "[1]*10**9"], tmp_path)
     assert rc == 2, err
     assert "outside the expression grammar" in err
+
+
+# each of these ran until killed, or died with a numpy traceback, before the
+# work was counted ahead of the run
+OVER_THE_COUNT_LIMIT = {
+    "sphere-lmax": (["spectrum", "--link", "sphere", "--dim", "2", "--lmax", "1e30"], ["--lmax"]),
+    "torus-lmax": (["spectrum", "--link", "torus", "--lmax", "1e12"], ["--lmax"]),
+    "flow-T": (["flow", "--n", "16", "--T", "1e300"], ["--T", "--dt"]),
+    "heat-T-dt": (["heat", "--lam", "0", "--n", "20", "--T", "1e9", "--dt", "1e-3"],
+                  ["--T", "--dt"]),
+}
+
+
+@pytest.mark.parametrize("case", OVER_THE_COUNT_LIMIT)
+def test_work_over_the_count_limit_exits_2_naming_the_flags(tmp_path, case):
+    argv, flags = OVER_THE_COUNT_LIMIT[case]
+    rc, err = run_capped(argv, tmp_path)
+    assert rc == 2, err
+    assert all(flag in err for flag in flags), err
+    assert not (tmp_path / "report.json").exists()
 
 
 SMALL_HEAT = ["heat", "--lam", "0", "--n", "50", "--T", "0.05"]

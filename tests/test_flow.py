@@ -209,6 +209,16 @@ def test_final_time_must_be_positive_and_finite(T):
         run_flow(sine_ic(2, 16, 0.05), T=T)
 
 
+def test_step_count_over_the_limit_is_refused_before_the_first_step():
+    # 1e300 once made a step count too large for int64 and a numpy traceback
+    u0 = sine_ic(2, 16, 0.05)
+    for call in (lambda: run_flow(u0, T=1e300), lambda: run_heat(u0, T=1e9),
+                 lambda: linearization_defect(u0, [0.1, 0.05], T=1e9),
+                 lambda: run_flow(u0, T=1.0, dt=1e-300)):
+        with pytest.raises(ValidationError, match="time steps.*--T or raise --dt"):
+            call()
+
+
 def test_dt_at_the_stability_limit_is_accepted():
     n = 16
     limit = (2 * np.pi / n) ** 2 / 4

@@ -22,6 +22,7 @@ from conic_lmcf import (
     read_off,
     sphere_multiplicity,
 )
+from conic_lmcf.errors import COUNT_LIMIT, check_count
 
 HEX_METRIC = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
 
@@ -440,3 +441,19 @@ def test_unconverged_mesh_solve_is_a_numerical_error(monkeypatch):
 def test_spectrum_rejects_a_non_finite_bound(link, lam_max):
     with pytest.raises(ValidationError, match="lam_max"):
         link.spectrum(lam_max)
+
+
+@pytest.mark.parametrize("link, lam_max", [(RoundSphere(2), 1e30), (RoundSphere(5), 1e13),
+                                           (FlatTorus(np.eye(2)), 1e12),
+                                           (FlatTorus(np.eye(3)), 1e5)])
+def test_spectrum_over_the_count_limit_is_refused_before_it_is_enumerated(link, lam_max):
+    # the sphere stepped l one at a time to 1e15; the torus box needed 29 TiB
+    with pytest.raises(ValidationError, match="over the limit of 1,000,000.*--lmax"):
+        link.spectrum(lam_max)
+
+
+def test_count_limit_admits_the_limit_and_refuses_beyond_it():
+    check_count(COUNT_LIMIT, "items", "fix")
+    for count in (COUNT_LIMIT + 1, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="items: about .*; fix"):
+            check_count(count, "items", "fix")

@@ -27,11 +27,12 @@ def test_exports_resolve_to_their_submodule_objects():
 
 # Runs each command through cli.main in one fresh interpreter and records,
 # after each, which of the probed modules are loaded.  sys.modules only grows,
-# so the first command that loads a module is the one that needs it.
+# so the first command that loads a module is the one that needs it.  No
+# command loads jsonschema: report.json is checked without it.
 PROBE = """
 import json, sys
 import conic_lmcf
-probed = ("numpy", "scipy", "scipy.sparse", "scipy.interpolate")
+probed = ("numpy", "scipy", "scipy.sparse", "scipy.interpolate", "jsonschema")
 loaded = {"import conic_lmcf": [m for m in probed if m in sys.modules]}
 from conic_lmcf.cli import main
 for i, argv in enumerate(json.loads(sys.argv[1])):

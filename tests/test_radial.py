@@ -304,6 +304,13 @@ def test_non_finite_times_are_rejected(T, dt):
         solve_mode(LaplaceTypeSpec(lam=0.0, m=3), grid, T=T, dt=dt)
 
 
+@pytest.mark.parametrize("T, dt", [(1e9, 1e-3), (1.0, 1e-300), (1e300, 1e-10)])
+def test_step_count_over_the_limit_is_refused_before_the_solve(T, dt):
+    grid = RadialGrid(R=1.0, n_cells=20)
+    with pytest.raises(ValidationError, match="time steps.*--T or raise --dt"):
+        solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=T, dt=dt)
+
+
 def test_inner_weights_are_exact_on_the_admissible_powers():
     from conic_lmcf import exponent_roots
 
