@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, ExceptionalWeightError, ValidationError
+from .errors import DegenerateDataError, ExceptionalWeightError, NumericalError, ValidationError
 from .norms import decay_rate, dyadic_annulus_suprema, smooth_cutoff
 
 __all__ = [
@@ -165,6 +165,10 @@ def extract_asymptotics(sol, table, gamma, time_index=-1, gate_tol=0.35,
         cols = [r[sel] ** ee for ee, _, _ in basis[i:]] + [r[sel] ** gamma]
         Amat = np.stack(cols, axis=1)
         colnorm = np.linalg.norm(Amat, axis=0)
+        if not np.all((colnorm > 0) & np.isfinite(colnorm)):
+            raise NumericalError(
+                f"asymptotics fit: a basis column r^e on r <= {win:.3g} underflows or "
+                f"overflows; choose --radius and --n so that r^{gamma:g} stays in range")
         coef, *_ = np.linalg.lstsq(Amat / colnorm, work[sel], rcond=None)
         c = float(coef[0] / colnorm[0])
         accepted.append((alpha, k, c))

@@ -174,36 +174,50 @@ class _Arg:
     """add_argument wrapper that lets a config file supply defaults.
 
     Explicit command-line flags always win over config values, which win
-    over built-in defaults.
+    over built-in defaults.  A config value is read as the command line
+    reads the flag's text, and one the flag cannot take raises
+    :class:`ValidationError` naming the key and ``command``.
     """
 
-    def __init__(self, parser, config: dict):
+    def __init__(self, parser, config: dict, command: str):
         self.parser = parser
         self.config = config
+        self.command = command
 
     def add(self, name: str, **kwargs):
         dest = name.lstrip("-").replace("-", "_")
         if dest in self.config:
             value = self.config[dest]
+            typ = kwargs.get("type", str)
             try:
-                if kwargs.get("action") in ("store_true", "store_false"):
-                    default = bool(value)
-                elif kwargs.get("nargs") in ("+", "*"):
-                    typ = kwargs.get("type", str)
-                    seq = value if isinstance(value, (list, tuple)) else [value]
-                    default = [typ(v) for v in seq]
+                if kwargs.get("action") == "store_true":
+                    if not isinstance(value, bool):
+                        raise ValueError("expected true or false")
+                    default = value
+                elif kwargs.get("nargs") == "+":
+                    seq = value if isinstance(value, list) else [value]
+                    default = [_config_scalar(v, typ) for v in seq]
                 else:
-                    typ = kwargs.get("type", str)
-                    if isinstance(value, (list, tuple)) and len(value) == 1:
+                    if isinstance(value, list) and len(value) == 1:
                         value = value[0]
-                    default = None if value is None else typ(value)
-            except (TypeError, ValueError):
-                # the key targets a different subcommand's flag of the same
-                # name; leave this parser's built-in default in place
-                return self.parser.add_argument(name, **kwargs)
+                    default = (None if value is None and kwargs.get("default") is None
+                               else _config_scalar(value, typ, kwargs.get("choices")))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"config key {dest!r} = {json.dumps(value)} is not a value "
+                                      f"{self.command} {name} can take: {exc}") from exc
             kwargs["default"] = default
             kwargs.pop("required", None)
         return self.parser.add_argument(name, **kwargs)
+
+
+def _config_scalar(value, typ, choices=None):
+    """A JSON scalar read as the flag's command-line text; bools, lists and null are not."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected {typ.__name__}")
+    converted = typ(str(value))
+    if choices is not None and converted not in choices:
+        raise ValueError(f"expected one of {choices}")
+    return converted
 
 
 def _parse_metric(text: str) -> np.ndarray:
@@ -541,98 +555,134 @@ def cmd_defect(args, out: Path) -> dict:
 # parser assembly and the command runner
 
 
-def build_parser(config: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conic-lmcf",
-        description="numerics for Lagrangian mean curvature flow out of conical singularities",
-    )
-    parser.add_argument("--version", action="version", version=f"conic-lmcf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def link_flags(a: _Arg) -> None:
+    a.add("--link", type=str, default="hl-torus",
+          choices=["hl-torus", "torus", "sphere", "mesh"], help="which cone link to use")
+    a.add("--dim", type=int, default=2, help="link dimension (sphere/torus)")
+    a.add("--metric", type=str, default=None,
+          help="flat-torus metric, rows separated by ';' e.g. '0.667,0.333;0.333,0.667'")
+    a.add("--mesh-file", type=str, default=None, help="OFF file for --link mesh")
 
-    def command(handler, help) -> _Arg:
-        p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
-        p.set_defaults(handler=handler)
-        a = _Arg(p, config)
-        a.add("--outdir", type=str, default="out", help="directory for artifacts (created if missing)")
-        a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file of flag defaults (explicit flags take precedence)")
-        return a
 
-    def link_flags(a: _Arg) -> None:
-        a.add("--link", type=str, default="hl-torus",
-              choices=["hl-torus", "torus", "sphere", "mesh"], help="which cone link to use")
-        a.add("--dim", type=int, default=2, help="link dimension (sphere/torus)")
-        a.add("--metric", type=str, default=None,
-              help="flat-torus metric, rows separated by ';' e.g. '0.667,0.333;0.333,0.667'")
-        a.add("--mesh-file", type=str, default=None, help="OFF file for --link mesh")
+def cone_flags(a: _Arg) -> None:
+    a.add("--cone", type=str, default="hl-torus-3", help="catalog cone name")
+    a.add("--cone-json", type=str, default=None, help="cone description file (overrides --cone)")
 
-    def cone_flags(a: _Arg) -> None:
-        a.add("--cone", type=str, default="hl-torus-3", help="catalog cone name")
-        a.add("--cone-json", type=str, default=None, help="cone description file (overrides --cone)")
 
-    def radial_flags(a: _Arg) -> None:
-        a.add("--lam", type=float, nargs="+", default=[0.0],
-              help="link eigenvalue(s); the modes share one factorisation and step loop")
-        a.add("--m", type=int, default=3, help="cone dimension")
-        a.add("--radius", type=float, default=1.0, help="outer radius of the annulus (finite)")
-        a.add("--n", type=int, default=400, help="number of grid cells")
-        a.add("--q", type=float, default=2.0, help="grid grading power")
-        a.add("--T", type=float, default=0.1, help="final time")
-        a.add("--dt", type=float, default=None, help="time step (default T/400)")
-        a.add("--forcing", type=str, default=None, help="expression in t and r, e.g. 't*r^0.5'")
-        a.add("--forcing-csv", type=str, default=None, help="CSV table t,r,f")
-        a.add("--outer", type=float, default=None, help="constant outer Dirichlet value (finite)")
-        a.add("--inner", type=str, default="extrapolation",
-              choices=["extrapolation", "dirichlet0"], help="inner boundary treatment")
+def radial_flags(a: _Arg) -> None:
+    a.add("--lam", type=float, nargs="+", default=[0.0],
+          help="link eigenvalue(s); the modes share one factorisation and step loop")
+    a.add("--m", type=int, default=3, help="cone dimension")
+    a.add("--radius", type=float, default=1.0, help="outer radius of the annulus (finite)")
+    a.add("--n", type=int, default=400, help="number of grid cells")
+    a.add("--q", type=float, default=2.0, help="grid grading power")
+    a.add("--T", type=float, default=0.1, help="final time")
+    a.add("--dt", type=float, default=None, help="time step (default T/400)")
+    a.add("--forcing", type=str, default=None, help="expression in t and r, e.g. 't*r^0.5'")
+    a.add("--forcing-csv", type=str, default=None, help="CSV table t,r,f")
+    a.add("--outer", type=float, default=None, help="constant outer Dirichlet value (finite)")
+    a.add("--inner", type=str, default="extrapolation",
+          choices=["extrapolation", "dirichlet0"], help="inner boundary treatment")
 
-    def torus_flags(a: _Arg, ic: str) -> None:
-        a.add("--m", type=int, default=2, help="number of dimensions")
-        a.add("--n", type=int, default=64, help="grid points per axis")
-        a.add("--T", type=float, default=0.5, help="final time")
-        a.add("--dt", type=float, default=None, help="time step (default from grid)")
-        a.add("--ic", type=str, default=ic, help="catalog name or expression in x1..xm")
 
-    a = command(cmd_spectrum, "link Laplacian spectrum with multiplicities")
+def torus_flags(a: _Arg, ic: str) -> None:
+    a.add("--m", type=int, default=2, help="number of dimensions")
+    a.add("--n", type=int, default=64, help="grid points per axis")
+    a.add("--T", type=float, default=0.5, help="final time")
+    a.add("--dt", type=float, default=None, help="time step (default from grid)")
+    a.add("--ic", type=str, default=ic, help="catalog name or expression in x1..xm")
+
+
+def spectrum_flags(a: _Arg) -> None:
     link_flags(a)
     a.add("--lmax", type=float, default=10.0, help="largest eigenvalue to report")
     a.add("--count", type=int, default=10, help="eigenvalue count for mesh links")
 
-    a = command(cmd_exponents, "homogeneity exponents of a cone Laplacian")
+
+def exponents_flags(a: _Arg) -> None:
     link_flags(a)
     a.add("--m", type=int, default=3, help="cone dimension")
     a.add("--alpha-max", type=float, default=5.0, help="upper edge of the exponent window")
 
-    a = command(cmd_stability, "stability index of a special Lagrangian cone")
+
+def stability_flags(a: _Arg) -> None:
     cone_flags(a)
     a.add("--alpha-max", type=float, default=3.0, help="exponent window upper edge (must exceed 2)")
     a.add("--samples", type=int, default=24, help="link sample resolution for rank checks")
 
-    a = command(cmd_fredholm, "Fredholm index of the weighted Laplacian")
+
+def fredholm_flags(a: _Arg) -> None:
     cone_flags(a)
     a.add("--gamma", type=float, nargs="+", required=True, help="weight, one per cone end")
     a.add("--with-asymptotics", action="store_true",
           help="index of the extended operator with polyhomogeneous unknowns")
     a.add("--alpha-max", type=float, default=3.0, help="minimum exponent window upper edge")
 
-    a = command(cmd_heat, "radial mode solves of the cone heat equation")
+
+def heat_flags(a: _Arg) -> None:
     radial_flags(a)
     a.add("--store-every", type=int, default=0, help="keep every k-th frame (0: first/last)")
 
-    a = command(cmd_asymptotics, "extract the conical expansion of a heat solution")
+
+def asymptotics_flags(a: _Arg) -> None:
     radial_flags(a)
     a.add("--metric", type=str, default=None, help="flat-torus link metric (default hl-torus-3)")
     a.add("--gamma", type=float, default=2.4, help="expansion is resolved below this rate")
 
-    a = command(cmd_flow, "periodic graphical Lagrangian mean curvature flow")
+
+def flow_flags(a: _Arg) -> None:
     torus_flags(a, ic="sine")
     a.add("--amplitude", type=float, default=1.0, help="scale factor on the initial potential")
     a.add("--snapshots", type=int, default=5, help="number of recorded field snapshots")
 
-    a = command(cmd_defect, "defect of the heat-flow linearisation, halved amplitudes")
+
+def defect_flags(a: _Arg) -> None:
     torus_flags(a, ic="mixed")
     a.add("--eps", type=float, nargs="+", default=[0.1, 0.05, 0.025],
           help="decreasing amplitude ladder")
+
+
+# subcommand name -> (handler, help, function adding its own flags)
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "link Laplacian spectrum with multiplicities", spectrum_flags),
+    "exponents": (cmd_exponents, "homogeneity exponents of a cone Laplacian", exponents_flags),
+    "stability": (cmd_stability, "stability index of a special Lagrangian cone", stability_flags),
+    "fredholm": (cmd_fredholm, "Fredholm index of the weighted Laplacian", fredholm_flags),
+    "heat": (cmd_heat, "radial mode solves of the cone heat equation", heat_flags),
+    "asymptotics": (cmd_asymptotics, "extract the conical expansion of a heat solution",
+                    asymptotics_flags),
+    "flow": (cmd_flow, "periodic graphical Lagrangian mean curvature flow", flow_flags),
+    "defect": (cmd_defect, "defect of the heat-flow linearisation, halved amplitudes",
+               defect_flags),
+}
+
+
+def build_parser(config: dict, argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with flags only on the subcommand it selects.
+
+    That subcommand is ``argv``'s first token without a leading ``-``, since
+    the top-level parser takes no option with a value.  Every other
+    subcommand is registered by name and help alone, which is all that the
+    top-level help and usage errors print.  Only the selected subcommand
+    reads ``config``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="conic-lmcf",
+        description="numerics for Lagrangian mean curvature flow out of conical singularities",
+    )
+    parser.add_argument("--version", action="version", version=f"conic-lmcf {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    selected = next((token for token in argv if not token.startswith("-")), None)
+    for name, (_, help, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if name == selected:
+            a = _Arg(p, config, name)
+            a.add("--outdir", type=str, default="out",
+                  help="directory for artifacts (created if missing)")
+            a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
+            p.add_argument("--config", type=str, default=None,
+                           help="JSON file of flag defaults (explicit flags take precedence)")
+            flags(a)
     return parser
 
 
@@ -645,7 +695,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(_preload_config(argv)).parse_args(argv)
+        args = build_parser(_preload_config(argv), argv).parse_args(argv)
         for dest, value in vars(args).items():
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, list) else [value])):
@@ -653,9 +703,8 @@ def main(argv=None) -> int:
         out = Path(args.outdir)
         out.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        outputs = args.handler(args, out)
-        inputs = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "handler", "outdir", "config")}
+        outputs = COMMANDS[args.command][0](args, out)
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
         write_report(out, args.command, inputs, outputs, t0)
         return 0
     except ValidationError as exc:

@@ -417,6 +417,26 @@ def test_config_file_supplies_defaults(tmp_path):
     assert read_report(out2)["outputs"]["index"] == -13
 
 
+# a config value the flag cannot take was dropped in favour of the built-in
+# default, or misread: bool("false") is True
+BAD_CONFIG = {
+    "int-text": ("heat", {"n": "abc"}, ["--lam", "0", "--T", "0.01"]),
+    "bool-text": ("fredholm", {"with_asymptotics": "false"}, ["--gamma", "2.1"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG)
+def test_config_value_the_flag_cannot_take_exits_2(tmp_path, capsys, case):
+    command, config, argv = BAD_CONFIG[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg), *argv, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert repr(next(iter(config))) in err and command in err, err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_seed_flag_is_recorded(tmp_path):
     main(["stability", "--cone", "hl-torus-3", "--seed", "42",
           "--outdir", str(tmp_path)])
@@ -485,6 +505,12 @@ def test_initial_condition_rejects_unknown_names(tmp_path, capsys):
 
 def run_capped(argv, outdir):
     """Exit code and stderr of the CLI in a child held to 1 GiB of address space and 30 s."""
+    proc = run_child(argv, outdir)
+    return proc.returncode, proc.stderr
+
+
+def run_child(argv, outdir) -> subprocess.CompletedProcess:
+    """The CLI run in a child held to 1 GiB of address space and 30 s."""
     resource = pytest.importorskip("resource")
 
     def cap():
@@ -492,9 +518,8 @@ def run_capped(argv, outdir):
 
     src = str(Path(conic_lmcf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "conic_lmcf", *argv, "--outdir", str(outdir)],
+    return subprocess.run([sys.executable, "-m", "conic_lmcf", *argv, "--outdir", str(outdir)],
                           env=env, preexec_fn=cap, capture_output=True, text=True, timeout=30)
-    return proc.returncode, proc.stderr
 
 
 def test_initial_condition_with_a_huge_power_exits_2(tmp_path):
@@ -508,6 +533,17 @@ def test_initial_condition_list_is_rejected_before_it_is_built(tmp_path):
     rc, err = run_capped(["flow", "--n", "16", "--T", "0.01", "--ic", "[1]*10**9"], tmp_path)
     assert rc == 2, err
     assert "outside the expression grammar" in err
+
+
+def test_asymptotics_fit_on_underflowing_radii_is_a_numerical_failure(tmp_path):
+    # r^e underflows on these radii, so the fit's column norms were 0 and
+    # lstsq died in LAPACK with an uncaught LinAlgError
+    proc = run_child(["asymptotics", "--lam", "0", "--radius", "1e-100", "--n", "200",
+                      "--gamma", "2.5", "--forcing", "r^0.5"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "numerical failure:" in proc.stderr and "--radius" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "DLASCL" not in proc.stdout + proc.stderr
 
 
 # each of these ran until killed, or died with a numpy traceback, before the

@@ -33,7 +33,7 @@ RECORDED = Path(__file__).with_name("cli_text.json")
 
 
 def run(argv) -> dict:
-    """Exit code, stdout and stderr of ``main(argv)``; argparse exits through SystemExit."""
+    """Exit code of ``main(argv)``; argparse exits through SystemExit."""
     try:
         code = main(list(argv))
     except SystemExit as exc:

@@ -137,7 +137,7 @@ def test_artifact_digests_are_unchanged(runs, command):
 
 @pytest.mark.parametrize("command", list(RUNS))
 def test_report_inputs_are_the_parsed_flags(runs, command):
-    subparsers = build_parser({})._subparsers._group_actions[0].choices
+    subparsers = build_parser({}, RUNS[command])._subparsers._group_actions[0].choices
     flags = {a.dest for a in subparsers[RUNS[command][0]]._actions} - {"help", "outdir", "config"}
     report = json.loads((runs / command / "report.json").read_text(encoding="utf-8"))
     assert set(report["inputs"]) == flags
