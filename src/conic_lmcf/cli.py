@@ -163,7 +163,7 @@ def _preload_config(argv) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object of flag defaults")

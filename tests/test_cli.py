@@ -437,6 +437,14 @@ def test_config_value_the_flag_cannot_take_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_config_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.load raised a ValueError that is not a JSONDecodeError, uncaught
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"T": 1' + "0" * 5000 + "}")
+    assert main(["heat", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert "cfg.json" in capsys.readouterr().err
+
+
 def test_seed_flag_is_recorded(tmp_path):
     main(["stability", "--cone", "hl-torus-3", "--seed", "42",
           "--outdir", str(tmp_path)])
