@@ -12,7 +12,8 @@ coefficients and the remainder rate from a discrete solution:
 
 1.  Exponents are visited in increasing order.  A candidate is accepted
     only if the current remainder's log–log slope on the innermost annuli
-    matches it (rate gate) — this keeps exactly-absent terms out of the
+    matches it within 0.35 (rate gate), annuli whose supremum is below
+    1e−13·max|u| left out — this keeps exactly-absent terms out of the
     reported expansion instead of fitting noise.
 2.  Accepted coefficients come from least squares on an inner window whose
     size grows with the exponent, with a sacrificial ``r^γ`` column
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +98,7 @@ def _mode_exponents(table, lam, gamma):
     return alphas
 
 
-def extract_asymptotics(sol, table, gamma, time_index=-1, gate_tol=0.35,
-                        coeff_floor=1e-13, mode_only=True):
+def extract_asymptotics(sol, table, gamma, time_index=-1, mode_only=True):
     """Fit the discrete asymptotic expansion of a mode solution.
 
     ``gamma`` must be non-exceptional for the lifted exponent set; basis
@@ -154,13 +154,13 @@ def extract_asymptotics(sol, table, gamma, time_index=-1, gate_tol=0.35,
             win = r[3]
         # rate gate: does the remainder actually behave like r^e here?
         centers, sups = dyadic_annulus_suprema(r, work, r[0], win)
-        good = sups > coeff_floor * scale
+        good = sups > 1e-13 * scale
         if good.sum() >= 3:
             x, y = np.log(centers[good]), np.log(sups[good])
             slope = float(np.polyfit(x, y, 1)[0])
         else:
             slope = math.inf  # remainder at machine level: nothing to accept
-        if abs(slope - e) > gate_tol:
+        if abs(slope - e) > 0.35:
             continue
         cols = [r[sel] ** ee for ee, _, _ in basis[i:]] + [r[sel] ** gamma]
         Amat = np.stack(cols, axis=1)

@@ -332,11 +332,6 @@ def _forcing_from_csv(path: str):
         raise ValidationError("forcing CSV must tabulate a full (t, r) product grid")
     order = np.lexsort((data[:, 1], data[:, 0]))
     grid_f = data[order, 2].reshape(ts.size, rs.size)
-    if ts.size == 1:
-        def f_const(t, r, _rs=rs, _row=grid_f[0]):
-            return np.interp(np.clip(r, _rs[0], _rs[-1]), _rs, _row)
-
-        return f_const
 
     def f(t, r):
         # bilinear on the cell holding the clipped (t, r), with scipy's

@@ -103,12 +103,14 @@ def hamiltonian_field(X, z):
     return z @ X.A + X.v
 
 
-def verify_hamiltonian(X, samples, step=1e-5):
+def verify_hamiltonian(X, samples):
     """Max residual of ``dμ_X = X̂ ⌟ ω′`` over samples, by central differences.
 
-    Differentiates μ_X along the 2m real coordinate directions and compares
-    with ``ω′(X̂(z), e) = Im⟨X̂(z), e⟩``; valid elements come out below 1e−8.
+    Differentiates μ_X along the 2m real coordinate directions with step
+    1e−5 and compares with ``ω′(X̂(z), e) = Im⟨X̂(z), e⟩``; valid elements
+    come out below 1e−8.
     """
+    step = 1e-5
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[None, :]
@@ -268,10 +270,12 @@ class SLCone:
         dets = np.linalg.det(frame)
         return float(np.abs(np.imag(np.exp(-1j * self.phase_theta) * dets)).max())
 
-    def validate(self, n=12, tol=1e-10):
-        unit = self.check_unit_link(n)
-        lag = self.check_lagrangian(n)
-        spec = self.check_special(n)
+    def validate(self):
+        """Run the three checks on a 12×12 sample grid, each at tolerance 1e−10."""
+        tol = 1e-10
+        unit = self.check_unit_link(12)
+        lag = self.check_lagrangian(12)
+        spec = self.check_special(12)
         if unit > tol:
             raise ValidationError(f"link leaves the unit sphere (dev {unit:.2e})")
         if lag > tol:
@@ -377,8 +381,8 @@ class RestrictionResult:
     sigma: np.ndarray
 
 
-def _sphere_harmonic_basis(order, sigma):
-    """Explicit spherical-harmonic bases on S² for l = 0, 1, 2."""
+def _sphere_harmonic_residual(order, sigma, values):
+    """Max distance of ``values`` from the degree-``order`` (0, 1 or 2) harmonics on S²."""
     x, y, z = sigma[:, 0], sigma[:, 1], sigma[:, 2]
     if order == 0:
         cols = [np.ones_like(x)]
@@ -386,7 +390,9 @@ def _sphere_harmonic_basis(order, sigma):
         cols = [x, y, z]
     else:
         cols = [x * y, y * z, z * x, x * x - y * y, 2 * z * z - x * x - y * y]
-    return np.stack(cols, axis=1)
+    basis = np.stack(cols, axis=1)
+    coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    return float(np.abs(values - basis @ coef).max())
 
 
 def restrict_to_cone(cone, X, n=24):
@@ -424,9 +430,7 @@ def restrict_to_cone(cone, X, n=24):
         lap = cone.link.laplacian_fft(grid).ravel()
         harm = float(np.abs(lap + lam * phi).max()) / scale
     else:
-        basis = _sphere_harmonic_basis(order, sigma)
-        coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
-        harm = float(np.abs(phi - basis @ coef).max()) / scale
+        harm = _sphere_harmonic_residual(order, sigma, phi) / scale
     return RestrictionResult(order, phi, harm, sigma)
 
 
@@ -438,10 +442,7 @@ def eigenspace_projection_residual(cone, values, order, n):
         grid = values.reshape((n,) * cone.link.dim)
         proj = cone.link.eigenprojection_fft(grid, lam).ravel()
         return float(np.abs(values - proj).max()) / scale
-    sigma = cone.link_samples(n)
-    basis = _sphere_harmonic_basis(order, sigma)
-    coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return float(np.abs(values - basis @ coef).max()) / scale
+    return _sphere_harmonic_residual(order, cone.link_samples(n), values) / scale
 
 
 @dataclass

@@ -63,10 +63,12 @@ class ExponentTable:
     fall inside the valid window ``[alpha_lo, alpha_hi]`` spanned by the
     largest supplied eigenvalue.  Queries outside the window raise
     :class:`WindowError` because the table cannot know about exponents it
-    was never given.
+    was never given.  Exponents within ``tol`` of each other are equal.
     """
 
-    def __init__(self, m, entries, alpha_lo, alpha_hi, tol=1e-9):
+    tol = 1e-9
+
+    def __init__(self, m, entries, alpha_lo, alpha_hi):
         if m < 3:
             raise ValidationError("cone dimension m must be >= 3")
         entries = sorted(entries, key=lambda e: e.alpha)
@@ -76,17 +78,16 @@ class ExponentTable:
                 raise ValidationError(
                     f"entry alpha={e.alpha} fails the indicial identity for "
                     f"lambda={e.lambda_source}")
-            if 2.0 - m + tol < e.alpha < -tol:
+            if 2.0 - m + self.tol < e.alpha < -self.tol:
                 raise ValidationError(
                     f"exponent {e.alpha} inside the forbidden gap ({2 - m}, 0)")
         self.m = m
         self.entries = tuple(entries)
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
-        self.tol = float(tol)
 
     @classmethod
-    def from_spectrum(cls, eigen_entries, m, tol=1e-9):
+    def from_spectrum(cls, eigen_entries, m):
         """Build from :class:`~conic_lmcf.links.EigenEntry` rows.
 
         The window is the widest interval the supplied spectrum determines:
@@ -99,13 +100,13 @@ class ExponentTable:
         for e in eigen_entries:
             ap, am = exponent_roots(e.lam, m)
             rows.append(ExponentEntry(ap, e.multiplicity, e.lam))
-            if am < ap - tol:
+            if am < ap - cls.tol:
                 rows.append(ExponentEntry(am, e.multiplicity, e.lam))
         hi, lo = exponent_roots(lam_max, m)
-        return cls(m, rows, lo, hi, tol=tol)
+        return cls(m, rows, lo, hi)
 
     @classmethod
-    def for_link(cls, link, m, alpha_max, tol=1e-9):
+    def for_link(cls, link, m, alpha_max):
         """Table for a link object covering exponents up to ``alpha_max``.
 
         The spectrum is enumerated completely up to the eigenvalue matching
@@ -116,7 +117,7 @@ class ExponentTable:
         if alpha_max < 0:
             raise ValidationError("alpha_max must be nonnegative")
         lam_max = alpha_max * (alpha_max + m - 2)
-        table = cls.from_spectrum(link.spectrum(lam_max), m, tol=tol)
+        table = cls.from_spectrum(link.spectrum(lam_max), m)
         table.alpha_lo = min(table.alpha_lo, 2.0 - m - alpha_max)
         table.alpha_hi = max(table.alpha_hi, float(alpha_max))
         return table

@@ -62,6 +62,22 @@ class EigenEntry:
             raise ValidationError("multiplicity must be a positive integer")
 
 
+#: relative distance within which two eigenvalues of an exact spectrum are one
+EXACT_TOL = 1e-9
+
+
+def _clusters(sorted_vals, tol):
+    """Runs ``(i, j)`` of ``sorted_vals`` within ``tol·max(1, v)`` above their first value v."""
+    i = 0
+    while i < len(sorted_vals):
+        bound = sorted_vals[i] + tol * max(1.0, sorted_vals[i])
+        j = i + 1
+        while j < len(sorted_vals) and sorted_vals[j] <= bound:
+            j += 1
+        yield i, j
+        i = j
+
+
 def _check_sorted(entries):
     lams = [e.lam for e in entries]
     if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -81,6 +97,8 @@ class FlatTorus:
             raise ValidationError("metric must be square")
         if H.size == 0:
             raise ValidationError("flat torus needs dimension >= 1, got an empty metric")
+        if not np.all(np.isfinite(H)):
+            raise ValidationError(f"metric entries must be finite, got {H.tolist()}")
         if not np.allclose(H, H.T, atol=1e-12):
             raise ValidationError("metric must be symmetric")
         if np.linalg.eigvalsh(H).min() <= 0:
@@ -88,6 +106,9 @@ class FlatTorus:
         self.metric = H
         self.dim = H.shape[0]
         self._Hinv = np.linalg.inv(H)
+        if not np.all(np.isfinite(self._Hinv)):
+            raise ValidationError(f"metric {H.tolist()} is too near singular: its inverse "
+                                  f"is not finite")
 
     def __repr__(self):
         return f"FlatTorus(dim={self.dim})"
@@ -97,7 +118,7 @@ class FlatTorus:
         k = np.asarray(k, dtype=float)
         return float(k @ self._Hinv @ k)
 
-    def spectrum(self, lam_max, group_tol=1e-9):
+    def spectrum(self, lam_max):
         """All eigenvalues ≤ ``lam_max`` as sorted :class:`EigenEntry` rows.
 
         Integer vectors are enumerated over the bounding box of the
@@ -114,24 +135,16 @@ class FlatTorus:
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
         lams = np.einsum("ni,ij,nj->n", ks, self._Hinv, ks)
-        keep = lams <= lam_max + group_tol
+        keep = lams <= lam_max + EXACT_TOL
         ks, lams = ks[keep], lams[keep]
         order = np.argsort(lams)
+        ks, lams = ks[order], lams[order]
         entries = []
-        i = 0
-        while i < len(order):
-            lam = lams[order[i]]
-            j = i
-            while j < len(order) and lams[order[j]] <= lam + group_tol * max(1.0, lam):
-                j += 1
-            rep = ks[order[i]]
-            if lam > group_tol:
-                # pick a lexicographically positive representative for the tag
-                cand = ks[order[i:j]]
-                rep = max(map(tuple, cand))
+        for i, j in _clusters(lams, EXACT_TOL):
+            # a lexicographically largest representative of a nonzero eigenvalue
+            rep = max(map(tuple, ks[i:j])) if lams[i] > EXACT_TOL else ks[i]
             tag = "k=(" + ",".join(str(int(c)) for c in rep) + ")"
-            entries.append(EigenEntry(float(np.mean(lams[order[i:j]])), j - i, tag))
-            i = j
+            entries.append(EigenEntry(float(np.mean(lams[i:j])), j - i, tag))
         return _check_sorted(entries)
 
     def _as_grid(self, values):
@@ -143,6 +156,17 @@ class FlatTorus:
             return values.reshape((n,) * self.dim), True
         return values, False
 
+    def _fourier_multiply(self, values, multiplier):
+        """Scale each Fourier mode ``k`` of a sampled field by ``multiplier(kᵀH⁻¹k)``."""
+        values, flat = self._as_grid(values)
+        values = np.asarray(values, dtype=complex)
+        n = values.shape[0]
+        freqs = np.fft.fftfreq(n, d=1.0 / n)
+        ks = np.stack(np.meshgrid(*([freqs] * self.dim), indexing="ij"), axis=-1)
+        lams = np.einsum("...i,ij,...j->...", ks, self._Hinv, ks)
+        out = np.fft.ifftn(multiplier(lams) * np.fft.fftn(values)).real
+        return out.ravel() if flat else out
+
     def laplacian_fft(self, values):
         """Apply Δ_h to a trig-polynomial sampled on a uniform angle grid.
 
@@ -151,30 +175,12 @@ class FlatTorus:
         band-limited below the grid Nyquist, which covers every restricted
         moment function used here.
         """
-        values, flat = self._as_grid(values)
-        values = np.asarray(values, dtype=complex)
-        n = values.shape[0]
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        grids = np.meshgrid(*([freqs] * self.dim), indexing="ij")
-        ks = np.stack(grids, axis=-1)
-        lam = np.einsum("...i,ij,...j->...", ks, self._Hinv, ks)
-        out = np.fft.ifftn(-lam * np.fft.fftn(values))
-        out = out.real
-        return out.ravel() if flat else out
+        return self._fourier_multiply(values, np.negative)
 
-    def eigenprojection_fft(self, values, lam, tol=1e-9):
+    def eigenprojection_fft(self, values, lam):
         """Project a sampled field onto the λ-eigenspace (exact FFT bands)."""
-        values, flat = self._as_grid(values)
-        values = np.asarray(values, dtype=complex)
-        n = values.shape[0]
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        grids = np.meshgrid(*([freqs] * self.dim), indexing="ij")
-        ks = np.stack(grids, axis=-1)
-        lams = np.einsum("...i,ij,...j->...", ks, self._Hinv, ks)
-        mask = np.abs(lams - lam) <= tol * max(1.0, abs(lam))
-        out = np.fft.ifftn(mask * np.fft.fftn(values))
-        out = out.real
-        return out.ravel() if flat else out
+        return self._fourier_multiply(
+            values, lambda lams: np.abs(lams - lam) <= EXACT_TOL * max(1.0, abs(lam)))
 
     def angle_grid(self, n):
         """Uniform ``n^dim`` sample grid of angle coordinates in [0, 2π)."""
@@ -234,18 +240,18 @@ class RoundSphere:
     def __repr__(self):
         return f"RoundSphere(dim={self.dim})"
 
-    def spectrum(self, lam_max, group_tol=1e-9):
+    def spectrum(self, lam_max):
         """Eigenvalues ``l(l + dim − 1) ≤ lam_max``; more than COUNT_LIMIT of them are refused."""
         if not lam_max < math.inf:
             raise ValidationError(f"lam_max must be finite, got {lam_max}")
-        # the degrees l >= 0 with l(l + d - 1) <= lam_max + group_tol, counted in closed form
+        # the degrees l >= 0 with l(l + d - 1) <= lam_max + EXACT_TOL, counted in closed form
         d = self.dim - 1
-        check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + group_tol, 0.0)) - d) / 2,
+        check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + EXACT_TOL, 0.0)) - d) / 2,
                     f"eigenvalues of S^{self.dim} up to {lam_max:g}",
                     "lower --lmax (or --alpha-max)")
         entries = []
         l = 0
-        while l * (l + self.dim - 1) <= lam_max + group_tol:
+        while l * (l + self.dim - 1) <= lam_max + EXACT_TOL:
             entries.append(EigenEntry(float(l * (l + self.dim - 1)),
                                       sphere_multiplicity(l, self.dim), f"l={l}"))
             l += 1
@@ -458,12 +464,6 @@ class MeshLink:
         vals = self.eigenvalues(count)
         if lam_max is not None:
             vals = vals[vals <= lam_max * (1 + group_tol)]
-        entries = []
-        i = 0
-        while i < len(vals):
-            j = i
-            while j < len(vals) and vals[j] <= vals[i] + group_tol * max(1.0, vals[i]):
-                j += 1
-            entries.append(EigenEntry(float(np.mean(vals[i:j])), j - i, "mesh"))
-            i = j
+        entries = [EigenEntry(float(np.mean(vals[i:j])), j - i, "mesh")
+                   for i, j in _clusters(vals, group_tol)]
         return _check_sorted(entries)

@@ -177,17 +177,16 @@ def dyadic_annulus_suprema(r, values, r_lo, r_hi):
     return np.array(centers[::-1]), np.array(sups[::-1])
 
 
-def decay_rate(centers, sups, min_annuli=5):
+def decay_rate(centers, sups):
     """Log–log least-squares slope of annulus suprema, with standard error.
 
-    Returns ``(rate, stderr)``.  Zero suprema or fewer than ``min_annuli``
-    data points raise :class:`DegenerateDataError`.
+    Returns ``(rate, stderr)``.  Zero suprema or fewer than five data
+    points raise :class:`DegenerateDataError`.
     """
     centers = np.asarray(centers, dtype=float)
     sups = np.asarray(sups, dtype=float)
-    if len(centers) < min_annuli:
-        raise DegenerateDataError(
-            f"need at least {min_annuli} annuli, got {len(centers)}")
+    if len(centers) < 5:
+        raise DegenerateDataError(f"need at least 5 annuli, got {len(centers)}")
     if np.any(sups <= 0):
         raise DegenerateDataError("annulus suprema must be positive to fit a rate")
     x, y = np.log(centers), np.log(sups)

@@ -15,25 +15,25 @@ with ``u(0, ·) = 0``.  The discretization:
 * backward Euler in time (the r⁻² potential is stiff; damping beats
   second-order accuracy here).
 
-The inner row is the only part of ``I − dt·L_λ`` outside the three central
-bands, and its right-hand side is always zero, so the implicit step
-substitutes ``u_0 = w1·u_1 + w2·u_2`` into row 1 and solves a tridiagonal
-system; ``u_0`` is rebuilt from the weights afterwards.  The modes of one
-run share the grid, the time step and the forcing, so :func:`solve_modes`
-stacks their bands with a zero coupling between blocks, factors the stacked
-system once with LAPACK's ``dgttrf``, and advances all modes together with
-one forcing evaluation and one ``dgttrs`` solve per step.  Pivoting cannot
-cross a zero sub-diagonal entry, so each mode gets the same bits as a
-one-mode solve.
+``L`` is kept as its three bands, with no matrix object.  The inner row is
+the only part of ``I − dt·L_λ`` outside them, and its right-hand side is
+always zero, so the implicit step substitutes ``u_0 = w1·u_1 + w2·u_2`` into
+row 1 and solves a tridiagonal system; ``u_0`` is rebuilt from the weights
+afterwards.  The modes of one run share the grid, the time step and the
+forcing, so :func:`solve_modes` stacks their bands with a zero coupling
+between blocks, factors the stacked system once with LAPACK's ``dgttrf``, and
+advances all modes together with one forcing evaluation and one ``dgttrs``
+solve per step.  Pivoting cannot cross a zero sub-diagonal entry, so each
+mode gets the same bits as a one-mode solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
@@ -64,6 +64,16 @@ class RadialGrid:
             raise ValidationError(
                 "need a finite radius R > 0, n_cells >= 8 and a finite q >= 1; "
                 f"got R={self.R}, n_cells={self.n_cells}, q={self.q}")
+        # the operator divides by the squared radii and by products of
+        # neighbouring spacings, which lie between h_min² and 2·h_max²
+        r0, r1 = (self.R * (j / self.n_cells) ** self.q for j in (1, 2))
+        h_min, h_max = r1 - r0, self.R - self.R * (1.0 - 1.0 / self.n_cells) ** self.q
+        scales = (r0 * r0, self.R * self.R, h_min * h_min, 2.0 * h_max * h_max)
+        if not all(sys.float_info.min <= s < math.inf for s in scales):
+            raise ValidationError(
+                f"radius R={self.R:g} (n_cells={self.n_cells}, q={self.q:g}) puts the grid's "
+                f"squared radii or stencil weights outside the float range; choose a "
+                f"--radius nearer 1 or a smaller --q")
 
     @property
     def nodes(self):
@@ -101,20 +111,20 @@ class LaplaceTypeSpec:
                 "perturbation decay rate must be positive (Laplace type)")
 
     def drift_values(self, r):
-        if self.drift is None:
-            return np.zeros_like(r)
-        vals = np.asarray(self.drift(r), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("drift profile not finite on the grid")
-        return vals
+        return _profile_values(self.drift, r, "drift")
 
     def zeroth_values(self, r):
-        if self.zeroth is None:
-            return np.zeros_like(r)
-        vals = np.asarray(self.zeroth(r), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("zeroth-order profile not finite on the grid")
-        return vals
+        return _profile_values(self.zeroth, r, "zeroth-order")
+
+
+def _profile_values(profile, r, what):
+    """``profile(r)`` as floats (zeros for ``None``); a non-finite value is refused."""
+    if profile is None:
+        return np.zeros_like(r)
+    vals = np.asarray(profile(r), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError(f"{what} profile not finite on the grid")
+    return vals
 
 
 @dataclass
@@ -168,12 +178,12 @@ def _inner_weights(r, alpha):
 
 
 def radial_operator(spec, grid, inner_bc="extrapolation"):
-    """Assemble the discrete operator rows of ``L`` on the grid.
+    """Assemble the discrete operator ``L`` on the grid as its three bands.
 
-    Returns ``(L, meta)`` where ``L`` is an ``n×n`` CSR matrix whose
-    interior rows discretize the mode operator and whose first/last rows
-    are zero (boundary rows are imposed by the time stepper), and ``meta``
-    carries the inner-boundary weights.
+    Returns ``((lower, diag, upper), meta)``: the sub-, main and super-
+    diagonals of ``L``, whose interior rows discretize the mode operator and
+    whose first/last rows are zero (boundary rows are imposed by the time
+    stepper), and ``meta`` carrying the inner-boundary weights.
     """
     r = grid.nodes
     c1, c2 = _stencil(r)
@@ -183,7 +193,6 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
     # weights on (u_{j-1}, u_j, u_{j+1}); the end rows of c1 and c2 are zero
     rows = c2 + coef1[:, None] * c1
     rows[1:-1, 1] += coef0[1:-1]
-    L = sp.diags([rows[1:, 0], rows[:, 1], rows[:-1, 2]], [-1, 0, 1], format="csr")
 
     if inner_bc == "extrapolation":
         w = _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
@@ -191,8 +200,7 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
         w = np.zeros(2)
     else:
         raise ValidationError(f"unknown inner boundary condition {inner_bc!r}")
-    meta = {"inner_weights": w, "inner_bc": inner_bc}
-    return L, meta
+    return (rows[1:, 0], rows[:, 1], rows[:-1, 2]), {"inner_weights": w}
 
 
 def apply_radial_operator(spec, grid, u):
@@ -200,8 +208,11 @@ def apply_radial_operator(spec, grid, u):
 
     End values are returned as zero; use for truncation/stationarity tests.
     """
-    L, _ = radial_operator(spec, grid)
-    return L @ np.asarray(u, dtype=float)
+    (lower, diag, upper), _ = radial_operator(spec, grid)
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    out[1:-1] = lower[:-1] * u[:-2] + diag[1:-1] * u[1:-1] + upper[1:] * u[2:]
+    return out
 
 
 # --- time stepping -------------------------------------------------------------
@@ -215,9 +226,9 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     the weights); the last row is the outer Dirichlet row.  The weights are
     returned as a fourth item.
     """
-    L, meta = radial_operator(spec, grid, inner_bc=inner_bc)
+    bands, meta = radial_operator(spec, grid, inner_bc=inner_bc)
     w = meta["inner_weights"]
-    lower, diag, upper = (-dt * L.diagonal(k) for k in (-1, 0, 1))
+    lower, diag, upper = (-dt * band for band in bands)
     diag += 1.0
     diag[1] += lower[0] * w[0]
     upper[1] += lower[0] * w[1]
@@ -247,7 +258,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     that raises or returns a non-finite value raises :class:`NumericalError`
     naming the step.  Solutions are recorded every ``store_every`` steps
     (``store_every=0`` keeps only the initial and final states).  More than
-    :data:`~conic_lmcf.errors.COUNT_LIMIT` steps are refused.  Returns one
+    :data:`~conic_lmcf.errors.COUNT_LIMIT` steps, or stored values (frames ×
+    modes × nodes), are refused before the factorisation.  Returns one
     :class:`ModeSolution` per spec.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
@@ -263,6 +275,10 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         while T / n_steps > dt:
             n_steps += 1
         dt, t_last = T / n_steps, T
+    stored = (n_steps // store_every + (n_steps % store_every > 0) if store_every else 1) + 1
+    check_count(stored * len(specs) * grid.n_cells,
+                f"stored values ({stored} frames of {len(specs)} modes on {grid.n_cells} nodes)",
+                "raise --store-every (0 keeps the first and last frames), or lower --T or --n")
     r = grid.nodes
     n = len(r)
     lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt, inner_bc) for spec in specs))

@@ -144,13 +144,19 @@ def test_two_mode_run_equals_two_one_mode_runs(tmp_path):
         assert sups[0] == sups[1]
 
 
-@pytest.mark.parametrize("rs", [[0.0, 0.05, 0.3, 0.31, 0.7, 1.0], [0.5]])
-def test_forcing_table_matches_the_grid_interpolator(tmp_path, rs):
+TABLE_TS, TABLE_RS = [0.0, 0.01, 0.035, 0.1], [0.0, 0.05, 0.3, 0.31, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("ts, rs", [pytest.param(TABLE_TS, TABLE_RS, id="rs0"),
+                                    pytest.param(TABLE_TS, [0.5], id="rs1"),
+                                    pytest.param([0.035], [0.0, 0.1, 0.25, 0.5, 1.0],
+                                                 id="one-time-row")])
+def test_forcing_table_matches_the_grid_interpolator(tmp_path, ts, rs):
     # bilinear in (t, r), both clipped to the table, as RegularGridInterpolator
     from scipy.interpolate import RegularGridInterpolator
 
     rng = np.random.default_rng(5)
-    ts, rs = np.array([0.0, 0.01, 0.035, 0.1]), np.array(rs)
+    ts, rs = np.array(ts), np.array(rs)
     table = rng.normal(size=(ts.size, rs.size))
     rows = [(t, r, table[i, j]) for i, t in enumerate(ts) for j, r in enumerate(rs)]
     rng.shuffle(rows)
@@ -554,6 +560,16 @@ def test_asymptotics_fit_on_underflowing_radii_is_a_numerical_failure(tmp_path):
     assert "DLASCL" not in proc.stdout + proc.stderr
 
 
+def test_radius_whose_squares_overflow_exits_2_naming_it(tmp_path):
+    # the squared radii overflowed: numpy printed overflow warnings and the
+    # run exited 1 with a zero pivot that named neither the overflow nor the radius
+    proc = run_child(["asymptotics", "--lam", "0", "--radius", "1e200", "--n", "200",
+                      "--gamma", "2.5", "--forcing", "r^0.5"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--radius" in proc.stderr and "R=1e+200" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
+
+
 # each of these ran until killed, or died with a numpy traceback, before the
 # work was counted ahead of the run
 OVER_THE_COUNT_LIMIT = {
@@ -562,6 +578,9 @@ OVER_THE_COUNT_LIMIT = {
     "flow-T": (["flow", "--n", "16", "--T", "1e300"], ["--T", "--dt"]),
     "heat-T-dt": (["heat", "--lam", "0", "--n", "20", "--T", "1e9", "--dt", "1e-3"],
                   ["--T", "--dt"]),
+    # 1e5 steps are under the limit, but their stored frames filled memory
+    "heat-store-every": (["heat", "--lam", "0", "--n", "2000", "--T", "1", "--dt", "1e-5",
+                          "--store-every", "1"], ["--store-every"]),
 }
 
 
@@ -715,6 +734,12 @@ OUT_OF_RANGE = {
     "flow-amplitude-nan": (["flow", "--n", "16", "--T", "0.01", "--amplitude", "nan"],
                            "--amplitude"),
     "defect-eps-nan": (["defect", "--n", "16", "--T", "0.01", "--eps", "nan"], "--eps"),
+    "torus-metric-inverse-inf": (["spectrum", "--link", "torus", "--metric", "1,0;0,1e-320",
+                                  "--lmax", "3"], "inverse is not finite"),
+    "torus-metric-inf": (["spectrum", "--link", "torus", "--metric", "inf,0;0,1"],
+                         "metric entries must be finite"),
+    "torus-metric-nan": (["spectrum", "--link", "torus", "--metric", "nan,0;0,1"],
+                         "metric entries must be finite"),
 }
 
 

@@ -96,6 +96,11 @@ def test_torus_metric_validation():
         FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not positive definite
     with pytest.raises(ValidationError):
         FlatTorus(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
+    for bad in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="metric entries must be finite"):
+            FlatTorus(np.array(bad))
+    with pytest.raises(ValidationError, match="inverse is not finite"):
+        FlatTorus(np.array([[1.0, 0.0], [0.0, 1e-320]]))  # positive definite, inverse inf
 
 
 def test_fft_laplacian_matches_eigenvalue():

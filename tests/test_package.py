@@ -57,7 +57,8 @@ def test_commands_without_a_sparse_matrix_do_not_load_scipy_sparse(tmp_path):
         ["defect", "--n", "16", "--T", "0.01"],
         ["spectrum", "--link", "torus", "--lmax", "3"],
         ["spectrum", "--link", "sphere", "--lmax", "3"],
-        # the radial solver builds a sparse matrix; the table needs no interpolate
+        # radial builds no sparse matrix, but its spare splu import (looked up
+        # by the benchmark tracer) loads scipy.sparse; the table needs no interpolate
         ["heat", "--n", "20", "--T", "0.01", "--forcing-csv", str(table)],
     ]
     src = str(Path(conic_lmcf.__file__).resolve().parents[1])

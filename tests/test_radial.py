@@ -42,6 +42,11 @@ def test_grid_validation():
         RadialGrid(R=1.0, n_cells=4)
     with pytest.raises(ValidationError):
         RadialGrid(R=1.0, n_cells=100, q=0.5)
+    # squared radii or spacing products that overflow or underflow
+    for R in (1e200, 1e-200):
+        with pytest.raises(ValidationError, match="float range"):
+            RadialGrid(R=R, n_cells=200)
+    assert RadialGrid(R=1e-100, n_cells=200).r_min > 0.0
 
 
 def test_spec_validation():
@@ -239,10 +244,10 @@ def _dense_backward_euler(spec, grid, times, forcing, outer_bc, inner_bc):
     """Step the full ``I − dt·L`` matrix, inner row and corner included, densely."""
     r = grid.nodes
     n = len(r)
-    L, meta = radial_operator(spec, grid, inner_bc=inner_bc)
+    (lower, diag, upper), meta = radial_operator(spec, grid, inner_bc=inner_bc)
     w = meta["inner_weights"]
     dt = times[-1] / (len(times) - 1)
-    A = np.eye(n) - dt * L.toarray()
+    A = np.eye(n) - dt * (np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1))
     A[0, :3] = [1.0, -w[0], -w[1]]
     A[-1] = 0.0
     A[-1, -1] = 1.0
@@ -309,6 +314,20 @@ def test_step_count_over_the_limit_is_refused_before_the_solve(T, dt):
     grid = RadialGrid(R=1.0, n_cells=20)
     with pytest.raises(ValidationError, match="time steps.*--T or raise --dt"):
         solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=T, dt=dt)
+
+
+def test_stored_values_over_the_limit_are_refused_before_the_solve():
+    spec = LaplaceTypeSpec(lam=0.0, m=3)
+    with pytest.raises(ValidationError, match="stored values.*--store-every"):
+        solve_mode(spec, RadialGrid(R=1.0, n_cells=2000), T=1.0, dt=1e-5, store_every=1)
+    # 1 + 999 frames of 1000 nodes are exactly the limit; one more frame is over it
+    grid = RadialGrid(R=1.0, n_cells=1000)
+    assert solve_mode(spec, grid, T=0.999, dt=1e-3, store_every=1).values.shape == (1000, 1000)
+    with pytest.raises(ValidationError, match="1001 frames"):
+        solve_mode(spec, grid, T=1.0, dt=1e-3, store_every=1)
+    # the last frame is kept too when store_every does not divide the step count
+    with pytest.raises(ValidationError, match="1001 frames"):
+        solve_mode(spec, grid, T=1.999, dt=1e-3, store_every=2)
 
 
 def test_inner_weights_are_exact_on_the_admissible_powers():
