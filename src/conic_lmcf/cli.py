@@ -262,15 +262,24 @@ def compile_expression(text: str, variables, flag: str):
     the checked tree is compiled.  Literals are floats, so powers overflow
     instead of building huge integers.  A literal exponent 2 is a product:
     exactly rounded, where a float's ``x**2`` calls libm ``pow``.
+
+    The function evaluates under ``np.errstate(all="ignore")``: callers check
+    its values for finiteness, so a numpy warning would only repeat that
+    report.  Its ``reads`` attribute is the frozenset of ``variables`` the
+    expression uses; a constant reads none.
     """
     allowed = "allowed: numbers, + - * / ^ **, sin(), cos(), pi, " + ", ".join(variables)
     at = {"lineno": 1, "col_offset": 0}  # the location compile() asks of every new node
+    reads = set()
 
     def checked(node):
         match node:
             case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
                 return ast.Constant(float(value), **at)
-            case ast.Name(id=name) if name == "pi" or name in variables:
+            case ast.Name(id=name) if name in variables:
+                reads.add(name)
+                return node
+            case ast.Name(id="pi"):
                 return node
             case ast.Call(ast.Name(id="sin" | "cos") as func, [arg], []):
                 return ast.Call(func, [checked(arg)], [], **at)
@@ -289,8 +298,15 @@ def compile_expression(text: str, variables, flag: str):
         code = compile(lam, flag, "eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ValidationError(f"cannot parse {flag} {text!r}: {exc}; {allowed}") from exc
-    return eval(code, {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "pi": math.pi,
+    body = eval(code, {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "pi": math.pi,
                        "square": lambda x: x * x})
+
+    def f(*values):
+        with np.errstate(all="ignore"):
+            return body(*values)
+
+    f.reads = frozenset(reads)
+    return f
 
 
 def parse_forcing(expr: str | None, csv_path: str | None):
@@ -318,6 +334,7 @@ def _bracket(nodes, x):
 
 
 def _forcing_from_csv(path: str):
+    """f(t, r) interpolated in a (t, r, f) table; ``reads`` omits ``t`` for one time row."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -341,6 +358,8 @@ def _forcing_from_csv(path: str):
         return (grid_f[i0, j0] * (1 - y0) * (1 - y1) + grid_f[i0, j1] * (1 - y0) * y1
                 + grid_f[i1, j0] * y0 * (1 - y1) + grid_f[i1, j1] * y0 * y1)
 
+    # with one time row the t weight y0 is 0 whatever t is, so f's bits do not depend on t
+    f.reads = frozenset({"r"} if ts.size == 1 else {"t", "r"})
     return f
 
 

@@ -22,9 +22,15 @@ row 1 and solves a tridiagonal system; ``u_0`` is rebuilt from the weights
 afterwards.  The modes of one run share the grid, the time step and the
 forcing, so :func:`solve_modes` stacks their bands with a zero coupling
 between blocks, factors the stacked system once with LAPACK's ``dgttrf``, and
-advances all modes together with one forcing evaluation and one ``dgttrs``
-solve per step.  Pivoting cannot cross a zero sub-diagonal entry, so each
-mode gets the same bits as a one-mode solve.
+advances all modes together with one ``dgttrs`` solve per step.  Pivoting
+cannot cross a zero sub-diagonal entry, so each mode gets the same bits as a
+one-mode solve.
+
+A forcing is evaluated once per step, unless it declares that it does not
+depend on time: a callable with a ``reads`` attribute (the set of variable
+names its value depends on, as the CLI's compiled ``--forcing`` expressions
+and one-time-row ``--forcing-csv`` tables carry) that omits ``"t"`` is
+evaluated and checked once per solve, and each step adds the same ``dt·f``.
 """
 
 from __future__ import annotations
@@ -224,8 +230,17 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
     identity row with zero couplings (the step overwrites its solution from
     the weights); the last row is the outer Dirichlet row.  The weights are
-    returned as a fourth item.
+    returned as a fourth item.  The ``r⁻²`` potential peaks at ``r_min``, so
+    ``λ/r_min²`` and ``dt·λ/r_min²`` must both be floats; otherwise the bands
+    would hold an infinity, which the solve turns into a silent zero.
     """
+    # in Python floats, which overflow to inf without a numpy warning
+    scale = float(spec.lam) / float(grid.r_min) ** 2
+    if not max(scale, float(dt) * scale) < math.inf:
+        raise ValidationError(
+            f"mode eigenvalue λ={spec.lam:g} over the squared inner radius "
+            f"r_min²={grid.r_min ** 2:g} (times dt={dt:g}) leaves the float range; "
+            f"lower --lam, or raise --radius or lower --n")
     bands, meta = radial_operator(spec, grid, inner_bc=inner_bc)
     w = meta["inner_weights"]
     lower, diag, upper = (-dt * band for band in bands)
@@ -251,13 +266,22 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     at ``r_min`` and the Dirichlet row at ``R``.  The inner row is eliminated
     into row 1, which makes each mode's matrix tridiagonal; the modes' bands
     are concatenated with a zero coupling between blocks, factored once with
-    ``dgttrf``, and every step evaluates the forcing once, solves all modes
-    with one ``dgttrs`` call and rebuilds ``u_0`` from the weights.  Pivoting
-    does not cross the zero couplings, so each mode gets the bits a one-mode
-    solve would give.  The inner exponent of each mode is α₊(λ).  A forcing
-    that raises or returns a non-finite value raises :class:`NumericalError`
-    naming the step.  Solutions are recorded every ``store_every`` steps
-    (``store_every=0`` keeps only the initial and final states).  More than
+    ``dgttrf``, and every step solves all modes with one ``dgttrs`` call and
+    rebuilds ``u_0`` from the weights.  Pivoting does not cross the zero
+    couplings, so each mode gets the bits a one-mode solve would give.  The
+    inner exponent of each mode is α₊(λ), and ``λ/r_min²`` and
+    ``dt·λ/r_min²`` must be floats, or :class:`ValidationError` is raised.
+
+    The forcing is evaluated at every step's time.  A forcing with a
+    ``reads`` attribute, the set of variable names (``"t"``, ``"r"``) its
+    value depends on, that omits ``"t"`` is evaluated once, at step 1's
+    time, after the factorisation; every step then adds the same ``dt·f``,
+    with the bits a per-step evaluation would give.  A forcing that raises
+    or returns a non-finite value raises :class:`NumericalError` naming the
+    step (step 1 for a forcing without ``t``).
+
+    Solutions are recorded every ``store_every`` steps (``store_every=0``
+    keeps only the initial and final states).  More than
     :data:`~conic_lmcf.errors.COUNT_LIMIT` steps, or stored values (frames ×
     modes × nodes), are refused before the factorisation.  Returns one
     :class:`ModeSolution` per spec.
@@ -292,6 +316,22 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         raise NumericalError(f"implicit system is singular at step 0 "
                              f"(zero pivot at node {node} of the λ={specs[mode].lam:g} mode)")
 
+    def dt_forcing(k, t):
+        """``dt·f(t, ·)`` on the grid; a raise or a non-finite value names step ``k``."""
+        try:
+            fvals = np.broadcast_to(np.asarray(forcing(t, r), dtype=float), r.shape)
+            if not np.isfinite(fvals).all():
+                raise ValueError("a value is not finite")
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise NumericalError(f"forcing invalid at step {k} (t={t:.6g}): {exc}") from exc
+        return dt * fvals
+
+    # a forcing whose ``reads`` omits t is the same at every step: evaluate it at step 1 only
+    reads = getattr(forcing, "reads", None)
+    time_free = reads is not None and "t" not in reads
+    if time_free:
+        dtf = dt_forcing(1, dt if n_steps > 1 else t_last)
+
     u = np.zeros((len(specs), n))
     times = [0.0]
     frames = [u]
@@ -300,19 +340,13 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
         if forcing is None:
             rhs = u.copy()
         else:
-            try:
-                fvals = np.broadcast_to(np.asarray(forcing(t_new, r), dtype=float), r.shape)
-                if not np.all(np.isfinite(fvals)):
-                    raise ValueError("a value is not finite")
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                raise NumericalError(f"forcing invalid at step {k} (t={t_new:.6g}): {exc}") from exc
-            rhs = u + dt * fvals
+            rhs = u + (dtf if time_free else dt_forcing(k, t_new))
         rhs[:, 0] = 0.0
         rhs[:, -1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
         u = dgttrs(lower, diag, upper, upper2, ipiv, rhs.ravel(), overwrite_b=True)[0]
         u = u.reshape(rhs.shape)
         u[:, 0] = w[:, 0] * u[:, 1] + w[:, 1] * u[:, 2]
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
         if (store_every and k % store_every == 0) or k == n_steps:
             times.append(t_new)

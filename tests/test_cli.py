@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
-from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode
+from conic_lmcf import (LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode,
+                        solve_modes)
 from conic_lmcf.cli import (_check_report, compile_expression, main, parse_forcing,
                             parse_initial_condition, write_csv)
 from conic_lmcf.flow import grid_coordinates
@@ -181,6 +182,58 @@ def test_heat_reads_a_forcing_table(tmp_path):
     table, formula = (np.loadtxt(tmp_path / d / "profile_2.dat") for d in ("table", "formula"))
     assert np.abs(table[:, 1]).max() > 1e-4
     np.testing.assert_allclose(table, formula, rtol=1e-12, atol=0)
+
+
+def counted(f):
+    """``f`` with its ``reads``, recording the time of every call."""
+    calls = []
+
+    def wrapper(t, r):
+        calls.append(t)
+        return f(t, r)
+
+    wrapper.reads = f.reads
+    return wrapper, calls
+
+
+def table_forcing(path, ts):
+    rs = np.linspace(0.0, 1.0, 5)
+    write_csv(path, ["t", "r", "f"], [(t, r, 1.0 + t + r * r) for t in ts for r in rs])
+    return parse_forcing(None, str(path))
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("r^0.5", {"r"}), ("2*pi", set()), ("t*r^0.5", {"t", "r"}),
+    ([0.02], {"r"}), ([0.0, 0.05], {"t", "r"})])
+def test_a_forcing_without_t_is_evaluated_once_per_solve(tmp_path, source, reads):
+    # a list is the time column of a --forcing-csv table
+    f = (parse_forcing(source, None) if isinstance(source, str)
+         else table_forcing(tmp_path / "f.csv", source))
+    assert f.reads == reads
+    f, calls = counted(f)
+    specs = [LaplaceTypeSpec(lam=lam, m=3) for lam in (0.0, 2.0)]
+    sols = solve_modes(specs, RadialGrid(R=1.0, n_cells=40), T=0.1, dt=0.03, forcing=f)
+    # four steps of T/4, none longer than dt
+    assert calls == ([0.025] if "t" not in reads else sols[0].times[1:].tolist())
+
+
+@pytest.mark.parametrize("store_every, dt", [(0, 0.01), (3, 0.01), (3, 0.03)])
+@pytest.mark.parametrize("source", ["r^0.5", "table"])
+def test_a_forcing_evaluated_once_keeps_the_bits_of_one_evaluated_per_step(
+        tmp_path, source, store_every, dt):
+    # the per-step reference has no ``reads``; 0.03 does not divide T = 0.1
+    if source == "table":
+        once = table_forcing(tmp_path / "f.csv", [0.02])
+        per_step = lambda t, r: once(t, r)  # noqa: E731
+    else:
+        once, per_step = parse_forcing(source, None), lambda t, r: r**0.5
+    specs = [LaplaceTypeSpec(lam=lam, m=3) for lam in (0.0, 2.0, 6.0)]
+    kwargs = dict(T=0.1, dt=dt, outer_bc=lambda t: 0.25, store_every=store_every)
+    grid = RadialGrid(R=1.0, n_cells=60)
+    for a, b in zip(solve_modes(specs, grid, forcing=once, **kwargs),
+                    solve_modes(specs, grid, forcing=per_step, **kwargs)):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_asymptotics_extracts_terms(tmp_path, capsys):
@@ -570,6 +623,16 @@ def test_radius_whose_squares_overflow_exits_2_naming_it(tmp_path):
     assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
 
 
+def test_eigenvalue_whose_potential_overflows_exits_2_naming_it(tmp_path):
+    # -λ/r² overflowed: numpy printed an overflow warning and the infinite
+    # diagonal gave sup|u(T)| = 0 with exit 0
+    proc = run_child(["heat", "--lam", "1e300", "--radius", "1e-100", "--n", "50",
+                      "--T", "0.01", "--forcing", "r^0.5"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--lam" in proc.stderr and "--radius" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
+
+
 # each of these ran until killed, or died with a numpy traceback, before the
 # work was counted ahead of the run
 OVER_THE_COUNT_LIMIT = {
@@ -600,6 +663,8 @@ EXPRESSION_RUNS = {
     "ic-caret": (["flow", "--n", "16", "--T", "0.01", "--ic", "0.01*sin(x1)^2"], 0, ""),
     "forcing-sum": (SMALL_HEAT + ["--forcing", "r^0.5 + t"], 0, ""),
     "forcing-pole": (SMALL_HEAT + ["--forcing", "1/(t-t)"], 1, "step 1"),
+    "forcing-pole-without-t": (SMALL_HEAT + ["--forcing", "1/(r-r)"], 1, "step 1"),
+    "ic-pole": (["flow", "--n", "16", "--T", "0.01", "--ic=1/(x1-x1)"], 2, "--ic"),
     "forcing-huge-power": (SMALL_HEAT + ["--forcing", "9**9**9"], 1, "step 1"),
     "forcing-complex": (SMALL_HEAT + ["--forcing", "(t-1)^0.5"], 1, "step 1"),
     "forcing-unknown-name": (SMALL_HEAT + ["--forcing", "x1*r"], 2, "allowed"),
@@ -611,6 +676,16 @@ def test_expression_flag_exit_codes(tmp_path, capsys, case):
     argv, code, needle = EXPRESSION_RUNS[case]
     assert main(argv + ["--outdir", str(tmp_path)]) == code
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["forcing-pole-without-t", "ic-pole"])
+def test_a_pole_prints_no_numpy_warning(tmp_path, case):
+    # the finiteness check reports the pole; numpy's divide-by-zero warning
+    # used to be printed ahead of it
+    argv, code, needle = EXPRESSION_RUNS[case]
+    proc = run_child(argv, tmp_path)
+    assert proc.returncode == code and needle in proc.stderr, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 TOKENS = ["x1", "x2", "t", "r", "pi", "sin", "cos", "(", ")", "+", "-", "*", "/", "^", "**",

@@ -330,6 +330,16 @@ def test_stored_values_over_the_limit_are_refused_before_the_solve():
         solve_mode(spec, grid, T=1.999, dt=1e-3, store_every=2)
 
 
+def test_potential_over_the_float_range_is_refused_before_the_solve():
+    # λ/r_min² is about 6e306 here, so only dt·λ/r_min² leaves the float
+    # range; an infinite diagonal made the solve return zeros with exit 0
+    grid = RadialGrid(R=1.0, n_cells=50)
+    spec = LaplaceTypeSpec(lam=1e300, m=3)
+    with pytest.raises(ValidationError, match="--lam.*--radius"):
+        solve_mode(spec, grid, T=100.0, dt=100.0)
+    assert np.all(np.isfinite(solve_mode(spec, grid, T=0.01, dt=0.01).final()))
+
+
 def test_inner_weights_are_exact_on_the_admissible_powers():
     from conic_lmcf import exponent_roots
 
