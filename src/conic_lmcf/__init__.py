@@ -33,7 +33,7 @@ _EXPORTS = {
              "flow_step", "graph_determinant", "grid_coordinates", "heat_step",
              "hessian_field", "lagrangian_angle", "linearization_defect", "run_flow",
              "run_heat"),
-    "links": ("EigenEntry", "FlatTorus", "MeshLink", "RoundSphere", "read_off",
+    "links": ("EigenEntry", "FlatTorus", "MeshLink", "RoundSphere", "angle_grid", "read_off",
               "sphere_multiplicity"),
     "norms": ("RadiusFunction", "WeightVector", "decay_rate", "dyadic_annulus_suprema",
               "holder_norm", "smooth_cutoff", "sobolev_norm"),

@@ -30,14 +30,15 @@ where ``M⁺_Σ(2)`` counts exponents in the *closed* interval [0, 2] and
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedHomogeneityError, NumericalError, ValidationError, WindowError
-from .links import FlatTorus, RoundSphere
+from .errors import MixedHomogeneityError, NumericalError, ValidationError, WindowError, check_count
+from .links import FlatTorus, RoundSphere, angle_grid
 
 __all__ = [
     "MomentElement",
@@ -168,11 +169,11 @@ class SLCone:
     ``trig_table`` (torus links) gives each complex coordinate as a sum of
     trigonometric monomials ``c·e^{i k·σ}``; sphere links embed the unit
     sphere of ℝᵐ ⊂ ℂᵐ directly.  Jacobians are analytic in both cases, so
-    the Lagrangian/special checks run at tolerance 1e−10.
+    the constructor's :meth:`validate` checks run at tolerance 1e−10.  A
+    ``None`` link stands for the flat torus of a trig table's induced metric.
     """
 
-    def __init__(self, name, m, link, dim_G, trig_table=None, phase_theta=None,
-                 validate=True):
+    def __init__(self, name, m, link, dim_G, trig_table=None):
         self.name = name
         self.m = int(m)
         self.link = link
@@ -183,10 +184,7 @@ class SLCone:
                             for coord in trig_table]
             self._freqs = [np.array([k for _, k in coord], dtype=float)
                            for coord in trig_table]
-        self.phase_theta = (self._detect_phase() if phase_theta is None
-                            else float(phase_theta))
-        if validate:
-            self.validate()
+        self.validate()
 
     def __repr__(self):
         return f"SLCone({self.name!r}, m={self.m})"
@@ -195,14 +193,14 @@ class SLCone:
 
     def link_samples(self, n=12, seed=0):
         """Sample points on the link (angle grid or seeded sphere points)."""
-        if isinstance(self.link, FlatTorus):
-            return self.link.angle_grid(n)
+        if self.trig_table is not None:
+            return angle_grid(n, self._freqs[0].shape[1])
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n * n, self.m))
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
     def embed(self, sigma, r=1.0):
-        """Embed link points into ℂᵐ at radius ``r``."""
+        """Embed link points into ℂᵐ at the scalar radius ``r``."""
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         if self.trig_table is not None:
             cols = [np.exp(1j * sigma @ K.T) @ C
@@ -210,7 +208,7 @@ class SLCone:
             pts = np.stack(cols, axis=1)
         else:
             pts = sigma.astype(complex)
-        return np.asarray(r, dtype=float).reshape(-1, 1) * pts if np.ndim(r) else r * pts
+        return r * pts
 
     def frames(self, sigma):
         """Complex frame [∂_r X, tangents] at radius 1 over each sample.
@@ -244,43 +242,40 @@ class SLCone:
 
     # -- geometric checks
 
-    def _detect_phase(self):
-        sigma = self.link_samples(6)
-        dets = np.linalg.det(self.frames(sigma))
-        return float(cmath.phase(complex(dets[0])))
+    def validate(self):
+        """Frame one link sample; set ``phase_theta`` and check the cone.
 
-    def check_unit_link(self, n=16):
-        sigma = self.link_samples(n)
-        return float(np.abs(np.linalg.norm(self.embed(sigma, 1.0), axis=1) - 1.0).max())
-
-    def check_lagrangian(self, n=16):
-        """Max |ω′| over frame pairs at sample points (0 for Lagrangian)."""
-        frame = self.frames(self.link_samples(n))
-        worst = 0.0
-        dim = frame.shape[1]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                om = np.imag(np.einsum("nj,nj->n", frame[:, a].conj(), frame[:, b]))
-                worst = max(worst, float(np.abs(om).max()))
-        return worst
-
-    def check_special(self, n=16):
-        """Max |Im(e^{−iθ}·det frame)| at sample points (0 for phase θ)."""
+        A sphere cone takes 12² points, a trig table the n×n angle grid with
+        n = max(12, 2·m·max|k| + 1), finer than every frequency of the checks.
+        θ is the frame determinant's phase at the first sample (σ = 0).  A trig
+        table's metric ``H_ab = Re⟨∂_aX, ∂_bX⟩`` at σ = 0 must hold at every
+        sample and match ``link`` (``None`` becomes ``FlatTorus(H)``).  Returns
+        the unit-link, Lagrangian and special deviations, each at most 1e−10.
+        """
+        tol, n = 1e-10, 12
+        if self.trig_table is not None:
+            n = max(n, 2 * self.m * int(max(np.abs(K).max() for K in self._freqs)) + 1)
+            check_count(n ** self._freqs[0].shape[1], "validation samples", "use smaller k")
         frame = self.frames(self.link_samples(n))
         dets = np.linalg.det(frame)
-        return float(np.abs(np.imag(np.exp(-1j * self.phase_theta) * dets)).max())
-
-    def validate(self):
-        """Run the three checks on a 12×12 sample grid, each at tolerance 1e−10."""
-        tol = 1e-10
-        unit = self.check_unit_link(12)
-        lag = self.check_lagrangian(12)
-        spec = self.check_special(12)
-        if unit > tol:
+        self.phase_theta = float(cmath.phase(complex(dets[0])))
+        gram = np.einsum("naj,nbj->nab", frame.conj(), frame)
+        if self.trig_table is not None:
+            metrics = gram[:, 1:, 1:].real
+            if not np.abs(metrics - metrics[0]).max() <= tol:
+                raise ValidationError("embedding does not induce a constant link metric")
+            if self.link is None:
+                self.link = FlatTorus(metrics[0])
+            elif np.abs(self.link.metric - metrics[0]).max() > tol:
+                raise ValidationError("link metric is not the one the embedding induces")
+        unit = float(np.abs(np.linalg.norm(frame[:, 0], axis=1) - 1.0).max())
+        lag = float(np.abs(gram.imag).max())
+        spec = float(np.abs(np.imag(np.exp(-1j * self.phase_theta) * dets)).max())
+        if not unit <= tol:
             raise ValidationError(f"link leaves the unit sphere (dev {unit:.2e})")
-        if lag > tol:
+        if not lag <= tol:
             raise ValidationError(f"cone is not Lagrangian (omega dev {lag:.2e})")
-        if spec > tol:
+        if not spec <= tol:
             raise ValidationError(f"cone is not special with phase "
                                   f"{self.phase_theta:.6f} (dev {spec:.2e})")
         return {"unit_link": unit, "lagrangian": lag, "special": spec}
@@ -322,43 +317,37 @@ def plane_cone():
     return SLCone("plane-3", 3, RoundSphere(2), dim_G=3)
 
 
-def cone_from_json(source):
-    """Build a torus-link cone from a JSON trig-monomial table.
+def cone_from_json(path):
+    """Build a cone, linked by its induced metric, from a JSON trig-monomial file.
 
-    ``source`` is a path, file-like, or already-parsed dict with fields
-    ``name``, ``m``, ``dim_G``, and ``coordinates`` (one monomial list per
-    complex coordinate, each monomial ``{"c": [re, im], "k": [k1, ...]}``).
-    The link metric is induced from the embedding; validation rejects
-    non-Lagrangian tables.
+    Fields: ``name``, ``m``, ``dim_G`` and ``coordinates``, one nonempty list
+    of monomials ``{"c": [re, im], "k": [k1, ..., k_{m−1}]}`` per coordinate.
+    The integer frequencies must span ``Z^{m−1}`` (their maximal minors have
+    gcd 1).  Any failure raises :class:`ValidationError` naming the file.
     """
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    table = [[(complex(mono["c"][0], mono["c"][1]), tuple(mono["k"]))
-              for mono in coord]
-             for coord in data["coordinates"]]
-    dim = len(table[0][0][1])
-    m = int(data["m"])
-    if len(table) != m:
-        raise ValidationError("need one coordinate table per complex coordinate")
-    # induced link metric H_ab = Re <∂_a X, ∂_b X> is constant for closed tables;
-    # measure it at one sample and verify constancy at others
-    probe = SLCone(data.get("name", "custom"), m, FlatTorus(np.eye(dim)),
-                   dim_G=int(data.get("dim_G", 0)), trig_table=table,
-                   validate=False)
-    sigma = probe.link_samples(7)
-    frames = probe.frames(sigma)
-    tangents = frames[:, 1:, :]
-    Hs = np.real(np.einsum("naj,nbj->nab", tangents.conj(), tangents))
-    H = Hs[0]
-    if np.abs(Hs - H).max() > 1e-10:
-        raise ValidationError("embedding does not induce a constant link metric")
-    return SLCone(data.get("name", "custom"), m, FlatTorus(H),
-                  dim_G=int(data.get("dim_G", 0)), trig_table=table)
+        m = int(data["m"])
+        table = [[(complex(mono["c"][0], mono["c"][1]), tuple(mono["k"])) for mono in coord]
+                 for coord in data["coordinates"]]
+        ks = [k for coord in table for _, k in coord]
+        if (m < 2 or len(table) != m or not all(table)
+                or any(len(k) != m - 1 or any(type(x) is not int for x in k) for k in ks)):
+            raise ValidationError(f"need m >= 2 and {m} nonempty monomial lists, each "
+                                  f"monomial with m - 1 integer frequencies k")
+        check_count(math.comb(len(ks), m - 1), "frequency minors", "use fewer monomials")
+        gcd = math.gcd(*(round(np.linalg.det(np.array(rows, dtype=float)))
+                         for rows in itertools.combinations(ks, m - 1)))
+        if gcd != 1:
+            raise ValidationError(f"the frequencies k must span all of Z^{m - 1}, but the gcd "
+                                  f"of their minors is {gcd}")
+        return SLCone(data.get("name", "custom"), m, None, int(data.get("dim_G", 0)),
+                      trig_table=table)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
+        # ValidationError is a ValueError: every failure is re-raised naming the file
+        what = f"no field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"cone file {path}: {what}") from exc
 
 
 def catalog_cone(name):
@@ -426,8 +415,7 @@ def restrict_to_cone(cone, X, n=24):
 
     lam = order * (order + cone.m - 2)
     if isinstance(cone.link, FlatTorus):
-        grid = phi.reshape((n,) * cone.link.dim)
-        lap = cone.link.laplacian_fft(grid).ravel()
+        lap = cone.link.laplacian_fft(phi)
         harm = float(np.abs(lap + lam * phi).max()) / scale
     else:
         harm = _sphere_harmonic_residual(order, sigma, phi) / scale
@@ -439,8 +427,7 @@ def eigenspace_projection_residual(cone, values, order, n):
     lam = order * (order + cone.m - 2)
     scale = max(float(np.abs(values).max()), 1e-300)
     if isinstance(cone.link, FlatTorus):
-        grid = values.reshape((n,) * cone.link.dim)
-        proj = cone.link.eigenprojection_fft(grid, lam).ravel()
+        proj = cone.link.eigenprojection_fft(values, lam)
         return float(np.abs(values - proj).max()) / scale
     return _sphere_harmonic_residual(order, cone.link_samples(n), values) / scale
 

@@ -33,6 +33,7 @@ from .errors import NumericalError, ValidationError, check_count
 
 __all__ = [
     "EigenEntry",
+    "angle_grid",
     "FlatTorus",
     "RoundSphere",
     "MeshLink",
@@ -86,6 +87,13 @@ def _check_sorted(entries):
 
 
 # --- flat torus -------------------------------------------------------------
+
+
+def angle_grid(n, dim):
+    """Uniform ``n^dim`` sample grid of angle coordinates in [0, 2π)."""
+    phi = 2.0 * np.pi * np.arange(n) / n
+    grids = np.meshgrid(*([phi] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 class FlatTorus:
@@ -147,33 +155,24 @@ class FlatTorus:
             entries.append(EigenEntry(float(np.mean(lams[i:j])), j - i, tag))
         return _check_sorted(entries)
 
-    def _as_grid(self, values):
-        values = np.asarray(values)
-        if values.ndim == 1:
-            n = round(values.size ** (1.0 / self.dim))
-            if n**self.dim != values.size:
-                raise ValidationError("flat sample vector is not a full angle grid")
-            return values.reshape((n,) * self.dim), True
-        return values, False
-
     def _fourier_multiply(self, values, multiplier):
         """Scale each Fourier mode ``k`` of a sampled field by ``multiplier(kᵀH⁻¹k)``."""
-        values, flat = self._as_grid(values)
         values = np.asarray(values, dtype=complex)
-        n = values.shape[0]
+        n = round(values.size ** (1.0 / self.dim))
+        if n**self.dim != values.size:
+            raise ValidationError("sample vector is not a full angle grid")
         freqs = np.fft.fftfreq(n, d=1.0 / n)
         ks = np.stack(np.meshgrid(*([freqs] * self.dim), indexing="ij"), axis=-1)
         lams = np.einsum("...i,ij,...j->...", ks, self._Hinv, ks)
-        out = np.fft.ifftn(multiplier(lams) * np.fft.fftn(values)).real
-        return out.ravel() if flat else out
+        grid = values.reshape((n,) * self.dim)
+        return np.fft.ifftn(multiplier(lams) * np.fft.fftn(grid)).real.ravel()
 
     def laplacian_fft(self, values):
         """Apply Δ_h to a trig-polynomial sampled on a uniform angle grid.
 
-        ``values`` has shape ``(n,)*dim`` (or raveled, as produced by
-        sampling on :meth:`angle_grid`); the result is exact for fields
-        band-limited below the grid Nyquist, which covers every restricted
-        moment function used here.
+        ``values`` holds the samples in :func:`angle_grid` order and so does
+        the result, which is exact for fields band-limited below the grid
+        Nyquist; that covers every restricted moment function used here.
         """
         return self._fourier_multiply(values, np.negative)
 
@@ -181,12 +180,6 @@ class FlatTorus:
         """Project a sampled field onto the λ-eigenspace (exact FFT bands)."""
         return self._fourier_multiply(
             values, lambda lams: np.abs(lams - lam) <= EXACT_TOL * max(1.0, abs(lam)))
-
-    def angle_grid(self, n):
-        """Uniform ``n^dim`` sample grid of angle coordinates in [0, 2π)."""
-        phi = 2.0 * np.pi * np.arange(n) / n
-        grids = np.meshgrid(*([phi] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
 
     def triangulate(self, n):
         """Intrinsic triangulation with ``n²`` vertices (dim 2 only).
@@ -459,10 +452,14 @@ class MeshLink:
         """Grouped :class:`EigenEntry` rows for the lowest modes.
 
         Discretization splits continuum multiplicities, so grouping uses a
-        coarse relative tolerance appropriate for mesh data.
+        coarse relative tolerance appropriate for mesh data.  ``lam_max`` keeps
+        the rows up to it, and must lie below the largest of the ``count``.
         """
         vals = self.eigenvalues(count)
         if lam_max is not None:
+            if vals[-1] <= lam_max * (1 + group_tol):
+                raise ValidationError(f"the {count} lowest mesh eigenvalues reach only "
+                                      f"{vals[-1]:.6g}, not {lam_max:g}; lower --alpha-max")
             vals = vals[vals <= lam_max * (1 + group_tol)]
         entries = [EigenEntry(float(np.mean(vals[i:j])), j - i, "mesh")
                    for i, j in _clusters(vals, group_tol)]

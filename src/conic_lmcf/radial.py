@@ -189,8 +189,14 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
     Returns ``((lower, diag, upper), meta)``: the sub-, main and super-
     diagonals of ``L``, whose interior rows discretize the mode operator and
     whose first/last rows are zero (boundary rows are imposed by the time
-    stepper), and ``meta`` carrying the inner-boundary weights.
+    stepper), and ``meta`` carrying the inner-boundary weights.  ``λ/r_min²``,
+    the peak of the ``r⁻²`` potential, must be a float (else ValidationError).
     """
+    # in Python floats, which overflow to inf without a numpy warning
+    if not float(spec.lam) / float(grid.r_min) ** 2 < math.inf:
+        raise ValidationError(f"mode eigenvalue λ={spec.lam:g} over the squared inner radius "
+                              f"r_min²={grid.r_min ** 2:g} leaves the float range; lower "
+                              f"--lam, or raise --radius or lower --n")
     r = grid.nodes
     c1, c2 = _stencil(r)
     coef1 = (spec.m - 1) / r + spec.drift_values(r)
@@ -230,18 +236,17 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
     identity row with zero couplings (the step overwrites its solution from
     the weights); the last row is the outer Dirichlet row.  The weights are
-    returned as a fourth item.  The ``r⁻²`` potential peaks at ``r_min``, so
-    ``λ/r_min²`` and ``dt·λ/r_min²`` must both be floats; otherwise the bands
-    would hold an infinity, which the solve turns into a silent zero.
+    returned as a fourth item.  ``dt·λ/r_min²`` and ``dt`` times each band
+    entry must be floats, or the solve would turn an infinity into a silent
+    zero or a zero pivot.
     """
-    # in Python floats, which overflow to inf without a numpy warning
-    scale = float(spec.lam) / float(grid.r_min) ** 2
-    if not max(scale, float(dt) * scale) < math.inf:
-        raise ValidationError(
-            f"mode eigenvalue λ={spec.lam:g} over the squared inner radius "
-            f"r_min²={grid.r_min ** 2:g} (times dt={dt:g}) leaves the float range; "
-            f"lower --lam, or raise --radius or lower --n")
     bands, meta = radial_operator(spec, grid, inner_bc=inner_bc)
+    # in Python floats, which overflow to inf without a numpy warning
+    peak = max(float(np.abs(band).max()) for band in bands)
+    if not float(dt) * max(peak, float(spec.lam) / float(grid.r_min) ** 2) < math.inf:
+        raise ValidationError(f"dt={dt:g} times the radial operator of the λ={spec.lam:g} "
+                              f"mode leaves the float range; lower --dt, or lower --lam, or "
+                              f"raise --radius or lower --n")
     w = meta["inner_weights"]
     lower, diag, upper = (-dt * band for band in bands)
     diag += 1.0
@@ -269,8 +274,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     ``dgttrf``, and every step solves all modes with one ``dgttrs`` call and
     rebuilds ``u_0`` from the weights.  Pivoting does not cross the zero
     couplings, so each mode gets the bits a one-mode solve would give.  The
-    inner exponent of each mode is α₊(λ), and ``λ/r_min²`` and
-    ``dt·λ/r_min²`` must be floats, or :class:`ValidationError` is raised.
+    inner exponent of each mode is α₊(λ); ``λ/r_min²`` and the entries of
+    ``dt·L_λ`` must be floats, or :class:`ValidationError` is raised.
 
     The forcing is evaluated at every step's time.  A forcing with a
     ``reads`` attribute, the set of variable names (``"t"``, ``"r"``) its
@@ -278,7 +283,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     time, after the factorisation; every step then adds the same ``dt·f``,
     with the bits a per-step evaluation would give.  A forcing that raises
     or returns a non-finite value raises :class:`NumericalError` naming the
-    step (step 1 for a forcing without ``t``).
+    step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``.
 
     Solutions are recorded every ``store_every`` steps (``store_every=0``
     keeps only the initial and final states).  More than
@@ -324,6 +329,10 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
                 raise ValueError("a value is not finite")
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise NumericalError(f"forcing invalid at step {k} (t={t:.6g}): {exc}") from exc
+        # a finite f overflows dt·f only when dt > 1; Python floats do not warn
+        if dt > 1.0 and not float(np.abs(fvals).max()) * float(dt) < math.inf:
+            raise NumericalError(f"forcing times the time step leaves the float range at "
+                                 f"step {k} (t={t:.6g}, dt={dt:g}); lower --dt")
         return dt * fvals
 
     # a forcing whose ``reads`` omits t is the same at every step: evaluate it at step 1 only

@@ -633,6 +633,26 @@ def test_eigenvalue_whose_potential_overflows_exits_2_naming_it(tmp_path):
     assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
 
 
+def test_overflowing_forcing_step_names_the_forcing_and_dt(tmp_path):
+    # dt·f overflowed: numpy printed an overflow warning and the run blamed
+    # the linear solve at step 1
+    proc = run_child(["heat", "--lam", "2", "--n", "50", "--T", "100", "--dt", "10",
+                      "--forcing", "1e308"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "forcing" in proc.stderr and "--dt" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
+
+
+def test_time_step_whose_operator_overflows_exits_2_naming_it(tmp_path):
+    # dt times the λ = 0 stencil overflowed: numpy printed an overflow warning
+    # and the run exited 1 with a zero pivot
+    proc = run_child(["heat", "--lam", "0", "--n", "50", "--T", "1e305", "--dt", "1e305",
+                      "--forcing", "r"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--dt" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stdout + proc.stderr, proc.stderr
+
+
 # each of these ran until killed, or died with a numpy traceback, before the
 # work was counted ahead of the run
 OVER_THE_COUNT_LIMIT = {
@@ -902,6 +922,17 @@ def test_malformed_mesh_file_exits_2(tmp_path, capsys, name):
     assert name in capsys.readouterr().err
 
 
+def test_mesh_exponent_window_is_only_what_the_spectrum_covers(tmp_path, capsys):
+    # the 10 lowest mesh eigenvalues stop near 2, yet the table claimed the
+    # window [-6, 5], that is, every eigenvalue up to 30
+    off = write_torus_off(tmp_path / "torus.off")
+    argv = ["exponents", "--link", "mesh", "--mesh-file", str(off)]
+    assert main(argv + ["--alpha-max", "5", "--outdir", str(tmp_path / "a")]) == 2
+    assert "--alpha-max" in capsys.readouterr().err
+    assert main(argv + ["--alpha-max", "0.5", "--outdir", str(tmp_path / "b")]) == 0
+    assert read_report(tmp_path / "b")["outputs"]["window"] == [-1.5, 0.5]
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_non_positive_mesh_count_exits_2(tmp_path, capsys, count):
     path = tmp_path / "oct.off"
@@ -924,3 +955,61 @@ def test_unconverged_mesh_spectrum_exits_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert "mesh eigen-solve" in err and "--count" in err
+
+
+# ---------------------------------------------------------------------------
+# --cone-json files
+# ---------------------------------------------------------------------------
+
+
+def hl_cone_data(scale=1):
+    """hl-torus-3 as a cone file, every frequency multiplied by ``scale``."""
+    data = conic_lmcf.harvey_lawson_torus().to_json()
+    for coord in data["coordinates"]:
+        for mono in coord:
+            mono["k"] = [scale * k for k in mono["k"]]
+    return data
+
+
+# a Lagrangian cone whose frame determinant turns as e^{12iσ₁}: on the 12×12
+# validation grid that looked constant, so it passed as special (stability 38)
+OFF_GRID_PHASE = {"name": "off-grid", "m": 3, "dim_G": 2, "coordinates": [
+    [{"c": [math.sqrt(1 / 27), 0.0], "k": [13, 0]}],
+    [{"c": [math.sqrt(13 / 27), 0.0], "k": [0, 1]}],
+    [{"c": [math.sqrt(13 / 27), 0.0], "k": [-1, -1]}]]}
+
+# each exited 1 with a traceback, or 0 with indices of a different link or
+# of a cone that is not special (k·1.5: stability 6, fredholm -31; 2k:
+# stability 30)
+BAD_CONE_FILES = {
+    "missing.json": None,
+    "not-json.json": "{not json",
+    "no-coordinates.json": {k: v for k, v in hl_cone_data().items() if k != "coordinates"},
+    "empty-coordinates.json": dict(hl_cone_data(), coordinates=[]),
+    "dim-g.json": dict(hl_cone_data(), dim_G="x"),
+    "fractional-k.json": hl_cone_data(1.5),
+    "doubled-k.json": hl_cone_data(2),
+    "off-grid-phase.json": OFF_GRID_PHASE,
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONE_FILES)
+def test_malformed_cone_file_exits_2_naming_it(tmp_path, capsys, name):
+    path = tmp_path / name
+    content = BAD_CONE_FILES[name]
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    for argv in (["stability"], ["fredholm", "--gamma", "2.1"]):
+        rc = main(argv + ["--cone-json", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+
+def test_round_tripped_cone_file_keeps_the_indices(tmp_path, capsys):
+    path = tmp_path / "hl.json"
+    path.write_text(json.dumps(hl_cone_data()))
+    assert main(["stability", "--cone-json", str(path), "--outdir", str(tmp_path / "s")]) == 0
+    assert main(["fredholm", "--cone-json", str(path), "--gamma", "2.1",
+                 "--outdir", str(tmp_path / "f")]) == 0
+    out = capsys.readouterr().out
+    assert "stability index: 0" in out and "fredholm index: -13" in out

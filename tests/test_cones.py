@@ -7,13 +7,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from conic_lmcf import (
     EigenEntry,
     ExponentTable,
+    FlatTorus,
     MixedHomogeneityError,
     MomentElement,
     NumericalError,
+    SLCone,
     ValidationError,
     WindowError,
     catalog_cone,
@@ -196,6 +199,63 @@ def test_cone_json_rejects_non_lagrangian(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError):
         cone_from_json(path)
+
+
+def write_hl_json(path):
+    path.write_text(json.dumps(harvey_lawson_torus().to_json()))
+    return path
+
+
+@pytest.mark.parametrize("build", ["hl", "plane", "json"])
+def test_a_cone_is_built_and_framed_once(tmp_path, monkeypatch, build):
+    # the checks framed the link three times, and a cone file built a second,
+    # unvalidated probe cone for its metric
+    path = write_hl_json(tmp_path / "hl.json")
+    counts = {"frames": 0, "cones": 0}
+    frames, init = SLCone.frames, SLCone.__init__
+
+    def counted_frames(self, sigma):
+        counts["frames"] += 1
+        return frames(self, sigma)
+
+    def counted_init(self, *args, **kwargs):
+        counts["cones"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SLCone, "frames", counted_frames)
+    monkeypatch.setattr(SLCone, "__init__", counted_init)
+    {"hl": harvey_lawson_torus, "plane": plane_cone, "json": lambda: cone_from_json(path)}[build]()
+    assert counts == {"frames": 1, "cones": 1}
+
+
+def test_cone_json_rejects_a_varying_induced_metric(tmp_path):
+    # X_0 = (e^{iσ₁} + e^{iσ₂})/√6 makes H_12 vary with σ₂ − σ₁
+    data = harvey_lawson_torus().to_json()
+    s = 1.0 / math.sqrt(6.0)
+    data["coordinates"][0] = [{"c": [s, 0.0], "k": [1, 0]}, {"c": [s, 0.0], "k": [0, 1]}]
+    path = tmp_path / "varying.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="constant link metric"):
+        cone_from_json(path)
+
+
+def test_a_link_other_than_the_induced_one_is_refused():
+    # hl-torus-3's table with the unit-square torus as its link
+    table = harvey_lawson_torus().trig_table
+    with pytest.raises(ValidationError, match="the embedding induces"):
+        SLCone("hl-wrong-link", 3, FlatTorus(np.eye(2)), 2, trig_table=table)
+
+
+@pytest.mark.skipif({"numpy": np.__version__, "scipy": scipy.__version__}
+                    != {"numpy": "2.4.6", "scipy": "1.17.1"},
+                    reason="pinned with the toolchain of the golden digests (test_golden.py)")
+def test_cone_json_round_trip_bits(tmp_path):
+    # the induced metric differs from the built-in exact one in the last bits
+    loaded = cone_from_json(write_hl_json(tmp_path / "hl.json"))
+    assert loaded.link.metric.tolist() == [[0.6666666666666669, 0.3333333333333334],
+                                           [0.3333333333333334, 0.6666666666666669]]
+    assert loaded.phase_theta == -3.141592653589793
+    assert harvey_lawson_torus().link.metric.tolist() == [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,13 @@ def test_potential_over_the_float_range_is_refused_before_the_solve():
     assert np.all(np.isfinite(solve_mode(spec, grid, T=0.01, dt=0.01).final()))
 
 
+def test_operator_over_the_float_range_is_refused_without_a_warning():
+    # -λ/r² overflowed: the interior rows came back -inf with a numpy warning
+    spec = LaplaceTypeSpec(lam=1e300, m=3)
+    with pytest.raises(ValidationError, match="--lam.*--radius"):
+        apply_radial_operator(spec, RadialGrid(R=1e-100, n_cells=50), np.ones(50))
+
+
 def test_inner_weights_are_exact_on_the_admissible_powers():
     from conic_lmcf import exponent_roots
 
