@@ -28,6 +28,9 @@ INVOCATIONS = (
     + [[command, "-h"] for command in COMMANDS]
     + [[command, "--bogus"] for command in COMMANDS]
     + [["fredholm", "--cone", "hl-torus-3"]]
+    # a subcommand's parse that leaves tokens over, and a value read as an option
+    + [["heat", "--version"], ["heat", "--he"], ["fredholm", "--gamma", "1", "extra"],
+       ["heat", "--", "--n", "5"], ["flow", "--ic", "-0.1*sin(x1)"]]
 )
 RECORDED = Path(__file__).with_name("cli_text.json")
 
