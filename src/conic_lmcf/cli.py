@@ -148,8 +148,12 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
 # shared argument plumbing
 
 
-def _preload_config(argv) -> dict:
-    """Extract --config from raw argv before the real parse."""
+def _preload_config(argv) -> tuple[str | None, dict]:
+    """The ``--config`` path in raw argv and the defaults it holds, before the real parse.
+
+    Only ``--config PATH`` and ``--config=PATH`` are read; ``main`` refuses
+    an abbreviation that the parse takes for ``--config``.
+    """
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -157,7 +161,7 @@ def _preload_config(argv) -> dict:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None:
-        return {}
+        return None, {}
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -167,7 +171,7 @@ def _preload_config(argv) -> dict:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object of flag defaults")
-    return cfg
+    return path, cfg
 
 
 class _Arg:
@@ -460,7 +464,8 @@ def cmd_fredholm(args, out: Path) -> dict:
 
 
 def _solve_modes(lams, args, forcing, store_every=0):
-    # imported here: the radial solver loads SciPy's sparse stack
+    # imported here: radial keeps a spare scipy.sparse.linalg.splu import for
+    # the benchmark tracer, and that import loads SciPy's sparse stack
     from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
 
     if len(set(lams)) < len(lams):
@@ -671,6 +676,22 @@ COMMANDS = {
 }
 
 
+def _add_command_flags(parser, config: dict, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of subcommand ``name``, their defaults read from ``config``."""
+    a = _Arg(parser, config, name)
+    a.add("--outdir", type=str, default="out", help="directory for artifacts (created if missing)")
+    a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON file of flag defaults (explicit flags take precedence)")
+    COMMANDS[name][2](a)
+    return parser
+
+
+def command_parser(name: str, config: dict) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser on its own: the one ``build_parser`` nests, flags and all."""
+    return _add_command_flags(argparse.ArgumentParser(prog=f"conic-lmcf {name}"), config, name)
+
+
 def build_parser(config: dict, argv) -> argparse.ArgumentParser:
     """The parser for ``argv``, with flags only on the subcommand it selects.
 
@@ -687,29 +708,46 @@ def build_parser(config: dict, argv) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"conic-lmcf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     selected = next((token for token in argv if not token.startswith("-")), None)
-    for name, (_, help, flags) in COMMANDS.items():
+    for name, (_, help, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
         if name == selected:
-            a = _Arg(p, config, name)
-            a.add("--outdir", type=str, default="out",
-                  help="directory for artifacts (created if missing)")
-            a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
-            p.add_argument("--config", type=str, default=None,
-                           help="JSON file of flag defaults (explicit flags take precedence)")
-            flags(a)
+            _add_command_flags(p, config, name)
     return parser
+
+
+def parse_args(argv, config: dict) -> argparse.Namespace:
+    """``build_parser(config, argv).parse_args(argv)``, building one parser when it can.
+
+    When ``argv`` starts with a subcommand, that subcommand's parser alone
+    reads the rest; it is the parser the tree would hand the rest to, so its
+    help, errors and namespace are the tree's.  The tree is built only for
+    the usage errors its top level reports: no subcommand first, tokens left
+    over, and a token ``--=...``, which it finds ambiguous between
+    ``--help`` and ``--version`` before the subcommand parses.
+    """
+    if argv and argv[0] in COMMANDS and not any(token.startswith("--=") for token in argv):
+        args, extra = command_parser(argv[0], config).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser(config, argv).parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Parse ``argv``, run the subcommand into ``--outdir`` and write its report.
 
-    Every float flag must be finite.  The report's inputs are every parsed
-    flag except ``--outdir`` and ``--config``.
+    Every float flag must be finite, and ``--config`` must be spelled in
+    full.  The report's inputs are every parsed flag except ``--outdir`` and
+    ``--config``.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(_preload_config(argv), argv).parse_args(argv)
+        config_path, config = _preload_config(argv)
+        args = parse_args(argv, config)
+        if args.config != config_path:
+            raise ValidationError(f"--config must be spelled in full; an abbreviation gave "
+                                  f"{args.config!r}")
         for dest, value in vars(args).items():
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, list) else [value])):

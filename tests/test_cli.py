@@ -1,6 +1,9 @@
 """End-to-end tests for the command line interface (driven in-process)."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,19 +11,20 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import (LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode,
                         solve_modes)
-from conic_lmcf.cli import (_check_report, compile_expression, main, parse_forcing,
-                            parse_initial_condition, write_csv)
+from conic_lmcf.cli import (COMMANDS, _check_report, build_parser, compile_expression, main,
+                            parse_args, parse_forcing, parse_initial_condition, write_csv)
 from conic_lmcf.flow import grid_coordinates
 
 
@@ -502,6 +506,92 @@ def test_config_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
     cfg.write_text('{"T": 1' + "0" * 5000 + "}")
     assert main(["heat", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
     assert "cfg.json" in capsys.readouterr().err
+
+
+def test_an_abbreviated_config_flag_exits_2_naming_it(tmp_path):
+    # argparse took --conf for --config but the file was never read: the run
+    # exited 0 with the built-in n 400 and T 0.1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 37, "T": 0.01}))
+    for flag in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+        proc = run_child(["heat", *flag], tmp_path / "abbreviated")
+        assert proc.returncode == 2 and "--config" in proc.stderr, proc.stderr
+    assert not (tmp_path / "abbreviated" / "report.json").exists()
+    for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert run_child(["heat", *flag], tmp_path / "full").returncode == 0
+        inputs = read_report(tmp_path / "full")["inputs"]
+        assert (inputs["n"], inputs["T"]) == (37, 0.01)
+
+
+def _tree_flags(command):
+    tree = build_parser({}, [command])._subparsers._group_actions[0].choices
+    return sorted(tree[command]._option_string_actions)
+
+
+FLAGS = {command: _tree_flags(command) for command in COMMANDS}
+VALUES = ["0", "2.1", "7", "-1", "-0.5", "-1e3", "1e400", "nan", "-0.1*sin(x1)", "-r^0.5",
+          "t*r^0.5", "torus", "mesh", "hl-torus-3", "dirichlet0", "x", ""]
+STRAY = ["--", "-h", "--help", "--version", "--ver", "-", "-x", "extra", "heat"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv built from one subcommand's flags, their prefixes, values and stray tokens."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    flag = st.sampled_from(FLAGS[command])
+    prefix = flag.flatmap(lambda f: st.integers(1, len(f)).map(lambda k: f[:k]))
+    value = st.sampled_from(VALUES)
+    token = st.one_of(flag, flag, value, value, prefix, st.sampled_from(STRAY),
+                      st.tuples(st.one_of(flag, prefix), value).map("=".join))
+    head = draw(st.sampled_from([[command]] * 6 + [[], ["-h"], ["--version"], ["-1", command],
+                                                    ["--", command], [command[:3]]]))
+    return head + draw(st.lists(token, max_size=8))
+
+
+def _outcome(parse):
+    """``parse()``'s namespace (as text, so a nan equals itself) or exit code, and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse()).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["spectrum", "--=0"])  # ambiguous to the tree's top level before the subcommand parses
+@example(["exponents", "--alpha-max", "nan"])
+def test_one_parser_reads_argv_as_the_tree_does(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        fast = _outcome(lambda: parse_args(argv, {}))
+        tree = _outcome(lambda: build_parser({}, argv).parse_args(argv))
+    assert fast == tree
+
+
+def test_a_named_subcommand_builds_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    tree = ["conic-lmcf"] + [f"conic-lmcf {name}" for name in COMMANDS]
+    for argv, code, parsers in [
+        (["fredholm", "--gamma", "2.1", "--outdir", str(tmp_path)], 0, ["conic-lmcf fredholm"]),
+        (["heat", "-h"], 0, ["conic-lmcf heat"]),
+        (["-h"], 0, tree),
+        (["heat", "--bogus"], 2, ["conic-lmcf heat"] + tree),
+    ]:
+        built.clear()
+        try:
+            found = main(argv)
+        except SystemExit as exc:
+            found = exc.code
+        assert (found, built) == (code, parsers), argv
 
 
 def test_seed_flag_is_recorded(tmp_path):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 import scipy
 
-from conic_lmcf.cli import build_parser, main
+from conic_lmcf.cli import build_parser, command_parser, main
 
 RUNS = {
     "spectrum": ["spectrum", "--link", "torus", "--dim", "2", "--lmax", "3"],
@@ -139,6 +139,14 @@ def test_artifact_digests_are_unchanged(runs, command):
 def test_report_inputs_are_the_parsed_flags(runs, command):
     subparsers = build_parser({}, RUNS[command])._subparsers._group_actions[0].choices
     flags = {a.dest for a in subparsers[RUNS[command][0]]._actions} - {"help", "outdir", "config"}
+    report = json.loads((runs / command / "report.json").read_text(encoding="utf-8"))
+    assert set(report["inputs"]) == flags
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_report_inputs_are_the_stand_alone_parsers_flags(runs, command):
+    parser = command_parser(RUNS[command][0], {})
+    flags = {a.dest for a in parser._actions} - {"help", "outdir", "config"}
     report = json.loads((runs / command / "report.json").read_text(encoding="utf-8"))
     assert set(report["inputs"]) == flags
 
