@@ -59,19 +59,49 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# rows per "%" call and per write in write_frames and write_columns, so a
+# large table never becomes one string
+_CHUNK_ROWS = 4096
+
+
+def _row_major(columns, n: int) -> list:
+    """The entries of ``columns``, each ``n`` long, row after row as Python numbers."""
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of lengths {[len(c) for c in columns]}, not {n}")
+    if len(columns) == 1:
+        return columns[0].tolist()
+    values = [None] * (n * len(columns))
+    for j, c in enumerate(columns):
+        values[j::len(columns)] = c.tolist()
+    return values
+
+
 def write_frames(path: Path, header, keys, frames) -> None:
     """write_csv's bytes for a long table written one frame at a time.
 
     ``frames`` yields ``(t, columns)`` with numeric ``t`` and float arrays as
-    columns; the frame's rows are ``(t, keys[j], columns[0][j], ...)``.  Keys
-    are formatted once per table and ``t`` once per frame.
+    columns, each as long as ``keys``; the frame's rows are
+    ``(t, keys[j], columns[0][j], ...)``.  Keys are formatted once per table
+    into a row template, and ``t`` once per frame.  Each chunk of up to
+    ``_CHUNK_ROWS`` rows is the template joined by ``t``'s field, filled by
+    one ``%`` and written by one call.  A column of another length raises
+    ``ValueError``.
     """
-    keys = [_fmt(k) for k in keys]
+    # a key's "%" is doubled so the template gives it back as it is
+    keys = ["," + _fmt(k).replace("%", "%%") for k in keys]
+    width, blocks = None, []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for t, columns in frames:
-            row = _fmt(t) + ",%s" + ",%.17g" * len(columns) + "\n"
-            fh.writelines(map(row.__mod__, zip(keys, *(c.tolist() for c in columns))))
+            if len(columns) != width:
+                width, tail = len(columns), ",%.17g" * len(columns) + "\n"
+                blocks = [[key + tail for key in keys[a:a + _CHUNK_ROWS]]
+                          for a in range(0, len(keys), _CHUNK_ROWS)]
+            values = _row_major(columns, len(keys))
+            lead = _fmt(t)
+            step = _CHUNK_ROWS * width
+            for i, block in enumerate(blocks):
+                fh.write((lead + lead.join(block)) % tuple(values[i * step:(i + 1) * step]))
 
 
 def write_json(path: Path, payload) -> None:
@@ -89,11 +119,18 @@ def _jsonable(value):
 
 
 def write_columns(path: Path, *columns) -> None:
-    """Whitespace-separated numeric columns (gnuplot-ready)."""
-    arrays = [np.asarray(c, dtype=float).tolist() for c in columns]
+    """Whitespace-separated numeric columns (gnuplot-ready): ``%.17g`` fields, two spaces apart.
+
+    Columns of different lengths raise ``ValueError`` naming the lengths.
+    """
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    n = len(arrays[0]) if arrays else 0
+    values = _row_major(arrays, n)
     row = "  ".join(["%.17g"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(map(row.__mod__, zip(*arrays)))
+        for a in range(0, n, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, n - a)
+            fh.write(row * rows % tuple(values[a * len(arrays):(a + rows) * len(arrays)]))
 
 
 _REPORT_KEYS = ("command", "inputs", "outputs", "versions", "wall_time_s")
@@ -151,11 +188,13 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
 def _preload_config(argv) -> tuple[str | None, dict]:
     """The ``--config`` path in raw argv and the defaults it holds, before the real parse.
 
-    Only ``--config PATH`` and ``--config=PATH`` are read; ``main`` refuses
-    an abbreviation that the parse takes for ``--config``.
+    Only ``--config PATH`` and ``--config=PATH`` before any ``--`` are read;
+    ``main`` refuses an abbreviation that the parse takes for ``--config``.
     """
     path = None
     for i, token in enumerate(argv):
+        if token == "--":  # the parse reads what follows as positionals
+            break
         if token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
         elif token.startswith("--config="):

@@ -23,8 +23,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import conic_lmcf
 from conic_lmcf import (LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode,
                         solve_modes)
-from conic_lmcf.cli import (COMMANDS, _check_report, build_parser, compile_expression, main,
-                            parse_args, parse_forcing, parse_initial_condition, write_csv)
+from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _check_report, build_parser, compile_expression,
+                            main, parse_args, parse_forcing, parse_initial_condition, write_columns,
+                            write_csv, write_frames)
 from conic_lmcf.flow import grid_coordinates
 
 
@@ -310,6 +311,66 @@ def test_flow_snapshots_match_the_row_writer(tmp_path):
             == (tmp_path / "expected.csv").read_bytes())
 
 
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, math.inf, -math.inf,
+                  math.nan, 1e300, -1e300, 1e-300, -1e-300, 0.1, 1.0, 2.0**53 + 1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# text keys are mostly made of what the writers' templates and CSV quoting act on
+MARKED_KEYS = ["%", "a%sb", "%%", "%.17g", '"', 'x,"y"', "\x00", ""]
+KEYS = st.one_of(st.integers(), FLOATS, st.sampled_from(MARKED_KEYS),
+                 st.text(st.sampled_from(list('%,"\x00sgd.17-e \n')), min_size=1, max_size=8),
+                 st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+ROW_COUNTS = [0, 1, 2, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+OVER_A_CHUNK = (_CHUNK_ROWS + 1, 2, lambda: np.resize(SPECIAL_FLOATS, _CHUNK_ROWS + 1))
+
+
+@st.composite
+def tables(draw):
+    """Row count, column count and a column maker drawing from a small pool of floats."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    width = draw(st.integers(1, 3))
+    pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, width, lambda: pool[rng.integers(len(pool), size=n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.lists(KEYS, min_size=1, max_size=6),
+       st.lists(st.one_of(st.integers(), FLOATS), max_size=3))
+@example(OVER_A_CHUNK, [*MARKED_KEYS, 3, -0.0], [0.0, 7, math.nan])
+def test_frame_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, key_pool, times):
+    n, width, column = table
+    keys = [key_pool[j % len(key_pool)] for j in range(n)]
+    frames = [(t, [column() for _ in range(width)]) for t in times]
+    path = tmp_path_factory.mktemp("frames")
+    write_frames(path / "frames.csv", ["t", "key", "a", "b", "c"][:width + 2], keys, frames)
+    write_csv(path / "rows.csv", ["t", "key", "a", "b", "c"][:width + 2],
+              [(t, key, *values) for t, columns in frames
+               for key, *values in zip(keys, *(c.tolist() for c in columns))])
+    assert (path / "frames.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+@example(OVER_A_CHUNK)
+def test_column_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table):
+    n, width, column = table
+    columns = [column() for _ in range(width)]
+    path = tmp_path_factory.mktemp("columns") / "columns.dat"
+    write_columns(path, *columns)
+    expected = "".join("  ".join("%.17g" % v for v in row) + "\n"
+                       for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_columns_of_different_lengths_are_refused(tmp_path):
+    # zip cut every column to the shortest one and the file lost rows silently
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        write_columns(tmp_path / "x.dat", [1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"\[2\], not 3"):
+        write_frames(tmp_path / "x.csv", ["t", "r", "u"], [0.0, 0.5, 1.0],
+                     [(0.0, (np.ones(2),))])
+
+
 def test_defect_ratio_window(tmp_path, capsys):
     rc = main(
         ["defect", "--n", "32", "--T", "0.25", "--eps", "0.1", "0.05",
@@ -521,6 +582,17 @@ def test_an_abbreviated_config_flag_exits_2_naming_it(tmp_path):
         assert run_child(["heat", *flag], tmp_path / "full").returncode == 0
         inputs = read_report(tmp_path / "full")["inputs"]
         assert (inputs["n"], inputs["T"]) == (37, 0.01)
+
+
+def test_a_config_flag_after_a_double_dash_is_not_read(tmp_path):
+    # the preload read a --config after "--", where the parse takes it for a
+    # stray positional: "cannot read config file" instead of the usage error
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    for path in ("nosuch.json", str(broken)):
+        proc = run_child(["heat", "--", "--config", path], tmp_path / "out")
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments" in proc.stderr and "config file" not in proc.stderr
 
 
 def _tree_flags(command):
