@@ -2,8 +2,9 @@
 
 The package splits into cone-side linear analysis (link spectra, homogeneity
 exponents, Fredholm and stability indices, radial heat solves with conical
-asymptotics, weighted norms) and a periodic graphical flow integrator used to
-measure how far the nonlinear flow sits from its heat-flow linearisation.
+asymptotics and their remainder rates) and a periodic graphical flow integrator
+used to measure how far the nonlinear flow sits from its heat-flow
+linearisation.
 
 The names below are re-exported lazily (PEP 562): ``conic_lmcf.run_flow``
 imports :mod:`conic_lmcf.flow` on first use, so a command that never touches
@@ -18,25 +19,19 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it contributes to the package namespace
 _EXPORTS = {
-    "asymptotics": ("AsymptoticExpansion", "extend_asymptotic", "extract_asymptotics",
-                    "laplace_of_terms", "synthesize"),
-    "cones": ("MomentElement", "RestrictionResult", "SLCone", "StabilityReport",
-              "catalog_cone", "cone_from_json", "eigenspace_projection_residual",
+    "asymptotics": ("AsymptoticExpansion", "extract_asymptotics", "synthesize"),
+    "cones": ("MomentElement", "SLCone", "StabilityReport", "catalog_cone", "cone_from_json",
               "hamiltonian_field", "harvey_lawson_torus", "moment_eval", "plane_cone",
-              "restrict_to_cone", "stability_index", "su_basis", "translation_basis",
-              "verify_hamiltonian"),
+              "stability_index", "su_basis", "translation_basis", "verify_hamiltonian"),
     "errors": ("DegenerateDataError", "ExceptionalWeightError", "GraphConditionError",
-               "MissingDerivativeError", "MixedHomogeneityError", "NumericalError",
-               "ValidationError", "WindowError"),
+               "NumericalError", "ValidationError", "WindowError"),
     "exponents": ("ExponentEntry", "ExponentTable", "exponent_roots", "fredholm_index"),
     "flow": ("DefectReport", "FlowState", "catalog_initial_conditions", "default_dt",
-             "flow_step", "graph_determinant", "grid_coordinates", "heat_step",
-             "hessian_field", "lagrangian_angle", "linearization_defect", "run_flow",
-             "run_heat"),
+             "flow_step", "graph_determinant", "grid_coordinates", "hessian_field",
+             "lagrangian_angle", "linearization_defect", "run_flow"),
     "links": ("EigenEntry", "FlatTorus", "MeshLink", "RoundSphere", "angle_grid", "read_off",
               "sphere_multiplicity"),
-    "norms": ("RadiusFunction", "WeightVector", "decay_rate", "dyadic_annulus_suprema",
-              "holder_norm", "smooth_cutoff", "sobolev_norm"),
+    "norms": ("decay_rate", "dyadic_annulus_suprema"),
     "radial": ("LaplaceTypeSpec", "ModeSolution", "RadialGrid", "apply_radial_operator",
                "radial_operator", "solve_mode", "solve_modes"),
 }

@@ -20,11 +20,6 @@ coefficients and the remainder rate from a discrete solution:
     absorbing the remainder so it cannot bias the low-order coefficients.
 3.  After subtracting the accepted terms, the remainder rate is fitted on
     dyadic annuli spanning [1e−3, 1e−1]·R.
-
-Cutoff extension of a model-space element to the compact manifold is
-provided by :func:`extend_asymptotic`; the discrete operator commutes with
-the cutoff away from the transition band, which is the computable face of
-the extension's mapping property.
 """
 
 from __future__ import annotations
@@ -36,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ExceptionalWeightError, NumericalError, ValidationError
-from .norms import decay_rate, dyadic_annulus_suprema, smooth_cutoff
+from .norms import decay_rate, dyadic_annulus_suprema
 
 __all__ = [
     "AsymptoticExpansion",
     "extract_asymptotics",
     "synthesize",
-    "extend_asymptotic",
-    "laplace_of_terms",
 ]
 
 
@@ -72,21 +65,6 @@ def synthesize(terms, r):
     out = np.zeros_like(r)
     for alpha, k, c in terms:
         out += c * r ** (alpha + 2 * k)
-    return out
-
-
-def laplace_of_terms(terms, lam, m):
-    """Apply the mode Laplacian to a term list (stays in the model space).
-
-    ``L_λ (c r^{α+2k}) = c[(α+2k)(α+2k+m−2) − λ] r^{α+2(k−1)}``; the k = 0
-    terms are annihilated because α is an indicial root.
-    """
-    out = []
-    for alpha, k, c in terms:
-        if k == 0:
-            continue
-        e = alpha + 2 * k
-        out.append((alpha, k - 1, c * (e * (e + m - 2) - lam)))
     return out
 
 
@@ -185,14 +163,3 @@ def extract_asymptotics(sol, table, gamma, time_index=-1, mode_only=True):
             rate = math.inf
     return AsymptoticExpansion(accepted, rate, rem_sup, gamma, time=t)
 
-
-def extend_asymptotic(terms, rho, cutoff):
-    """Extend a model-space element by a smooth cutoff: ``χ(ρ)·v(ρ)``.
-
-    χ ≡ 1 for ρ < cutoff/2 and ≡ 0 for ρ > cutoff, so the extension agrees
-    with the cone-tip expansion near the singularity and is compactly
-    supported in the chart.
-    """
-    rho = np.asarray(rho, dtype=float)
-    chi = smooth_cutoff(rho, cutoff / 2.0, cutoff)
-    return chi * synthesize(terms, rho)

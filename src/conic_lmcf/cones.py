@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedHomogeneityError, NumericalError, ValidationError, WindowError, check_count
+from .errors import NumericalError, ValidationError, WindowError, check_count
 from .links import FlatTorus, RoundSphere, angle_grid
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "verify_hamiltonian",
     "su_basis",
     "translation_basis",
-    "restrict_to_cone",
     "stability_index",
     "harvey_lawson_torus",
     "plane_cone",
@@ -359,77 +358,7 @@ def catalog_cone(name):
     return catalog[name]()
 
 
-# --- restriction and stability ----------------------------------------------
-
-
-@dataclass
-class RestrictionResult:
-    order: int
-    values: np.ndarray
-    harmonic_residual: float
-    sigma: np.ndarray
-
-
-def _sphere_harmonic_residual(order, sigma, values):
-    """Max distance of ``values`` from the degree-``order`` (0, 1 or 2) harmonics on S²."""
-    x, y, z = sigma[:, 0], sigma[:, 1], sigma[:, 2]
-    if order == 0:
-        cols = [np.ones_like(x)]
-    elif order == 1:
-        cols = [x, y, z]
-    else:
-        cols = [x * y, y * z, z * x, x * x - y * y, 2 * z * z - x * x - y * y]
-    basis = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return float(np.abs(values - basis @ coef).max())
-
-
-def restrict_to_cone(cone, X, n=24):
-    """Restrict ``μ_X`` to the link and detect its homogeneity order.
-
-    Returns the sampled link function ``φ(σ) = μ_X(embed(σ, 1))``, the
-    detected order α ∈ {0, 1, 2} (two-point ratio fit at r = 1/2, 1, 2 with
-    exactness demanded), and the residual of the eigen-relation
-    ``Δ_h φ = −α(α + m − 2) φ``.  Mixed elements (incompatible pure orders)
-    raise :class:`MixedHomogeneityError`.
-    """
-    sigma = cone.link_samples(n)
-    p1 = cone.embed(sigma, 1.0)
-    phi = moment_eval(X, p1)
-    vals = {r: moment_eval(X, cone.embed(sigma, r)) for r in (0.5, 2.0)}
-    scale = max(float(np.abs(phi).max()), 1e-300)
-    if np.abs(phi).max() < 1e-14:
-        return RestrictionResult(0, phi, 0.0, sigma)
-
-    order = None
-    for cand in (0, 1, 2):
-        resid = max(float(np.abs(vals[r] - r ** cand * phi).max()) / (scale * max(1.0, 2.0 ** cand))
-                    for r in (0.5, 2.0))
-        if resid < 1e-8:
-            order = cand
-            break
-    if order is None:
-        raise MixedHomogeneityError(
-            "restricted moment function has no pure homogeneity order in {0,1,2}; "
-            "X mixes quadratic/linear/constant parts")
-
-    lam = order * (order + cone.m - 2)
-    if isinstance(cone.link, FlatTorus):
-        lap = cone.link.laplacian_fft(phi)
-        harm = float(np.abs(lap + lam * phi).max()) / scale
-    else:
-        harm = _sphere_harmonic_residual(order, sigma, phi) / scale
-    return RestrictionResult(order, phi, harm, sigma)
-
-
-def eigenspace_projection_residual(cone, values, order, n):
-    """Distance of a sampled restriction from the matching link eigenspace."""
-    lam = order * (order + cone.m - 2)
-    scale = max(float(np.abs(values).max()), 1e-300)
-    if isinstance(cone.link, FlatTorus):
-        proj = cone.link.eigenprojection_fft(values, lam)
-        return float(np.abs(values - proj).max()) / scale
-    return _sphere_harmonic_residual(order, cone.link_samples(n), values) / scale
+# --- stability ---------------------------------------------------------------
 
 
 @dataclass

@@ -27,14 +27,6 @@ class ExceptionalWeightError(ValidationError):
         self.offending = tuple(offending) if offending is not None else ()
 
 
-class MixedHomogeneityError(ValidationError):
-    """A restricted moment function mixes incompatible homogeneity orders."""
-
-
-class MissingDerivativeError(ValidationError):
-    """A weighted norm was requested with too few derivative samples."""
-
-
 class DegenerateDataError(ValidationError):
     """Rate fitting received degenerate (zero or too little) data."""
 

@@ -185,15 +185,6 @@ class ExponentTable:
         return sum(e.multiplicity for e in self.entries
                    if -self.tol <= e.alpha <= delta + self.tol)
 
-    def count_n(self, beta):
-        """``n_Σ(β) = m_Σ(β) + Σ_{k≥1, 2k≤β} m_Σ(β−2k)``."""
-        total = self.multiplicity(beta)
-        k = 1
-        while 2 * k <= beta + self.tol:
-            total += self.multiplicity(beta - 2 * k)
-            k += 1
-        return total
-
     def count_N(self, delta):
         """Signed count over ``(E_Σ, n_Σ)``; equals ``count_M`` for δ ≤ 2."""
         self._require_in_window(delta)

@@ -39,9 +39,7 @@ __all__ = [
     "hessian_field",
     "graph_determinant",
     "flow_step",
-    "heat_step",
     "run_flow",
-    "run_heat",
     "linearization_defect",
     "DefectReport",
     "default_dt",
@@ -207,14 +205,6 @@ def flow_step(state, dt=None):
     return FlowState(state.m, state.n, u_new, state.t + dt, theta_new)
 
 
-def heat_step(state, dt=None):
-    """One explicit step ``u + dt·Δu`` of the linearized flow ``∂_t u = Δu``."""
-    dt = _step_size(dt, state.m, state.n)
-    u_new = state.u + dt * _laplacian(state.u, state.dx)
-    return FlowState(state.m, state.n, u_new, state.t + dt,
-                     lagrangian_angle(u_new, state.dx))
-
-
 def _snapshot_steps(count, n_steps):
     """``min(count, n_steps + 1)`` evenly spaced step indices from 0 to ``n_steps``."""
     if count < 0:
@@ -222,7 +212,7 @@ def _snapshot_steps(count, n_steps):
     return np.linspace(0, n_steps, min(count, n_steps + 1)).round().astype(int).tolist()
 
 
-def _run(step, u0, T, dt, record=False, snapshots=None):
+def _run(u0, T, dt, record=False, snapshots=None):
     u0 = np.asarray(u0, dtype=float)
     # reject a bad T, dt or snapshot count (exit 2) before the initial angle
     # can fail (exit 1)
@@ -237,7 +227,7 @@ def _run(step, u0, T, dt, record=False, snapshots=None):
               "amplitude": [float(np.abs(state.u).max())]}
     kept = {0: state} if 0 in keep else {}
     for k in range(1, n_steps + 1):
-        state = step(state, dt)
+        state = flow_step(state, dt)
         series["t"].append(state.t)
         series["sup_theta"].append(float(np.abs(state.theta).max()))
         series["amplitude"].append(float(np.abs(state.u).max()))
@@ -255,14 +245,8 @@ def run_flow(u0, T, dt=None, record=False, snapshots=None):
     ``min(k, n_steps + 1)`` evenly spaced steps from the first to the last
     (the first alone when ``k = 1``) and holds no other state in memory.
     """
-    state, series, states = _run(flow_step, u0, T, dt, record, snapshots)
+    state, series, states = _run(u0, T, dt, record, snapshots)
     return (state, series, states) if record or snapshots is not None else (state, series)
-
-
-def run_heat(u0, T, dt=None):
-    """Integrate the linearized (heat) flow with the same discretization."""
-    state, series, _ = _run(heat_step, u0, T, dt)
-    return state, series
 
 
 # --- linearization defect -------------------------------------------------------

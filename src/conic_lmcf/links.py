@@ -25,6 +25,7 @@ Three link descriptions are supported:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +122,6 @@ class FlatTorus:
     def __repr__(self):
         return f"FlatTorus(dim={self.dim})"
 
-    def eigenvalue(self, k):
-        """Eigenvalue of the Fourier mode ``e^{i k·σ}``."""
-        k = np.asarray(k, dtype=float)
-        return float(k @ self._Hinv @ k)
-
     def spectrum(self, lam_max):
         """All eigenvalues ≤ ``lam_max`` as sorted :class:`EigenEntry` rows.
 
@@ -154,32 +150,6 @@ class FlatTorus:
             tag = "k=(" + ",".join(str(int(c)) for c in rep) + ")"
             entries.append(EigenEntry(float(np.mean(lams[i:j])), j - i, tag))
         return _check_sorted(entries)
-
-    def _fourier_multiply(self, values, multiplier):
-        """Scale each Fourier mode ``k`` of a sampled field by ``multiplier(kᵀH⁻¹k)``."""
-        values = np.asarray(values, dtype=complex)
-        n = round(values.size ** (1.0 / self.dim))
-        if n**self.dim != values.size:
-            raise ValidationError("sample vector is not a full angle grid")
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        ks = np.stack(np.meshgrid(*([freqs] * self.dim), indexing="ij"), axis=-1)
-        lams = np.einsum("...i,ij,...j->...", ks, self._Hinv, ks)
-        grid = values.reshape((n,) * self.dim)
-        return np.fft.ifftn(multiplier(lams) * np.fft.fftn(grid)).real.ravel()
-
-    def laplacian_fft(self, values):
-        """Apply Δ_h to a trig-polynomial sampled on a uniform angle grid.
-
-        ``values`` holds the samples in :func:`angle_grid` order and so does
-        the result, which is exact for fields band-limited below the grid
-        Nyquist; that covers every restricted moment function used here.
-        """
-        return self._fourier_multiply(values, np.negative)
-
-    def eigenprojection_fft(self, values, lam):
-        """Project a sampled field onto the λ-eigenspace (exact FFT bands)."""
-        return self._fourier_multiply(
-            values, lambda lams: np.abs(lams - lam) <= EXACT_TOL * max(1.0, abs(lam)))
 
     def triangulate(self, n):
         """Intrinsic triangulation with ``n²`` vertices (dim 2 only).
@@ -260,8 +230,8 @@ def read_off(path):
     ``#`` starts a comment that runs to the end of its line.  Every face
     must be a triangle record ``3 i j k``, and the file ends with the last
     record the header promises.  A file that cannot be read, a malformed or
-    truncated record, trailing data, or a non-triangle face raises
-    :class:`ValidationError` naming the file.
+    truncated record, trailing data, a non-triangle face or a non-finite
+    coordinate raises :class:`ValidationError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -297,6 +267,8 @@ def read_off(path):
     if len(tokens) > end:
         raise ValidationError(f"{path} has {len(tokens) - end} trailing tokens after "
                               f"the {nv} vertices and {nf} triangles its header promises")
+    if not np.all(np.isfinite(verts)):
+        raise ValidationError(f"{path}: vertex coordinates must be finite")
     return verts, records[:, 1:]
 
 
@@ -318,11 +290,13 @@ class MeshLink:
         faces = np.asarray(faces, dtype=int)
         self._validate_closed(len(vertices), faces)
         v0, v1, v2 = (vertices[faces[:, i]] for i in range(3))
-        lengths = np.stack([
-            np.linalg.norm(v2 - v1, axis=1),   # opposite corner 0
-            np.linalg.norm(v0 - v2, axis=1),
-            np.linalg.norm(v1 - v0, axis=1),
-        ], axis=1)
+        # a length too large to square comes out infinite; _build_system refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            lengths = np.stack([
+                np.linalg.norm(v2 - v1, axis=1),   # opposite corner 0
+                np.linalg.norm(v0 - v2, axis=1),
+                np.linalg.norm(v1 - v0, axis=1),
+            ], axis=1)
         self.vertices = vertices
         self._init_intrinsic(len(vertices), faces, lengths)
 
@@ -374,10 +348,6 @@ class MeshLink:
         self.face_edge_lengths = lengths
         self._build_system()
 
-    @property
-    def n_faces(self):
-        return len(self.faces)
-
     def _build_system(self):
         # SciPy's sparse stack loads only here and in eigenvalues, so the
         # lattice and sphere links never pay for the import
@@ -385,10 +355,16 @@ class MeshLink:
 
         faces, L = self.faces, self.face_edge_lengths
         a, b, c = L[:, 0], L[:, 1], L[:, 2]
-        s = 0.5 * (a + b + c)
-        area2 = s * (s - a) * (s - b) * (s - c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = 0.5 * (a + b + c)
+            area2 = s * (s - a) * (s - b) * (s - c)
+            scales = np.concatenate([(L * L).ravel(), area2])
         if np.any(area2 <= 0):
             raise ValidationError("degenerate triangle (violates triangle inequality)")
+        # the cotangent weights divide squared lengths by areas
+        if not np.all((sys.float_info.min <= scales) & (scales < math.inf)):
+            raise ValidationError("mesh squared edge lengths or squared triangle areas leave "
+                                  "the float range; rescale the mesh")
         area = np.sqrt(area2)
         # cot at corner i, where L[:, i] is the opposite edge
         cots = np.stack([

@@ -1,4 +1,4 @@
-"""Conical expansion extraction, synthesis, and cutoff extension."""
+"""Conical expansion extraction and synthesis."""
 
 from __future__ import annotations
 
@@ -13,13 +13,9 @@ from conic_lmcf import (
     LaplaceTypeSpec,
     ModeSolution,
     RadialGrid,
-    RadiusFunction,
     ValidationError,
-    extend_asymptotic,
     extract_asymptotics,
     harvey_lawson_torus,
-    laplace_of_terms,
-    smooth_cutoff,
     solve_mode,
     synthesize,
 )
@@ -121,59 +117,6 @@ def test_expansion_validation():
                             remainder_sup=0.0, gamma=2.0)  # negative order
 
 
-def test_laplace_of_terms_drops_constants_and_shifts_lifts():
-    # Δ(c · r^{α+2k}) on the λ-mode: exponent drops by 2, k by 1
-    out = laplace_of_terms([(0.0, 1, 1.0)], lam=0.0, m=3)
-    assert len(out) == 1
-    alpha, k, coeff = out[0]
-    assert alpha == 0.0 and k == 0
-    # Δ r² = e(e+m-2) - λ = 2*3 - 0 = 6 on the constant mode
-    assert abs(coeff - 6.0) < 1e-12
-    assert laplace_of_terms([(1.0, 0, 2.0)], lam=2.0, m=3) == []
-
-
-def test_extend_asymptotic_cutoff_profile():
-    rho = RadiusFunction(R=1.0)
-    r = np.geomspace(1e-4, 1.0, 2000)
-    vals = extend_asymptotic([(0.0, 1, 1.0)], rho(r), cutoff=0.5)
-    inner = r < 0.25
-    outer = r > 0.5
-    assert np.max(np.abs(vals[inner] - rho(r[inner]) ** 2)) < 1e-12
-    assert np.max(np.abs(vals[outer])) == 0.0
-    # transition region is where the cutoff actually varies
-    mid = (r >= 0.25) & (r <= 0.5)
-    assert np.any((vals[mid] > 0) & (vals[mid] < rho(r[mid]) ** 2))
-
-
-def test_extend_zero_is_zero():
-    rho = RadiusFunction(R=1.0)
-    r = np.geomspace(1e-4, 1.0, 100)
-    assert np.max(np.abs(extend_asymptotic([], rho(r), cutoff=0.5))) == 0.0
-
-
-def test_commutator_supported_in_transition_annulus(table):
-    # applying the mode operator to the extension, minus the extension of the
-    # term-wise Laplacian, must vanish outside [cutoff/2, cutoff]
-    grid = RadialGrid(R=1.0, n_cells=2000, q=1.0)  # uniform for clean stencils
-    r = grid.nodes
-    rho_vals = r.copy()  # radius function equals r below R/2 anyway
-    cutoff = 0.5
-    terms = [(0.0, 1, 1.0)]
-    spec = LaplaceTypeSpec(lam=0.0, m=3)
-
-    from conic_lmcf import apply_radial_operator
-
-    ext = extend_asymptotic(terms, rho_vals, cutoff)
-    lap_ext = apply_radial_operator(spec, grid, ext)
-    ext_lap = extend_asymptotic(laplace_of_terms(terms, 0.0, 3), rho_vals, cutoff)
-    comm = lap_ext - ext_lap
-    inside = (r > 1.2 * grid.r_min) & (r < cutoff / 2 * 0.98)
-    outside = r > cutoff * 1.02
-    scale = np.max(np.abs(ext_lap))
-    assert np.max(np.abs(comm[inside])) < 5e-4 * scale   # truncation only
-    assert np.max(np.abs(comm[outside])) < 1e-12 * scale
-
-
 def test_terms_respect_gamma_bound(table):
     grid = RadialGrid(R=1.0, n_cells=400)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
@@ -194,11 +137,3 @@ def test_time_index_selects_frame(table):
     a_early = early.terms[0][2] if early.terms else 0.0
     a_late = late.terms[0][2] if late.terms else 0.0
     assert a_late > a_early > 0.0  # forced solution keeps growing
-
-
-def test_smooth_cutoff_endpoints():
-    x = np.linspace(0.0, 1.0, 101)
-    chi = smooth_cutoff(x, 0.25, 0.5)
-    assert np.all(chi[x <= 0.25] == 1.0)
-    assert np.all(chi[x >= 0.5] == 0.0)
-    assert np.all(np.diff(chi) <= 1e-12)

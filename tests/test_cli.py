@@ -1070,6 +1070,10 @@ MALFORMED_OFF = {
     "no_faces.off": OCTAHEDRON_OFF.replace("6 8 0", "6 0 0").split("3 0 2 4")[0],
     "missing.off": None,
     "trailing.off": OCTAHEDRON_OFF + "3 0 1 2\nstray words\n",
+    # a non-finite coordinate reached the sparse LU, which died with
+    # "Factor is exactly singular"
+    "nan.off": OCTAHEDRON_OFF.replace("0 0 -1\n", "0 0 nan\n"),
+    "inf.off": OCTAHEDRON_OFF.replace("0 0 -1\n", "0 0 -inf\n"),
 }
 
 
@@ -1082,6 +1086,19 @@ def test_malformed_mesh_file_exits_2(tmp_path, capsys, name):
                "--outdir", str(tmp_path / "out")])
     assert rc == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coordinate", ["1e300", "1e160"])
+def test_mesh_whose_squared_lengths_or_areas_overflow_exits_2(tmp_path, capsys, coordinate):
+    # infinite lengths or areas reached the sparse LU, which died with
+    # "Factor is exactly singular"
+    path = tmp_path / "oct.off"
+    path.write_text(OCTAHEDRON_OFF.replace("0 0 -1\n", f"0 0 -{coordinate}\n"))
+    rc = main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", "3",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "leave the float range; rescale the mesh" in err, err
 
 
 def test_mesh_exponent_window_is_only_what_the_spectrum_covers(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Special Lagrangian cones: moment maps, restrictions, stability."""
+"""Special Lagrangian cones: moment maps and stability."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from conic_lmcf import (
     EigenEntry,
     ExponentTable,
     FlatTorus,
-    MixedHomogeneityError,
     MomentElement,
     NumericalError,
     SLCone,
@@ -21,15 +20,11 @@ from conic_lmcf import (
     WindowError,
     catalog_cone,
     cone_from_json,
-    eigenspace_projection_residual,
     hamiltonian_field,
     harvey_lawson_torus,
     moment_eval,
     plane_cone,
-    restrict_to_cone,
     stability_index,
-    su_basis,
-    translation_basis,
     verify_hamiltonian,
 )
 from conic_lmcf.cones import _gap_rank
@@ -256,73 +251,6 @@ def test_cone_json_round_trip_bits(tmp_path):
                                            [0.3333333333333334, 0.6666666666666669]]
     assert loaded.phase_theta == -3.141592653589793
     assert harvey_lawson_torus().link.metric.tolist() == [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
-
-
-# ---------------------------------------------------------------------------
-# restriction to the cone
-
-
-def test_restrict_su_gives_order_two():
-    # the two torus generators (diagonal traceless su elements) stabilize the
-    # cone and restrict to zero; every other direction is a genuine order-2
-    # harmonic
-    cone = harvey_lawson_torus()
-    zero_count = 0
-    for A in su_basis(3):
-        res = restrict_to_cone(cone, MomentElement(A, np.zeros(3)))
-        if np.max(np.abs(res.values)) < 1e-14:
-            zero_count += 1
-            continue
-        assert res.order == 2
-        assert res.harmonic_residual <= 1e-6
-    assert zero_count == 2
-
-
-def test_restrict_translation_gives_order_one():
-    cone = harvey_lawson_torus()
-    for v in translation_basis(3):
-        res = restrict_to_cone(cone, MomentElement(np.zeros((3, 3)), v))
-        assert res.order == 1
-        assert res.harmonic_residual <= 1e-6
-
-
-def test_restrict_constant_gives_order_zero():
-    cone = harvey_lawson_torus()
-    res = restrict_to_cone(cone, MomentElement(np.zeros((3, 3)), np.zeros(3), 4.0))
-    assert res.order == 0
-    assert np.max(np.abs(res.values - 4.0)) < 1e-12
-
-
-def test_restrict_mixed_raises():
-    cone = harvey_lawson_torus()
-    X = MomentElement(su_basis(3)[0], np.array([1.0, 0, 0]) + 0j, 1.0)
-    with pytest.raises(MixedHomogeneityError):
-        restrict_to_cone(cone, X)
-
-
-def test_restriction_lands_in_eigenspace():
-    cone = harvey_lawson_torus()
-    rng = np.random.default_rng(21)
-    basis = su_basis(3)
-    coeffs = rng.normal(size=len(basis))
-    A = sum(c * B for c, B in zip(coeffs, basis))
-    res = restrict_to_cone(cone, MomentElement(A, np.zeros(3)))
-    resid = eigenspace_projection_residual(cone, res.values, res.order, 24)
-    assert resid <= 1e-6
-
-
-def test_restrict_on_plane_cone():
-    cone = plane_cone()
-    res = restrict_to_cone(cone, MomentElement(np.zeros((3, 3)), np.zeros(3), 2.5))
-    assert res.order == 0
-    # real translations slide the plane inside itself and restrict to zero;
-    # the imaginary ones give the order-1 coordinate harmonics
-    real_dir, imag_dir = translation_basis(3)[0], translation_basis(3)[1]
-    res_real = restrict_to_cone(cone, MomentElement(np.zeros((3, 3)), real_dir))
-    assert np.max(np.abs(res_real.values)) < 1e-14
-    res1 = restrict_to_cone(cone, MomentElement(np.zeros((3, 3)), imag_dir))
-    assert res1.order == 1
-    assert res1.harmonic_residual <= 1e-6
 
 
 # ---------------------------------------------------------------------------

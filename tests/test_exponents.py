@@ -90,13 +90,6 @@ def test_count_N_frozen_values(torus_table):
     assert torus_table.count_N(0.5) == 1
 
 
-def test_count_n_single_cone_values(torus_table):
-    # n(beta) = multiplicity at beta plus multiplicities at beta-2k, k >= 1
-    assert torus_table.count_n(0.0) == 1            # just the constant
-    assert torus_table.count_n(2.0) == 6 + 1        # harmonics at 2, lift of 0
-    assert torus_table.count_n(4.0) == 0 + 6 + 1    # nothing at 4; lifts of 2, 0
-
-
 def test_spectral_identities_random(torus_table, sphere_table):
     rng = np.random.default_rng(7)
     for table in (torus_table, sphere_table):

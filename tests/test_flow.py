@@ -13,11 +13,9 @@ from conic_lmcf import (
     flow_step,
     graph_determinant,
     grid_coordinates,
-    heat_step,
     lagrangian_angle,
     linearization_defect,
     run_flow,
-    run_heat,
 )
 
 
@@ -196,8 +194,7 @@ def test_out_of_range_dt_is_rejected(factor):
     dt = factor * (2 * np.pi / n) ** 2 / 4
     u0 = sine_ic(2, n, 0.05)
     state = FlowState.from_potential(u0)
-    for call in (lambda: flow_step(state, dt), lambda: heat_step(state, dt),
-                 lambda: run_flow(u0, T=0.1, dt=dt), lambda: run_heat(u0, T=0.1, dt=dt),
+    for call in (lambda: flow_step(state, dt), lambda: run_flow(u0, T=0.1, dt=dt),
                  lambda: linearization_defect(u0, [0.1, 0.05], T=0.1, dt=dt)):
         with pytest.raises(ValidationError, match="dt"):
             call()
@@ -212,7 +209,7 @@ def test_final_time_must_be_positive_and_finite(T):
 def test_step_count_over_the_limit_is_refused_before_the_first_step():
     # 1e300 once made a step count too large for int64 and a numpy traceback
     u0 = sine_ic(2, 16, 0.05)
-    for call in (lambda: run_flow(u0, T=1e300), lambda: run_heat(u0, T=1e9),
+    for call in (lambda: run_flow(u0, T=1e300),
                  lambda: linearization_defect(u0, [0.1, 0.05], T=1e9),
                  lambda: run_flow(u0, T=1.0, dt=1e-300)):
         with pytest.raises(ValidationError, match="time steps.*--T or raise --dt"):
@@ -224,19 +221,6 @@ def test_dt_at_the_stability_limit_is_accepted():
     limit = (2 * np.pi / n) ** 2 / 4
     out = flow_step(FlowState.from_potential(sine_ic(2, n, 0.05)), dt=limit)
     assert out.t == limit
-
-
-def test_heat_flow_decays_a_sine_mode():
-    eps, T = 0.1, 0.5
-    final, series = run_heat(sine_ic(2, 32, eps), T=T)
-    # a sine mode is an eigenvector of the second difference with eigenvalue
-    # -(2 - 2 cos dx) / dx^2, so each explicit step multiplies it by 1 - dt * rate
-    dx = 2 * np.pi / 32
-    rate = (2 - 2 * np.cos(dx)) / dx**2
-    steps = len(series["t"]) - 1
-    expected = eps * (1 - T / steps * rate) ** steps
-    assert np.max(np.abs(final.u)) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(eps * np.exp(-T), rel=0.01)
 
 
 def test_three_dimensional_flow_stays_finite_and_graphical():

@@ -1,170 +1,19 @@
-"""Weighted Hölder/Sobolev norms, radius functions, decay-rate fits."""
+"""Dyadic annulus suprema and the decay-rate fits made from them."""
 
 from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conic_lmcf import (
-    DegenerateDataError,
-    MissingDerivativeError,
-    RadiusFunction,
-    ValidationError,
-    WeightVector,
-    decay_rate,
-    dyadic_annulus_suprema,
-    holder_norm,
-    sobolev_norm,
-)
-
-
-@pytest.fixture
-def rho_samples():
-    rho = RadiusFunction(R=1.0)
-    r = np.geomspace(1e-5, 1.0, 4000)
-    return r, rho(r)
-
-
-# ---------------------------------------------------------------------------
-# radius function
-
-
-def test_radius_function_inner_exact():
-    rho = RadiusFunction(R=1.0)
-    r = np.geomspace(1e-6, 0.49, 100)
-    assert np.max(np.abs(rho(r) - r)) == 0.0
-
-
-def test_radius_function_outer_one():
-    rho = RadiusFunction(R=1.0)
-    r = np.linspace(1.0, 10.0, 50)
-    assert np.max(np.abs(rho(r) - 1.0)) == 0.0
-
-
-def test_radius_function_monotone_transition():
-    rho = RadiusFunction(R=1.0)
-    r = np.linspace(0.4, 1.1, 500)
-    vals = rho(r)
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert np.all(vals <= 1.0 + 1e-12)
-    assert np.all(vals >= r.min() - 1e-12)
-
-
-def test_radius_function_closeness_contract():
-    rho = RadiusFunction(R=1.0, epsilon=1.0)
-    assert rho.check_closeness() < float("inf")
-    with pytest.raises(ValidationError):
-        RadiusFunction(R=2.0)  # normalized scale demands R <= 1
-
-
-def test_weight_vector_chart_sampling():
-    w = WeightVector((2.5, -0.5))
-    vals = w.sample_values(np.array([0, 1, -1, 0]))
-    assert vals.tolist() == [2.5, -0.5, 0.0, 2.5]
-    with pytest.raises(ValidationError):
-        w.sample_values(np.array([2]))
-
-
-# ---------------------------------------------------------------------------
-# Hölder-style sup norms
-
-
-def test_holder_norm_of_weight_power_is_one(rho_samples):
-    r, rho = rho_samples
-    gamma = 1.7
-    assert abs(holder_norm([rho**gamma], k=0, gamma=gamma, rho=rho) - 1.0) < 1e-12
-
-
-def test_holder_norm_k1_with_derivative(rho_samples):
-    r, rho = rho_samples
-    # u = r^2.5 has |grad u| = 2.5 r^1.5; with gamma = 1 the k=1 norm is
-    # sup(rho^{-1} r^{2.5}) + sup(rho^0 * 2.5 r^{1.5}) = 1 + 2.5 = 3.5
-    u = rho**2.5
-    du = 2.5 * rho**1.5
-    total = holder_norm([u, du], k=1, gamma=1.0, rho=rho)
-    assert abs(total - 3.5) < 1e-12
-
-
-def test_holder_norm_requires_all_derivatives(rho_samples):
-    r, rho = rho_samples
-    with pytest.raises(MissingDerivativeError):
-        holder_norm([rho], k=1, gamma=0.0, rho=rho)
-
-
-def test_holder_norm_monotone_in_weight(rho_samples):
-    r, rho = rho_samples
-    u = rho**2.0
-    n_hi = holder_norm([u], k=0, gamma=2.0, rho=rho)
-    n_lo = holder_norm([u], k=0, gamma=1.0, rho=rho)
-    # lowering the demanded decay can only shrink the norm on rho <= 1
-    assert n_lo <= n_hi + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Sobolev-style integral norms
-
-
-def uniform_weights(r):
-    w = np.gradient(r)
-    return np.abs(w)
-
-
-def test_sobolev_norm_zero_function(rho_samples):
-    r, rho = rho_samples
-    w = uniform_weights(r)
-    assert sobolev_norm([np.zeros_like(r)], k=0, p=2.0, gamma=1.0,
-                        rho=rho, weights=w, m=3) == 0.0
-
-
-def test_lp_norm_weight_identity(rho_samples):
-    # the unweighted L^p norm is the weighted one at gamma = -m/p
-    r, rho = rho_samples
-    w = uniform_weights(r)
-    u = np.exp(-r) * (1 + r)
-    m, p = 3, 2.0
-    plain = (np.sum(w * np.abs(u) ** p)) ** (1.0 / p)
-    weighted = sobolev_norm([u], k=0, p=p, gamma=-m / p, rho=np.ones_like(r),
-                            weights=w, m=m)
-    assert abs(plain - weighted) < 1e-12 * max(1.0, plain)
-
-
-def test_sobolev_p_validation(rho_samples):
-    r, rho = rho_samples
-    w = uniform_weights(r)
-    with pytest.raises(ValidationError):
-        sobolev_norm([rho], k=0, p=0.5, gamma=0.0, rho=rho, weights=w, m=3)
-
-
-def test_sobolev_scaling_in_coefficient(rho_samples):
-    r, rho = rho_samples
-    w = uniform_weights(r)
-    u = rho**1.5
-    base = sobolev_norm([u], k=0, p=2.0, gamma=1.0, rho=rho, weights=w, m=3)
-    assert abs(sobolev_norm([3.0 * u], k=0, p=2.0, gamma=1.0, rho=rho,
-                            weights=w, m=3) - 3.0 * base) < 1e-10 * base
-
-
-def test_norm_equivalence_factor_between_holder_and_weighted_sup():
-    # discrete check of the two-sided comparability on dyadic annuli: the
-    # annulus-sup formulation and the global sup differ by at most 2^{|γ|+k}
-    rng = np.random.default_rng(9)
-    rho = RadiusFunction(R=1.0)
-    r = np.geomspace(1e-4, 1.0, 3000)
-    rv = rho(r)
-    for _ in range(20):
-        gamma = float(rng.uniform(-2.0, 2.5))
-        a = float(rng.uniform(0.3, 2.8))
-        u = rv**a
-        global_norm = holder_norm([u], k=0, gamma=gamma, rho=rv)
-        centers, sups = dyadic_annulus_suprema(r, u, 1e-4, 1.0)
-        annulus_version = float(np.max(sups * centers ** (-gamma)))
-        factor = 2.0 ** (abs(gamma) + 0)
-        assert annulus_version <= factor * global_norm * (1 + 1e-9)
-        assert global_norm <= factor * annulus_version * (1 + 1e-9) * 2.0
-
-
-# ---------------------------------------------------------------------------
-# dyadic annuli and decay fits
+import conic_lmcf
+from conic_lmcf import DegenerateDataError, decay_rate, dyadic_annulus_suprema
 
 
 def test_dyadic_annuli_geometry():
@@ -224,3 +73,47 @@ def test_annuli_skip_empty_shells():
     centers, sups = dyadic_annulus_suprema(r, np.ones_like(r), 1e-4, 1.0)
     assert np.all(sups > 0)
     assert len(centers) < 14
+
+
+# Calls dyadic_annulus_suprema on each (r_lo, r_hi) in a child, so that a
+# range whose halving never ends fails the test on the timeout instead of
+# hanging the suite; prints the exception each call raised.
+ANNULI_PROBE = """
+import json, sys
+import numpy as np
+from conic_lmcf import dyadic_annulus_suprema
+out = []
+for r_lo, r_hi in json.loads(sys.argv[1]):
+    try:
+        dyadic_annulus_suprema(np.geomspace(1e-4, 1.0, 50), np.ones(50), r_lo, r_hi)
+        out.append(None)
+    except Exception as exc:
+        out.append([type(exc).__name__, str(exc)])
+print(json.dumps(out))
+"""
+
+
+def test_annuli_refuse_a_range_whose_halving_never_ends():
+    # r_lo <= 0 halved r_hi towards 0 forever, and r_hi = inf stayed inf
+    cases = [(-1.0, 1.0), (0.0, 1.0), (1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0)]
+    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", ANNULI_PROBE, json.dumps(cases)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    for (r_lo, r_hi), raised in zip(cases, json.loads(proc.stdout)):
+        assert raised is not None and raised[0] == "ValidationError", (r_lo, r_hi, raised)
+        assert "0 < r_lo and a finite r_hi" in raised[1]
+
+
+@pytest.mark.parametrize("centers, sups", [
+    ([0.1, 0.2, 0.4, 0.8, 1.6], [0.01, math.nan, 0.16, 0.64, 2.56]),   # returned (nan, nan)
+    ([0.1, 0.2, 0.4, 0.8, 1.6], [0.01, 0.04, math.inf, 0.64, 2.56]),
+    ([0.1, 0.2, math.inf, 0.8, 1.6], [0.01, 0.04, 0.16, 0.64, 2.56]),
+    ([0.5] * 5, [0.25] * 5),                                           # returned (0.0, inf)
+    ([0.0, 0.2, 0.4, 0.8, 1.6], [0.01, 0.04, 0.16, 0.64, 2.56]),      # np.log warned
+    ([-0.1, 0.2, 0.4, 0.8, 1.6], [0.01, 0.04, 0.16, 0.64, 2.56]),
+])
+def test_decay_rate_refuses_degenerate_data(centers, sups):
+    with pytest.raises(DegenerateDataError):
+        decay_rate(np.array(centers), np.array(sups))

@@ -1,5 +1,6 @@
-"""The package namespace: lazy re-exports, and what each command imports."""
+"""The package namespace: lazy re-exports, their callers, and what each command imports."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,6 +24,36 @@ def test_exports_resolve_to_their_submodule_objects():
     assert set(conic_lmcf.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         conic_lmcf.no_such_name  # noqa: B018
+
+
+# Exported names that nothing in the package or the acceptance suite calls, and why they stay.
+UNCALLED_EXPORTS = {
+    "apply_radial_operator": "the reference that the radial tests check radial_operator against",
+    "graph_determinant": "kept for the flow report's minimum of det(I + Hess u) along the run",
+}
+
+
+def referenced_names(path):
+    """Names that ``Name`` and ``Attribute`` nodes in ``path`` refer to.
+
+    A reference inside a top-level ``def`` or ``class`` does not count for the
+    name that statement defines, so a recursive call is not a caller.
+    """
+    refs = set()
+    for stmt in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+        names = (node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute)))
+        refs.update(name for name in names if name != getattr(stmt, "name", None))
+    return refs
+
+
+def test_every_export_has_a_caller():
+    package = Path(conic_lmcf.__file__).resolve().parent
+    refs = referenced_names(Path(__file__).with_name("test_acceptance.py"))
+    for path in package.glob("*.py"):
+        refs |= referenced_names(path)
+    uncalled = {name for name in conic_lmcf.__all__ if name not in refs}
+    assert uncalled == set(UNCALLED_EXPORTS)
 
 
 # Runs each command through cli.main in one fresh interpreter and records,
