@@ -5,13 +5,13 @@ near ``r = 0`` as
 
     u(t, r) = Σ c_{α,k}(t) r^{α+2k} + O(r^γ),
 
-where α runs over the solved mode's admissible exponents in ``[0, γ)`` and
-``α + 2k < γ`` (even lifts of homogeneous harmonics — the model space for
-polyhomogeneous expansions).  :func:`extract_asymptotics` recovers the
-coefficients and the remainder rate from a discrete solution:
+where α is the solved mode's admissible exponent α₊(λ) and ``α + 2k < γ``
+(even lifts of a homogeneous harmonic — the model space for polyhomogeneous
+expansions).  :func:`extract_asymptotics` recovers the coefficients and the
+remainder rate from the final frame of a discrete solution:
 
-1.  Exponents are visited in increasing order.  A candidate is accepted
-    only if the current remainder's log–log slope on the innermost annuli
+1.  The ladder α, α + 2, … is visited in increasing order.  A candidate is
+    accepted only if the current remainder's log–log slope on the innermost annuli
     matches it within 0.35 (rate gate), annuli whose supremum is below
     1e−13·max|u| left out — this keeps exactly-absent terms out of the
     reported expansion instead of fitting noise.
@@ -25,7 +25,6 @@ coefficients and the remainder rate from a discrete solution:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,56 +67,35 @@ def synthesize(terms, r):
     return out
 
 
-def _mode_exponents(table, lam, gamma):
-    """The solved mode's admissible exponents in [0, gamma)."""
-    alphas = sorted({e.alpha for e in table.entries
-                     if abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)
-                     and -table.tol <= e.alpha < gamma})
-    return alphas
+def extract_asymptotics(sol, table, gamma):
+    """Fit the discrete asymptotic expansion of a mode solution's final frame.
 
-
-def extract_asymptotics(sol, table, gamma, time_index=-1, mode_only=True):
-    """Fit the discrete asymptotic expansion of a mode solution.
-
-    ``gamma`` must be non-exceptional for the lifted exponent set; basis
-    exponents closer than 0.05 trigger an ill-conditioning warning.  The
-    returned expansion satisfies ``remainder_rate ≥ γ − 0.15`` for solver
-    output with forcing ``O(r^{γ−2})``.
-
-    By default the basis holds only the solved mode's own exponent ladder
-    (a single mode cannot carry other modes' orders); ``mode_only=False``
-    fits against every table exponent in [0, γ) instead.
+    ``gamma`` must be non-exceptional for the lifted exponent set.  The basis
+    is the solved mode's own ladder ``α + 2k < γ``, where α is the
+    nonnegative exponent of the table entry whose source eigenvalue is
+    nearest ``sol.lam`` (within 1e−9 relative; no match leaves the ladder
+    empty).  A mode has one nonnegative exponent, since α₋ = 2 − m − α₊ is
+    negative unless both are 0, and its ladder is 2 apart.  The returned
+    expansion satisfies ``remainder_rate ≥ γ − 0.15`` for solver output with
+    forcing ``O(r^{γ−2})``.
     """
     if table.is_exceptional(gamma, lifted=True):
         raise ExceptionalWeightError(
             f"gamma={gamma} is within tolerance of an exceptional exponent",
             offending=[0])
     r = sol.grid.nodes
-    u = np.asarray(sol.values[time_index], dtype=float)
-    t = float(sol.times[time_index])
+    u = np.asarray(sol.final(), dtype=float)
     R = sol.grid.R
 
-    if mode_only:
-        alphas = _mode_exponents(table, sol.lam, gamma)
-    else:
-        alphas = sorted({e.alpha for e in table.entries
-                         if -table.tol <= e.alpha < gamma})
-    raw = sorted((alpha + 2 * k, k, alpha)
-                 for alpha in alphas
-                 for k in range(int(math.ceil((gamma - alpha) / 2.0)) + 1)
-                 if alpha + 2 * k < gamma - table.tol)
-    # coinciding exponents (a plain harmonic equal to another's even lift)
-    # would give identical columns; keep one representative, preferring the
-    # un-lifted harmonic
+    lam = sol.lam
+    matches = [e for e in table.entries if e.alpha >= -table.tol
+               and abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)]
     basis = []
-    for e, k, alpha in raw:
-        if basis and abs(e - basis[-1][0]) <= table.tol:
-            continue
-        basis.append((e, alpha, k))
-    exps = [e for e, _, _ in basis]
-    if any(b - a < 0.05 for a, b in zip(exps, exps[1:])):
-        warnings.warn("basis exponents closer than 0.05: fit may be "
-                      "ill-conditioned", stacklevel=2)
+    if matches:
+        alpha = min(matches, key=lambda e: abs(e.lambda_source - lam)).alpha
+        basis = [(alpha + 2 * k, alpha, k)
+                 for k in range(math.ceil((gamma - alpha) / 2.0) + 1)
+                 if alpha + 2 * k < gamma - table.tol]
 
     scale = max(float(np.abs(u).max()), 1e-300)
     work = u.copy()
@@ -161,5 +139,5 @@ def extract_asymptotics(sol, table, gamma, time_index=-1, mode_only=True):
             rate, _ = decay_rate(centers, sups)
         except DegenerateDataError:
             rate = math.inf
-    return AsymptoticExpansion(accepted, rate, rem_sup, gamma, time=t)
+    return AsymptoticExpansion(accepted, rate, rem_sup, gamma, time=float(sol.times[-1]))
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import extract_asymptotics, synthesize
 from .cones import SLCone, catalog_cone, cone_from_json, harvey_lawson_torus, stability_index
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_count
 from .exponents import ExponentTable, fredholm_index
 from .flow import (
     catalog_initial_conditions,
@@ -277,9 +277,12 @@ def build_link(args):
     if args.link == "sphere":
         return RoundSphere(args.dim)
     if args.link == "torus":
+        if args.metric is not None:
+            return FlatTorus(_parse_metric(args.metric))
         # FlatTorus rejects the 0 x 0 metric of a --dim below 1
-        return FlatTorus(np.eye(max(args.dim, 0)) if args.metric is None
-                         else _parse_metric(args.metric))
+        dim = max(args.dim, 0)
+        check_count(dim * dim, f"entries of the {dim}x{dim} torus metric", "lower --dim")
+        return FlatTorus(np.eye(dim))
     if args.link == "mesh":
         if args.mesh_file is None:
             raise ValidationError("--link mesh requires --mesh-file")

@@ -418,6 +418,9 @@ def stability_index(cone, table, n=24, seed=0):
         raise WindowError("exponent table window must cover [0, 2]")
     if n < 1:
         raise ValidationError(f"need n >= 1 link samples per axis, got n={n}")
+    # link_samples: an n^d angle grid on a trig cone's torus, n² points on a sphere
+    d = cone._freqs[0].shape[1] if cone.trig_table is not None else 2
+    check_count(n ** d, f"link sample points ({n} per axis)", "lower --samples")
     m = cone.m
     m_plus = table.count_M_closed(2.0)
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}

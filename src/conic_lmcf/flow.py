@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphConditionError, ValidationError, check_count
+from .errors import GraphConditionError, ValidationError, check_count, time_steps
 
 __all__ = [
     "FlowState",
@@ -51,9 +51,15 @@ DET_FLOOR = 1e-6
 
 
 def _check_grid(m, n):
+    """Refuse a grid without axes or points, or of more than COUNT_LIMIT nodes."""
     if m < 1 or n < 1:
         raise ValidationError(f"the periodic grid needs m >= 1 axes of n >= 1 points, "
                               f"got m={m}, n={n}")
+    try:
+        nodes = float(n) ** m  # in floats, so that a huge m builds no huge integer
+    except OverflowError:  # n^m, or n or m alone, is beyond the float range
+        nodes = math.inf
+    check_count(nodes, f"nodes of the n^m grid with n={n}, m={m}", "lower --m or --n")
 
 
 def grid_coordinates(m, n):
@@ -146,13 +152,14 @@ class FlowState:
     theta: np.ndarray
 
     @classmethod
-    def from_potential(cls, u, t=0.0):
+    def from_potential(cls, u):
+        """The state of potential ``u`` at ``t = 0``."""
         u = np.asarray(u, dtype=float)
         m, n = u.ndim, u.shape[0]
         if u.shape != (n,) * m:
             raise ValidationError("potential must be a cubic periodic array")
         dx = 2.0 * np.pi / n
-        return cls(m, n, u, float(t), lagrangian_angle(u, dx))
+        return cls(m, n, u, 0.0, lagrangian_angle(u, dx))
 
     @property
     def dx(self):
@@ -172,27 +179,20 @@ def _step_size(dt, m, n):
 
 
 def _schedule(T, dt, m, n):
-    """Fewest equal steps reaching ``T`` whose size does not exceed ``dt``.
-
-    More than :data:`~conic_lmcf.errors.COUNT_LIMIT` steps are refused.
-    """
+    """:func:`~conic_lmcf.errors.time_steps` of ``T`` and the checked ``dt``."""
     _check_grid(m, n)
     dt = _step_size(dt, m, n)
     T = float(T)
     if not 0.0 < T < math.inf:
         raise ValidationError(f"final time T must be positive and finite, got {T!r}")
-    check_count(T / dt, f"time steps of dt={dt:.6g} to reach T={T:g}", "lower --T or raise --dt")
-    n_steps = max(math.floor(T / dt), 1)
-    while T / n_steps > dt:
-        n_steps += 1
-    return n_steps, T / n_steps
+    return time_steps(T, dt)
 
 
 def flow_step(state, dt=None):
     """One explicit step ``u + dt·θ(u)`` of ``∂_t u = θ(u)``.
 
     ``dt`` must lie in (0, dx²/(2m)].  A graph-condition violation on the
-    updated field rejects the step and suggests ``dt/2``.
+    updated field rejects the step, and the message suggests ``dt/2``.
     """
     dt = _step_size(dt, state.m, state.n)
     u_new = state.u + dt * state.theta
@@ -201,7 +201,7 @@ def flow_step(state, dt=None):
     except GraphConditionError as exc:
         raise GraphConditionError(
             f"step rejected at t={state.t:.6g}: {exc}; retry with dt={dt / 2:.3e}",
-            nodes=exc.nodes, suggested_dt=dt / 2) from exc
+            nodes=exc.nodes) from exc
     return FlowState(state.m, state.n, u_new, state.t + dt, theta_new)
 
 
@@ -212,15 +212,20 @@ def _snapshot_steps(count, n_steps):
     return np.linspace(0, n_steps, min(count, n_steps + 1)).round().astype(int).tolist()
 
 
-def _run(u0, T, dt, record=False, snapshots=None):
+def run_flow(u0, T, dt=None, snapshots=None):
+    """Integrate the nonlinear flow to time ``T``; returns (state, series[, states]).
+
+    ``series`` carries the per-step sup|θ| and amplitude histories.  ``dt``
+    is lowered, never raised, to divide ``T`` exactly.  ``snapshots=k`` also
+    returns the states at ``min(k, n_steps + 1)`` evenly spaced steps from
+    the first to the last (the first alone when ``k = 1``; every state when
+    ``k`` exceeds the step count) and holds no other state in memory.
+    """
     u0 = np.asarray(u0, dtype=float)
     # reject a bad T, dt or snapshot count (exit 2) before the initial angle
     # can fail (exit 1)
     n_steps, dt = _schedule(T, dt, u0.ndim, u0.shape[0])
-    if snapshots is not None:
-        pick = _snapshot_steps(snapshots, n_steps)
-    else:
-        pick = range(n_steps + 1) if record else ()
+    pick = _snapshot_steps(snapshots, n_steps) if snapshots is not None else []
     keep = set(pick)
     state = FlowState.from_potential(u0)
     series = {"t": [state.t], "sup_theta": [float(np.abs(state.theta).max())],
@@ -233,20 +238,9 @@ def _run(u0, T, dt, record=False, snapshots=None):
         series["amplitude"].append(float(np.abs(state.u).max()))
         if k in keep:
             kept[k] = state
+    if snapshots is None:
+        return state, series
     return state, series, [kept[k] for k in pick]
-
-
-def run_flow(u0, T, dt=None, record=False, snapshots=None):
-    """Integrate the nonlinear flow to time ``T``; returns (state, series[, states]).
-
-    ``series`` carries the per-step sup|θ| and amplitude histories.  ``dt``
-    is lowered, never raised, to divide ``T`` exactly.  ``record=True``
-    also returns every state.  ``snapshots=k`` instead returns the states at
-    ``min(k, n_steps + 1)`` evenly spaced steps from the first to the last
-    (the first alone when ``k = 1``) and holds no other state in memory.
-    """
-    state, series, states = _run(u0, T, dt, record, snapshots)
-    return (state, series, states) if record or snapshots is not None else (state, series)
 
 
 # --- linearization defect -------------------------------------------------------

@@ -297,13 +297,11 @@ class MeshLink:
                 np.linalg.norm(v0 - v2, axis=1),
                 np.linalg.norm(v1 - v0, axis=1),
             ], axis=1)
-        self.vertices = vertices
         self._init_intrinsic(len(vertices), faces, lengths)
 
     @classmethod
     def from_intrinsic(cls, n_vertices, faces, face_edge_lengths):
         obj = cls.__new__(cls)
-        obj.vertices = None
         faces = np.asarray(faces, dtype=int)
         cls._validate_closed(n_vertices, faces)
         obj._init_intrinsic(n_vertices, faces, np.asarray(face_edge_lengths, dtype=float))
@@ -311,7 +309,12 @@ class MeshLink:
 
     @classmethod
     def from_off(cls, path):
-        return cls(*read_off(path))
+        """The mesh of an OFF file; every refusal names the file, as :func:`read_off`'s do."""
+        vertices, faces = read_off(path)
+        try:
+            return cls(vertices, faces)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     # -- construction helpers
 
@@ -355,9 +358,11 @@ class MeshLink:
 
         faces, L = self.faces, self.face_edge_lengths
         a, b, c = L[:, 0], L[:, 1], L[:, 2]
+        # Heron's formula in Kahan's stable order, on the lengths sorted
+        # x >= y >= z, so that a needle triangle keeps its area
+        z, y, x = np.sort(L, axis=1).T
         with np.errstate(over="ignore", invalid="ignore"):
-            s = 0.5 * (a + b + c)
-            area2 = s * (s - a) * (s - b) * (s - c)
+            area2 = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)) / 16.0
             scales = np.concatenate([(L * L).ravel(), area2])
         if np.any(area2 <= 0):
             raise ValidationError("degenerate triangle (violates triangle inequality)")

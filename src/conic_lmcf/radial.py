@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
-from .errors import NumericalError, ValidationError, check_count
+from .errors import NumericalError, ValidationError, check_count, time_steps
 from .exponents import exponent_roots
 
 __all__ = [
@@ -95,26 +95,22 @@ class RadialGrid:
 class LaplaceTypeSpec:
     """One link mode of a Laplace-type operator.
 
-    ``drift`` is the radial drift profile ``X_r(r)`` (``O(r^{δ−1})``) and
-    ``zeroth`` the potential ``b(r)`` (``O(r^{δ−2})``); both default to the
-    pure cone Laplacian.  ``delta > 0`` is the declared decay rate of the
-    perturbation — nonpositive rates are not Laplace type and are rejected.
+    ``drift`` is the radial drift profile ``X_r(r)`` and ``zeroth`` the
+    potential ``b(r)``; both default to the pure cone Laplacian.  The
+    operator is Laplace type when they decay like ``O(r^{δ−1})`` and
+    ``O(r^{δ−2})`` for some ``δ > 0``; that is the caller's to ensure.
     """
 
     lam: float
     m: int
     drift: object = None
     zeroth: object = None
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValidationError("mode eigenvalue must be >= 0")
         if self.m < 2:
             raise ValidationError("cone dimension must be >= 2")
-        if self.delta <= 0:
-            raise ValidationError(
-                "perturbation decay rate must be positive (Laplace type)")
 
     def drift_values(self, r):
         return _profile_values(self.drift, r, "drift")
@@ -141,7 +137,6 @@ class ModeSolution:
     times: np.ndarray
     values: np.ndarray
     lam: float
-    spec: LaplaceTypeSpec = None
 
     def final(self):
         return self.values[-1]
@@ -186,11 +181,12 @@ def _inner_weights(r, alpha):
 def radial_operator(spec, grid, inner_bc="extrapolation"):
     """Assemble the discrete operator ``L`` on the grid as its three bands.
 
-    Returns ``((lower, diag, upper), meta)``: the sub-, main and super-
+    Returns ``((lower, diag, upper), w)``: the sub-, main and super-
     diagonals of ``L``, whose interior rows discretize the mode operator and
     whose first/last rows are zero (boundary rows are imposed by the time
-    stepper), and ``meta`` carrying the inner-boundary weights.  ``λ/r_min²``,
-    the peak of the ``r⁻²`` potential, must be a float (else ValidationError).
+    stepper), and the inner-boundary weights ``w`` of ``u_0 = w1 u_1 + w2 u_2``.
+    ``λ/r_min²``, the peak of the ``r⁻²`` potential, must be a float (else
+    ValidationError).
     """
     # in Python floats, which overflow to inf without a numpy warning
     if not float(spec.lam) / float(grid.r_min) ** 2 < math.inf:
@@ -212,7 +208,7 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
         w = np.zeros(2)
     else:
         raise ValidationError(f"unknown inner boundary condition {inner_bc!r}")
-    return (rows[1:, 0], rows[:, 1], rows[:-1, 2]), {"inner_weights": w}
+    return (rows[1:, 0], rows[:, 1], rows[:-1, 2]), w
 
 
 def apply_radial_operator(spec, grid, u):
@@ -240,14 +236,13 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     entry must be floats, or the solve would turn an infinity into a silent
     zero or a zero pivot.
     """
-    bands, meta = radial_operator(spec, grid, inner_bc=inner_bc)
+    bands, w = radial_operator(spec, grid, inner_bc=inner_bc)
     # in Python floats, which overflow to inf without a numpy warning
     peak = max(float(np.abs(band).max()) for band in bands)
     if not float(dt) * max(peak, float(spec.lam) / float(grid.r_min) ** 2) < math.inf:
         raise ValidationError(f"dt={dt:g} times the radial operator of the λ={spec.lam:g} "
                               f"mode leaves the float range; lower --dt, or lower --lam, or "
                               f"raise --radius or lower --n")
-    w = meta["inner_weights"]
     lower, diag, upper = (-dt * band for band in bands)
     diag += 1.0
     diag[1] += lower[0] * w[0]
@@ -285,6 +280,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     or returns a non-finite value raises :class:`NumericalError` naming the
     step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``.
 
+    The steps are the fewest equal ones of size ``T/n ≤ dt``
+    (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
     Solutions are recorded every ``store_every`` steps (``store_every=0``
     keeps only the initial and final states).  More than
     :data:`~conic_lmcf.errors.COUNT_LIMIT` steps, or stored values (frames ×
@@ -293,17 +290,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     """
     if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
         raise ValidationError("need finite dt > 0 and T > 0, and store_every >= 0")
-    check_count(T / dt, f"time steps of dt={dt:.6g} to reach T={T:g}", "lower --T or raise --dt")
     specs = list(specs)
-    # keep dt when it divides T; otherwise take the fewest equal steps no
-    # longer than dt and end the last one exactly at T
-    n_steps = int(round(T / dt))
-    t_last = n_steps * dt
-    if n_steps < 1 or abs(t_last - T) > 1e-9 * T:
-        n_steps = max(math.floor(T / dt), 1)
-        while T / n_steps > dt:
-            n_steps += 1
-        dt, t_last = T / n_steps, T
+    n_steps, dt = time_steps(T, dt)
     stored = (n_steps // store_every + (n_steps % store_every > 0) if store_every else 1) + 1
     check_count(stored * len(specs) * grid.n_cells,
                 f"stored values ({stored} frames of {len(specs)} modes on {grid.n_cells} nodes)",
@@ -339,13 +327,13 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     reads = getattr(forcing, "reads", None)
     time_free = reads is not None and "t" not in reads
     if time_free:
-        dtf = dt_forcing(1, dt if n_steps > 1 else t_last)
+        dtf = dt_forcing(1, dt)
 
     u = np.zeros((len(specs), n))
     times = [0.0]
     frames = [u]
     for k in range(1, n_steps + 1):
-        t_new = k * dt if k < n_steps else t_last
+        t_new = k * dt if k < n_steps else T
         if forcing is None:
             rhs = u.copy()
         else:
@@ -362,7 +350,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
             frames.append(u)
     times = np.array(times)
     values = np.stack(frames, axis=1)
-    return [ModeSolution(grid, times, v, spec.lam, spec) for spec, v in zip(specs, values)]
+    return [ModeSolution(grid, times, v, spec.lam) for spec, v in zip(specs, values)]
 
 
 def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",

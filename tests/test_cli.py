@@ -122,6 +122,17 @@ def test_heat_writes_every_mode(tmp_path):
     assert len(line.split()) == 2
 
 
+def test_radial_frames_end_at_T(tmp_path):
+    # dt = 0.1 nearly divides T = 0.3, and the kept dt ended the last frame,
+    # and the asymptotics fit's time, at 3 * 0.1 = 0.30000000000000004
+    common = ["--lam", "0", "--n", "20", "--T", "0.3", "--dt", "0.1"]
+    assert main(["heat", *common, "--store-every", "1", "--outdir", str(tmp_path / "h")]) == 0
+    last = (tmp_path / "h" / "mode_0.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert float(last.split(",")[0]) == 0.3
+    assert main(["asymptotics", *common, "--outdir", str(tmp_path / "a")]) == 0
+    assert read_report(tmp_path / "a")["outputs"]["time"] == 0.3
+
+
 def test_mode_csv_matches_the_row_writer(tmp_path):
     # mode_*.csv is byte-identical to the solution written row by row
     rc = main(["heat", "--lam", "0", "6", "--n", "40", "--T", "0.05", "--forcing", "t*r^0.5",
@@ -302,7 +313,7 @@ def test_flow_snapshots_match_the_row_writer(tmp_path):
     rc = main(["flow", "--n", "16", "--T", "0.05", "--ic", "mixed", "--snapshots", "2",
                "--outdir", str(tmp_path)])
     assert rc == 0
-    _, _, states = run_flow(parse_initial_condition("mixed", 2, 16), T=0.05, record=True)
+    _, _, states = run_flow(parse_initial_condition("mixed", 2, 16), T=0.05, snapshots=2)
     rows = [(st.t, node, u, th)
             for st in (states[0], states[-1])
             for node, (u, th) in enumerate(zip(st.u.ravel(), st.theta.ravel()))]
@@ -826,6 +837,13 @@ OVER_THE_COUNT_LIMIT = {
     # 1e5 steps are under the limit, but their stored frames filled memory
     "heat-store-every": (["heat", "--lam", "0", "--n", "2000", "--T", "1", "--dt", "1e-5",
                           "--store-every", "1"], ["--store-every"]),
+    # these died with a MemoryError traceback: a 7.28 TiB grid, 298 GiB of
+    # link samples, a 200000 x 200000 metric
+    "flow-grid": (["flow", "--m", "6", "--n", "100"], ["--m", "--n"]),
+    "defect-grid": (["defect", "--m", "7", "--n", "60"], ["--m", "--n"]),
+    "stability-samples": (["stability", "--samples", "200000"], ["--samples"]),
+    "spectrum-torus-dim": (["spectrum", "--link", "torus", "--dim", "200000"], ["--dim"]),
+    "exponents-torus-dim": (["exponents", "--link", "torus", "--dim", "200000"], ["--dim"]),
 }
 
 
@@ -1074,6 +1092,9 @@ MALFORMED_OFF = {
     # "Factor is exactly singular"
     "nan.off": OCTAHEDRON_OFF.replace("0 0 -1\n", "0 0 nan\n"),
     "inf.off": OCTAHEDRON_OFF.replace("0 0 -1\n", "0 0 -inf\n"),
+    # MeshLink's refusals did not name the file
+    "non_orientable.off": OCTAHEDRON_OFF.replace("3 0 2 4", "3 2 0 4"),
+    "open.off": OCTAHEDRON_OFF.replace("6 8 0", "6 7 0").replace("3 0 3 5\n", ""),
 }
 
 
@@ -1099,6 +1120,28 @@ def test_mesh_whose_squared_lengths_or_areas_overflow_exits_2(tmp_path, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "leave the float range; rescale the mesh" in err, err
+
+
+def tetrahedron_off(path, apex):
+    """The tetrahedron (0,0,0), (1,0,0), ``apex``, (0,0,1e16), outward oriented, as OFF."""
+    vertices = ["0 0 0", "1 0 0", " ".join(map(repr, apex)), "0 0 1e16"]
+    faces = ["3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 3 2"]
+    path.write_text("\n".join(["OFF", "4 4 0", *vertices, *faces]) + "\n")
+    return path
+
+
+def test_needle_triangles_keep_their_area(tmp_path, capsys):
+    # the textbook Heron product cancelled to 0 on the faces with an edge of
+    # 1e16, and the mesh was refused as violating the triangle inequality
+    path = tetrahedron_off(tmp_path / "needle.off", (0.0, 1.0, 0.0))
+    assert main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", "2",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    # a face on three collinear points has no area, and stays refused
+    path = tetrahedron_off(tmp_path / "flat.off", (2.0, 0.0, 0.0))
+    assert main(["spectrum", "--link", "mesh", "--mesh-file", str(path), "--count", "2",
+                 "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "flat.off" in err and "degenerate triangle" in err, err
 
 
 def test_mesh_exponent_window_is_only_what_the_spectrum_covers(tmp_path, capsys):

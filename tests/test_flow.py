@@ -17,6 +17,10 @@ from conic_lmcf import (
     linearization_defect,
     run_flow,
 )
+from conic_lmcf.errors import COUNT_LIMIT
+
+# a snapshot count above every admissible step count: run_flow keeps every state
+EVERY = COUNT_LIMIT + 1
 
 
 def sine_ic(m, n, eps):
@@ -108,8 +112,8 @@ def test_run_flow_amplitude_decays_like_heat():
     assert final.t == pytest.approx(T)
 
 
-def test_run_flow_record_returns_states():
-    final, series, states = run_flow(sine_ic(2, 16, 0.05), T=0.05, record=True)
+def test_run_flow_keeps_every_state():
+    final, series, states = run_flow(sine_ic(2, 16, 0.05), T=0.05, snapshots=EVERY)
     assert states[0].t == 0.0
     assert states[-1].t == pytest.approx(final.t)
     assert np.array_equal(states[-1].u, final.u)
@@ -120,7 +124,7 @@ def test_run_flow_record_returns_states():
 @pytest.mark.parametrize("count", [0, 1, 2, 4, 50])
 def test_snapshots_are_evenly_spaced_recorded_states(count):
     u0 = sine_ic(2, 16, 0.05)
-    _, _, every = run_flow(u0, T=0.2, record=True)
+    _, _, every = run_flow(u0, T=0.2, snapshots=EVERY)
     _, _, kept = run_flow(u0, T=0.2, snapshots=count)
     pick = np.linspace(0, len(every) - 1, min(count, len(every))).round().astype(int)
     assert [st.t for st in kept] == [every[i].t for i in pick]
@@ -143,9 +147,17 @@ def test_mean_angle_is_conserved_to_second_order():
         u0 = eps * (
             np.sin(xs[0]) + 0.7 * np.cos(2 * xs[1]) + 0.3 * np.sin(xs[0] + xs[1])
         )
-        _, _, states = run_flow(u0, T=0.5, record=True)
+        _, _, states = run_flow(u0, T=0.5, snapshots=EVERY)
         means = [st.theta.mean() for st in states]
         assert abs(means[-1] - means[0]) <= 1e-4 * eps**2
+
+
+@pytest.mark.parametrize("m, n", [(6, 100), (2000, 10), (10**400, 2)],
+                         ids=["6-100", "2000-10", "huge-m"])
+def test_grid_over_the_count_limit_is_refused_before_it_is_built(m, n):
+    # (6, 100) died with a MemoryError for its 7.28 TiB of coordinates
+    with pytest.raises(ValidationError, match="grid.*over the limit.*--m or --n"):
+        grid_coordinates(m, n)
 
 
 def test_flow_commutes_with_grid_shifts():
@@ -226,7 +238,7 @@ def test_dt_at_the_stability_limit_is_accepted():
 def test_three_dimensional_flow_stays_finite_and_graphical():
     n = 12
     u0 = catalog_initial_conditions(3, n)["mixed"]
-    _, series, states = run_flow(u0, T=5 * default_dt(3, n), record=True)
+    _, series, states = run_flow(u0, T=5 * default_dt(3, n), snapshots=EVERY)
     assert len(states) == 6
     for st in states:
         assert np.all(np.isfinite(st.u)) and np.all(np.isfinite(st.theta))

@@ -367,6 +367,23 @@ def test_closedness_check_agrees_with_the_edge_walk(mesh):
         assert got == want
 
 
+def test_needle_faces_keep_their_area():
+    # the tetrahedron (0,0,0), (1,0,0), (0,1,0), (0,0,1e16): the textbook
+    # Heron product cancelled to 0 on its needle faces
+    z = 1e16
+    mesh = MeshLink([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, z]],
+                    [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
+    area = 0.5 + z + 0.5 * math.sqrt(2 * z * z + 1)
+    assert mesh.mass.diagonal().sum() == pytest.approx(area, rel=1e-14)
+
+
+def test_a_face_that_violates_the_triangle_inequality_is_refused():
+    faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
+    lengths = [(1.0, 1.0, 1.0)] * 3 + [(1.0, 1.0, 2.5)]
+    with pytest.raises(ValidationError, match="violates triangle inequality"):
+        MeshLink.from_intrinsic(4, faces, lengths)
+
+
 def test_closedness_check_names_the_degenerate_face():
     faces = np.array(OCTAHEDRON_FACES)
     faces[5] = (1, 1, 5)
@@ -434,6 +451,7 @@ def test_spectrum_over_the_count_limit_is_refused_before_it_is_enumerated(link, 
 
 def test_count_limit_admits_the_limit_and_refuses_beyond_it():
     check_count(COUNT_LIMIT, "items", "fix")
-    for count in (COUNT_LIMIT + 1, math.inf, math.nan):
+    # an integer beyond the float range is shown as inf
+    for count in (COUNT_LIMIT + 1, math.inf, math.nan, 10**400):
         with pytest.raises(ValidationError, match="items: about .*; fix"):
             check_count(count, "items", "fix")

@@ -54,8 +54,6 @@ def test_spec_validation():
         LaplaceTypeSpec(lam=-1.0, m=3)
     with pytest.raises(ValidationError):
         LaplaceTypeSpec(lam=0.0, m=1)
-    with pytest.raises(ValidationError):
-        LaplaceTypeSpec(lam=0.0, m=3, delta=0.0)
 
 
 def test_constant_annihilated_for_lam0():
@@ -186,8 +184,7 @@ def test_drift_perturbation_keeps_leading_exponent():
     grid = RadialGrid(R=1.0, n_cells=400)
     base = LaplaceTypeSpec(lam=0.0, m=3)
     # drift decaying like r^{delta-1} with delta=1: a compact perturbation
-    drift = LaplaceTypeSpec(lam=0.0, m=3, drift=lambda r: 0.3 * np.ones_like(r),
-                            delta=1.0)
+    drift = LaplaceTypeSpec(lam=0.0, m=3, drift=lambda r: 0.3 * np.ones_like(r))
     lead = {}
     for name, spec in (("base", base), ("drift", drift)):
         sol = solve_mode(spec, grid, T=0.1, dt=0.1 / 400,
@@ -244,8 +241,7 @@ def _dense_backward_euler(spec, grid, times, forcing, outer_bc, inner_bc):
     """Step the full ``I − dt·L`` matrix, inner row and corner included, densely."""
     r = grid.nodes
     n = len(r)
-    (lower, diag, upper), meta = radial_operator(spec, grid, inner_bc=inner_bc)
-    w = meta["inner_weights"]
+    (lower, diag, upper), w = radial_operator(spec, grid, inner_bc=inner_bc)
     dt = times[-1] / (len(times) - 1)
     A = np.eye(n) - dt * (np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1))
     A[0, :3] = [1.0, -w[0], -w[1]]
@@ -353,7 +349,7 @@ def test_inner_weights_are_exact_on_the_admissible_powers():
     grid = RadialGrid(R=1.0, n_cells=100)
     r = grid.nodes
     alpha = exponent_roots(6.0, 3)[0]
-    w = radial_operator(LaplaceTypeSpec(lam=6.0, m=3), grid)[1]["inner_weights"]
+    w = radial_operator(LaplaceTypeSpec(lam=6.0, m=3), grid)[1]
     for p in (alpha, alpha + 2.0):
         assert abs(w[0] * r[1] ** p + w[1] * r[2] ** p - r[0] ** p) <= 1e-14 * r[0] ** p
 
@@ -361,7 +357,7 @@ def test_inner_weights_are_exact_on_the_admissible_powers():
 def test_inner_weights_do_not_underflow_at_large_eigenvalues():
     # alpha is about 70 at lambda = 5000: r_j^alpha underflows, the ratios do not
     grid = RadialGrid(R=1.0, n_cells=400)
-    w = radial_operator(LaplaceTypeSpec(lam=5000.0, m=3), grid)[1]["inner_weights"]
+    w = radial_operator(LaplaceTypeSpec(lam=5000.0, m=3), grid)[1]
     assert w[0] > 0.0 > w[1]
 
 
@@ -383,3 +379,11 @@ def test_solution_frames_and_times():
     assert sol.times[0] == 0.0
     assert abs(sol.times[-1] - 0.1) < 1e-12
     assert sol.values.shape == (len(sol.times), 100)
+
+
+def test_last_frame_ends_at_T_when_dt_nearly_divides_it():
+    # 3 * 0.1 is 0.30000000000000004: the kept dt ended the last frame there
+    sol = solve_mode(LaplaceTypeSpec(lam=0.0, m=3), RadialGrid(R=1.0, n_cells=20),
+                     T=0.3, dt=0.1, store_every=1)
+    assert sol.times[-1] == 0.3
+    assert np.array_equal(sol.times[:-1], np.arange(3) * (0.3 / 3))
