@@ -33,7 +33,7 @@ _EXPORTS = {
               "sphere_multiplicity"),
     "norms": ("decay_rate", "dyadic_annulus_suprema"),
     "radial": ("LaplaceTypeSpec", "ModeSolution", "RadialGrid", "apply_radial_operator",
-               "radial_operator", "solve_mode", "solve_modes"),
+               "radial_operator", "solve_modes"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

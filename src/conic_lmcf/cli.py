@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import sys
@@ -106,16 +107,24 @@ def write_frames(path: Path, header, keys, frames) -> None:
 
 def write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_jsonable)
+        json.dump(_json_values(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+def _json_values(value):
+    """``value`` with numpy scalars and arrays as Python ones, tuples as lists, and each
+    non-finite float as ``None``: JSON (RFC 8259) has no NaN or infinity, so it is ``null``."""
+    if isinstance(value, dict):
+        return {k: _json_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_values(v) for v in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serialisable: {type(value)!r}")
+        return _json_values(value.tolist())
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_columns(path: Path, *columns) -> None:
@@ -176,7 +185,7 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
     }
     # round-trip through the serialiser so the checked object is exactly
     # what lands on disk
-    canonical = json.loads(json.dumps(report, sort_keys=True, default=_jsonable))
+    canonical = json.loads(json.dumps(_json_values(report), sort_keys=True, allow_nan=False))
     _check_report(canonical)
     write_json(outdir / "report.json", canonical)
 
@@ -482,7 +491,7 @@ def cmd_stability(args, out: Path) -> dict:
         print("WARNING: moment-map images are degenerate (linearly dependent)")
     for note in report.warnings:
         print(f"note: {note}")
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     write_json(out / "stability.json", payload)
     return {"files": ["stability.json"], **payload}
 
@@ -528,18 +537,16 @@ def cmd_heat(args, out: Path) -> dict:
     if not lams:
         raise ValidationError("at least one --lam is required")
     sols = _solve_modes(lams, args, forcing, args.store_every)
-    files = []
-    sups = {}
+    files, sup_final = [], {}
     for lam, sol in zip(lams, sols):
         tag = _fmt(float(lam))
         write_frames(out / f"mode_{tag}.csv", ["t", "r", "u"], sol.grid.nodes,
                      ((t, (u,)) for t, u in zip(sol.times.tolist(), sol.values)))
-        sups[tag] = float(np.max(np.abs(sol.final())))
         write_columns(out / f"profile_{tag}.dat", sol.grid.nodes, sol.final())
         files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]
-    for lam in lams:
-        print(f"lambda={lam:g}: sup|u(T)| = {sups[_fmt(float(lam))]:.6e}")
-    return {"files": files, "sup_final": sups}
+        sup_final[tag] = float(np.max(np.abs(sol.final())))
+        print(f"lambda={lam:g}: sup|u(T)| = {sup_final[tag]:.6e}")
+    return {"files": files, "sup_final": sup_final}
 
 
 def cmd_asymptotics(args, out: Path) -> dict:
@@ -556,13 +563,7 @@ def cmd_asymptotics(args, out: Path) -> dict:
         print(f"term r^{alpha + 2 * k:g} (harmonic order {alpha:g}, lift {k}): "
               f"coefficient {coeff:.8e}")
     print(f"remainder decay rate: {expansion.remainder_rate:.4f} (target >= {args.gamma:g})")
-    payload = {
-        "terms": [[a, k, c] for a, k, c in expansion.terms],
-        "remainder_rate": expansion.remainder_rate,
-        "remainder_sup": expansion.remainder_sup,
-        "gamma": expansion.gamma,
-        "time": expansion.time,
-    }
+    payload = dataclasses.asdict(expansion)
     write_json(out / "asymptotics.json", payload)
     remainder = sol.final() - synthesize(expansion.terms, sol.grid.nodes)
     write_columns(out / "remainder.dat", sol.grid.nodes, np.abs(remainder))
@@ -577,12 +578,7 @@ def cmd_flow(args, out: Path) -> dict:
     write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
                  ((st.t, (st.u.ravel(), st.theta.ravel())) for st in states))
     write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
-    summary = {
-        "t": list(series["t"]),
-        "sup_theta": list(series["sup_theta"]),
-        "amplitude": list(series["amplitude"]),
-    }
-    write_json(out / "flow_summary.json", summary)
+    write_json(out / "flow_summary.json", series)
     print(f"final time {final.t:g}: sup|u| = {np.max(np.abs(final.u)):.6e}, "
           f"sup|theta| = {np.max(np.abs(final.theta)):.6e}")
     return {
@@ -600,13 +596,7 @@ def cmd_defect(args, out: Path) -> dict:
         print(f"eps={eps:g}: defect {d:.6e}, per-amplitude {dn:.6e}")
     for i, (raw, norm) in enumerate(zip(report.ratios, report.ratios_per_amplitude)):
         print(f"halving {i}: raw ratio {raw:.4f}, per-amplitude ratio {norm:.4f}")
-    payload = {
-        "epsilons": list(report.epsilons),
-        "defects": list(report.defects),
-        "defects_per_amplitude": list(report.defects_per_amplitude),
-        "ratios": list(report.ratios),
-        "ratios_per_amplitude": list(report.ratios_per_amplitude),
-    }
+    payload = dataclasses.asdict(report)
     write_json(out / "defect.json", payload)
     write_columns(out / "defect.dat", report.epsilons, report.defects)
     return {"files": ["defect.json", "defect.dat"], **payload}

@@ -364,7 +364,7 @@ def catalog_cone(name):
 @dataclass
 class StabilityReport:
     index: int
-    m_plus_2: int
+    count_up_to_2: int
     harmonic_counts: dict
     rank_translations: int
     rank_su: int
@@ -372,19 +372,6 @@ class StabilityReport:
     expected_rank_su: int
     degenerate: bool
     warnings: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "count_up_to_2": self.m_plus_2,
-            "harmonic_counts": {str(k): v for k, v in self.harmonic_counts.items()},
-            "rank_translations": self.rank_translations,
-            "rank_su": self.rank_su,
-            "expected_rank_translations": self.expected_rank_translations,
-            "expected_rank_su": self.expected_rank_su,
-            "degenerate": self.degenerate,
-            "warnings": list(self.warnings),
-        }
 
 
 def _gap_rank(svals):
@@ -422,9 +409,10 @@ def stability_index(cone, table, n=24, seed=0):
     d = cone._freqs[0].shape[1] if cone.trig_table is not None else 2
     check_count(n ** d, f"link sample points ({n} per axis)", "lower --samples")
     m = cone.m
-    m_plus = table.count_M_closed(2.0)
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}
-    index = m_plus - m * m - 2 * m + cone.dim_G
+    # exponents in [0, 2) and at 2: together the closed interval [0, 2]
+    count_up_to_2 = table.count_M(2.0) + counts[2]
+    index = count_up_to_2 - m * m - 2 * m + cone.dim_G
 
     sigma = cone.link_samples(n, seed=seed)
     pts = cone.embed(sigma, 1.0)
@@ -445,5 +433,5 @@ def stability_index(cone, table, n=24, seed=0):
             f"translations, {rank_su}/{exp_su} su({m})); index may undercount")
     if index < 0:
         warnings.append("negative index: cone fails the stability count")
-    return StabilityReport(index, m_plus, counts, rank_tr, rank_su,
+    return StabilityReport(index, count_up_to_2, counts, rank_tr, rank_su,
                            exp_tr, exp_su, degenerate, warnings)

@@ -124,10 +124,6 @@ class ExponentTable:
 
     # -- membership ----------------------------------------------------------
 
-    def exponents(self):
-        """Sorted distinct exponents of ``D_Σ`` in the window."""
-        return [e.alpha for e in self.entries]
-
     def multiplicity(self, alpha):
         """``m_Σ(alpha)`` (0 exactly when ``alpha ∉ D_Σ``)."""
         self._require_in_window(alpha)
@@ -176,14 +172,6 @@ class ExponentTable:
                        if -self.tol <= e.alpha < delta - self.tol)
         return -sum(e.multiplicity for e in self.entries
                     if delta + self.tol < e.alpha < -self.tol)
-
-    def count_M_closed(self, delta):
-        """Like :meth:`count_M` for δ ≥ 0 but with the endpoint included."""
-        self._require_in_window(delta)
-        if delta < 0:
-            raise ValidationError("closed count is defined for delta >= 0")
-        return sum(e.multiplicity for e in self.entries
-                   if -self.tol <= e.alpha <= delta + self.tol)
 
     def count_N(self, delta):
         """Signed count over ``(E_Σ, n_Σ)``; equals ``count_M`` for δ ≤ 2."""

@@ -51,15 +51,21 @@ DET_FLOOR = 1e-6
 
 
 def _check_grid(m, n):
-    """Refuse a grid without axes or points, or of more than COUNT_LIMIT nodes."""
+    """Refuse a grid without axes or points, or whose wrap-padded copy (``n + 2``
+    points per axis) holds more than COUNT_LIMIT values.
+
+    The limit caps ``m`` at 12, below numpy's dimension limits, and the
+    Hessian field (``m²`` values per node) at about 11 M values.
+    """
     if m < 1 or n < 1:
         raise ValidationError(f"the periodic grid needs m >= 1 axes of n >= 1 points, "
                               f"got m={m}, n={n}")
     try:
-        nodes = float(n) ** m  # in floats, so that a huge m builds no huge integer
-    except OverflowError:  # n^m, or n or m alone, is beyond the float range
-        nodes = math.inf
-    check_count(nodes, f"nodes of the n^m grid with n={n}, m={m}", "lower --m or --n")
+        padded = float(n + 2) ** m  # in floats, so that a huge m builds no huge integer
+    except OverflowError:  # (n+2)^m, or n or m alone, is beyond the float range
+        padded = math.inf
+    check_count(padded, f"values of the wrap-padded (n+2)^m grid with n={n}, m={m}",
+                "lower --m or --n")
 
 
 def grid_coordinates(m, n):
@@ -69,10 +75,10 @@ def grid_coordinates(m, n):
     return np.meshgrid(*([x] * m), indexing="ij")
 
 
-def default_dt(m, n, safety=0.9):
-    """Default step: ``safety`` times the explicit stability limit dx²/(2m)."""
+def default_dt(m, n):
+    """Default step: 0.9 times the explicit stability limit dx²/(2m)."""
     dx = 2.0 * np.pi / n
-    return safety * dx * dx / (2 * m)
+    return 0.9 * dx * dx / (2 * m)
 
 
 def _second_differences(u, dx):
@@ -171,7 +177,8 @@ def _step_size(dt, m, n):
     if dt is None:
         return default_dt(m, n)
     dt = float(dt)
-    limit = default_dt(m, n, safety=1.0)
+    dx = 2.0 * np.pi / n
+    limit = dx * dx / (2 * m)
     if not 0.0 < dt <= limit:
         raise ValidationError(f"dt={dt:.6g} is outside the explicit scheme's stable range "
                               f"(0, dx^2/(2m)] = (0, {limit:.6g}] at m={m}, n={n}")

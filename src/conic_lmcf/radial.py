@@ -52,7 +52,6 @@ __all__ = [
     "ModeSolution",
     "radial_operator",
     "apply_radial_operator",
-    "solve_mode",
     "solve_modes",
 ]
 
@@ -111,12 +110,6 @@ class LaplaceTypeSpec:
             raise ValidationError("mode eigenvalue must be >= 0")
         if self.m < 2:
             raise ValidationError("cone dimension must be >= 2")
-
-    def drift_values(self, r):
-        return _profile_values(self.drift, r, "drift")
-
-    def zeroth_values(self, r):
-        return _profile_values(self.zeroth, r, "zeroth-order")
 
 
 def _profile_values(profile, r, what):
@@ -195,8 +188,8 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
                               f"--lam, or raise --radius or lower --n")
     r = grid.nodes
     c1, c2 = _stencil(r)
-    coef1 = (spec.m - 1) / r + spec.drift_values(r)
-    coef0 = -spec.lam / r ** 2 + spec.zeroth_values(r)
+    coef1 = (spec.m - 1) / r + _profile_values(spec.drift, r, "drift")
+    coef0 = -spec.lam / r ** 2 + _profile_values(spec.zeroth, r, "zeroth-order")
 
     # weights on (u_{j-1}, u_j, u_{j+1}); the end rows of c1 and c2 are zero
     rows = c2 + coef1[:, None] * c1
@@ -351,13 +344,3 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     times = np.array(times)
     values = np.stack(frames, axis=1)
     return [ModeSolution(grid, times, v, spec.lam) for spec, v in zip(specs, values)]
-
-
-def solve_mode(spec, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
-               store_every=1):
-    """Backward-Euler solve of ``∂_t u = L u + f`` from ``u(0, ·) = 0``.
-
-    The one-mode case of :func:`solve_modes`, which documents the arguments.
-    """
-    return solve_modes([spec], grid, T, dt, forcing=forcing, outer_bc=outer_bc,
-                       inner_bc=inner_bc, store_every=store_every)[0]

@@ -25,7 +25,7 @@ from conic_lmcf import (
     linearization_defect,
     plane_cone,
     run_flow,
-    solve_mode,
+    solve_modes,
     stability_index,
     verify_hamiltonian,
 )
@@ -136,11 +136,11 @@ def test_criterion_5_manufactured_heat_convergence():
         spatial_errs = []
         for n in (100, 200, 400):
             grid = RadialGrid(R=1.0, n_cells=n)
-            sol = solve_mode(
-                spec, grid, T=T, dt=T / 400,
+            sol = solve_modes(
+                [spec], grid, T=T, dt=T / 400,
                 forcing=lambda t_, r: r**3 - 10.0 * t_ * r,
                 outer_bc=lambda t_: t_,
-            )
+            )[0]
             spatial_errs.append(np.max(np.abs(sol.final() - T * grid.nodes**3)))
         spatial = [spatial_errs[i] / spatial_errs[i + 1] for i in range(2)]
         assert all(3.4 < rho < 4.6 for rho in spatial)
@@ -148,11 +148,11 @@ def test_criterion_5_manufactured_heat_convergence():
         grid = RadialGrid(R=1.0, n_cells=400)
         temporal_errs = []
         for nt in (25, 50, 100):
-            sol = solve_mode(
-                spec, grid, T=T, dt=T / nt,
+            sol = solve_modes(
+                [spec], grid, T=T, dt=T / nt,
                 forcing=lambda t_, r: 2.0 * t_ * r**3 - 10.0 * t_**2 * r,
                 outer_bc=lambda t_: t_**2,
-            )
+            )[0]
             temporal_errs.append(np.max(np.abs(sol.final() - T**2 * grid.nodes**3)))
         temporal = [temporal_errs[i] / temporal_errs[i + 1] for i in range(2)]
         assert all(1.7 < rho < 2.3 for rho in temporal)
@@ -172,10 +172,10 @@ def test_criterion_6_decay_rate_and_coefficient_stability():
         a0, a2, rates = [], [], []
         for n in (400, 800, 1600):
             grid = RadialGrid(R=1.0, n_cells=n)
-            sol = solve_mode(
-                spec, grid, T=T, dt=T / 400,
+            sol = solve_modes(
+                [spec], grid, T=T, dt=T / 400,
                 forcing=lambda t_, r: np.sqrt(r),
-            )
+            )[0]
             exp = extract_asymptotics(sol, table, gamma=gamma)
             coeffs = {(a, k): c for a, k, c in exp.terms}
             a0.append(coeffs[(0.0, 0)])

@@ -16,7 +16,7 @@ from conic_lmcf import (
     ValidationError,
     extract_asymptotics,
     harvey_lawson_torus,
-    solve_mode,
+    solve_modes,
     synthesize,
 )
 
@@ -74,8 +74,8 @@ def test_round_trip_synthesis_random(table):
 def test_solver_output_has_constant_and_square_terms(table):
     grid = RadialGrid(R=1.0, n_cells=400)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
-    sol = solve_mode(spec, grid, T=0.1, dt=0.1 / 400,
-                     forcing=lambda t, r: np.sqrt(r))
+    sol = solve_modes([spec], grid, T=0.1, dt=0.1 / 400,
+                      forcing=lambda t, r: np.sqrt(r))[0]
     exp = extract_asymptotics(sol, table, gamma=2.5)
     keys = [(a, k) for a, k, _ in exp.terms]
     assert (0.0, 0) in keys
@@ -106,8 +106,8 @@ def test_expansion_validation():
 def test_terms_respect_gamma_bound(table):
     grid = RadialGrid(R=1.0, n_cells=400)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
-    sol = solve_mode(spec, grid, T=0.05, dt=0.05 / 100,
-                     forcing=lambda t, r: np.sqrt(r))
+    sol = solve_modes([spec], grid, T=0.05, dt=0.05 / 100,
+                      forcing=lambda t, r: np.sqrt(r))[0]
     for gamma in (1.5, 2.5):
         exp = extract_asymptotics(sol, table, gamma=gamma)
         assert all(a + 2 * k < gamma for a, k, _ in exp.terms)

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
-from conic_lmcf import (LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_mode,
-                        solve_modes)
+from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_modes
 from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _check_report, build_parser, compile_expression,
                             main, parse_args, parse_forcing, parse_initial_condition, write_columns,
                             write_csv, write_frames)
@@ -88,6 +87,11 @@ def test_stability_output(tmp_path, capsys):
     report = read_report(tmp_path)
     assert report["outputs"]["index"] == 0
     assert report["outputs"]["degenerate"] is False
+    # the StabilityReport fields, written as they are
+    with open(tmp_path / "stability.json", encoding="utf-8") as fh:
+        assert set(json.load(fh)) == {
+            "index", "count_up_to_2", "harmonic_counts", "rank_translations", "rank_su",
+            "expected_rank_translations", "expected_rank_su", "degenerate", "warnings"}
 
 
 def test_stability_plane_is_degenerate(tmp_path, capsys):
@@ -140,8 +144,8 @@ def test_mode_csv_matches_the_row_writer(tmp_path):
     assert rc == 0
     grid = RadialGrid(R=1.0, n_cells=40)
     for lam in (0.0, 6.0):
-        sol = solve_mode(LaplaceTypeSpec(lam=lam, m=3), grid, T=0.05, dt=0.05 / 400,
-                         forcing=lambda t, r: t * r**0.5, store_every=3)
+        sol = solve_modes([LaplaceTypeSpec(lam=lam, m=3)], grid, T=0.05, dt=0.05 / 400,
+                          forcing=lambda t, r: t * r**0.5, store_every=3)[0]
         rows = [(t, r, u) for t, frame in zip(sol.times, sol.values)
                 for r, u in zip(grid.nodes, frame)]
         write_csv(tmp_path / "expected.csv", ["t", "r", "u"], rows)
@@ -264,6 +268,8 @@ def test_asymptotics_extracts_terms(tmp_path, capsys):
     assert data["terms"]  # rows are [alpha, lift, coefficient]
     assert all(abs(coeff) > 0 for _, _, coeff in data["terms"])
     assert 2.35 <= data["remainder_rate"] <= 2.65
+    # the AsymptoticExpansion fields, written as they are
+    assert set(data) == {"terms", "remainder_rate", "remainder_sup", "gamma", "time"}
 
 
 def test_flow_artifacts(tmp_path):
@@ -278,6 +284,10 @@ def test_flow_artifacts(tmp_path):
         summary = json.load(fh)
     sups = summary["sup_theta"]
     assert sups[-1] <= sups[0]
+    # run_flow's series, written as it is
+    assert set(summary) == {"t", "sup_theta", "amplitude"}
+    # the largest grid of one point per axis under the count limit: 3^12 wrap-padded values
+    assert main(["flow", "--m", "12", "--n", "1", "--outdir", str(tmp_path / "m12")]) == 0
 
 
 def test_flow_holds_only_the_snapshots_it_writes(tmp_path):
@@ -393,6 +403,37 @@ def test_defect_ratio_window(tmp_path, capsys):
     for ratio in data["ratios_per_amplitude"]:
         assert 0.2 <= ratio <= 0.3
     assert "per-amplitude ratio" in capsys.readouterr().out
+    # the DefectReport fields, written as they are
+    assert set(data) == {"epsilons", "defects", "defects_per_amplitude", "ratios",
+                         "ratios_per_amplitude"}
+
+
+def _strict_json(path):
+    """``path`` parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_non_finite_outputs_are_written_as_null(tmp_path, capsys):
+    # a zero profile has zero defects, so every ratio is 0/0; the unforced
+    # mode is zero, so its remainder decays at an infinite rate.  Both files
+    # held NaN and Infinity
+    argv = ["defect", "--ic", "0", "--n", "16", "--T", "0.01", "--outdir", str(tmp_path / "d")]
+    assert main(argv) == 0
+    assert "raw ratio nan" in capsys.readouterr().out
+    for name in ("defect.json", "report.json"):
+        data = _strict_json(tmp_path / "d" / name)
+        data = data.get("outputs", data)
+        assert data["ratios"] == data["ratios_per_amplitude"] == [None, None]
+    argv = ["asymptotics", "--lam", "0", "--n", "400", "--T", "0.1", "--gamma", "2.5",
+            "--outdir", str(tmp_path / "a")]
+    assert main(argv) == 0
+    assert "remainder decay rate: inf" in capsys.readouterr().out
+    for name in ("asymptotics.json", "report.json"):
+        data = _strict_json(tmp_path / "a" / name)
+        assert data.get("outputs", data)["remainder_rate"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +882,11 @@ OVER_THE_COUNT_LIMIT = {
     # link samples, a 200000 x 200000 metric
     "flow-grid": (["flow", "--m", "6", "--n", "100"], ["--m", "--n"]),
     "defect-grid": (["defect", "--m", "7", "--n", "60"], ["--m", "--n"]),
+    # one node per axis passed the n^m node count: 40 axes exceeded numpy's
+    # 32 dimensions (exit 1, traceback), and 13 axes built a 3^13-value padded copy
+    "flow-m-40": (["flow", "--m", "40", "--n", "1"], ["--m", "--n"]),
+    "defect-m-40": (["defect", "--m", "40", "--n", "1"], ["--m", "--n"]),
+    "flow-m-13": (["flow", "--m", "13", "--n", "1"], ["--m", "--n"]),
     "stability-samples": (["stability", "--samples", "200000"], ["--samples"]),
     "spectrum-torus-dim": (["spectrum", "--link", "torus", "--dim", "200000"], ["--dim"]),
     "exponents-torus-dim": (["exponents", "--link", "torus", "--dim", "200000"], ["--dim"]),

@@ -56,7 +56,7 @@ def test_known_roots_m3():
 
 
 def test_table_window_and_gap(torus_table):
-    alphas = torus_table.exponents()
+    alphas = [e.alpha for e in torus_table.entries]
     assert alphas == sorted(alphas)
     # no exponent strictly inside (2-m, 0) = (-1, 0)
     assert all(not (-1.0 + 1e-9 < a < -1e-9) for a in alphas)
@@ -93,7 +93,7 @@ def test_count_N_frozen_values(torus_table):
 def test_spectral_identities_random(torus_table, sphere_table):
     rng = np.random.default_rng(7)
     for table in (torus_table, sphere_table):
-        exceptional = np.array(table.lifted_exponents(5.0) + table.exponents())
+        exceptional = np.array(table.lifted_exponents(5.0) + [e.alpha for e in table.entries])
         checked = 0
         while checked < 50:
             delta = rng.uniform(-3.0, 5.0)
@@ -178,13 +178,13 @@ def test_gap_invariant_randomized():
         lams[0] = 0.0
         entries = [EigenEntry(float(l), 1) for l in np.unique(np.round(lams, 9))]
         table = ExponentTable.from_spectrum(entries, m=m)
-        for a in table.exponents():
-            assert not (2 - m + 1e-9 < a < -1e-9)
+        for e in table.entries:
+            assert not (2 - m + 1e-9 < e.alpha < -1e-9)
 
 
 def test_m_examples_match_sum_over_halfopen(torus_table):
     # M(delta) for delta >= 0 equals the plain multiplicity sum over [0, delta)
     for delta in (0.5, 1.5, 2.1, 3.0):
-        direct = sum(torus_table.multiplicity(a) for a in torus_table.exponents()
-                     if 0.0 <= a < delta - 1e-12)
+        direct = sum(torus_table.multiplicity(e.alpha) for e in torus_table.entries
+                     if 0.0 <= e.alpha < delta - 1e-12)
         assert torus_table.count_M(delta) == direct

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -31,6 +32,10 @@ UNCALLED_EXPORTS = {
     "apply_radial_operator": "the reference that the radial tests check radial_operator against",
     "graph_determinant": "kept for the flow report's minimum of det(I + Hess u) along the run",
 }
+# Public methods and properties of exported classes that nothing calls, and why they stay.
+UNCALLED_MEMBERS = {
+    "SLCone.to_json": "the cone-file writer that the README names",
+}
 
 
 def referenced_names(path):
@@ -47,6 +52,13 @@ def referenced_names(path):
     return refs
 
 
+def public_members(cls):
+    """Names of the public methods and properties that ``cls`` itself defines."""
+    return [name for name, value in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (classmethod, staticmethod, property)))]
+
+
 def test_every_export_has_a_caller():
     package = Path(conic_lmcf.__file__).resolve().parent
     refs = referenced_names(Path(__file__).with_name("test_acceptance.py"))
@@ -54,6 +66,10 @@ def test_every_export_has_a_caller():
         refs |= referenced_names(path)
     uncalled = {name for name in conic_lmcf.__all__ if name not in refs}
     assert uncalled == set(UNCALLED_EXPORTS)
+    classes = [(name, getattr(conic_lmcf, name)) for name in conic_lmcf.__all__]
+    uncalled = {f"{name}.{member}" for name, cls in classes if inspect.isclass(cls)
+                for member in public_members(cls) if member not in refs}
+    assert uncalled == set(UNCALLED_MEMBERS)
 
 
 # Runs each command through cli.main in one fresh interpreter and records,

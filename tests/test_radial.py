@@ -12,7 +12,6 @@ from conic_lmcf import (
     ValidationError,
     apply_radial_operator,
     radial_operator,
-    solve_mode,
     solve_modes,
 )
 
@@ -123,7 +122,7 @@ def test_stationarity_fractional_mode_converges():
 def test_zero_forcing_stays_zero():
     grid = RadialGrid(R=1.0, n_cells=100)
     spec = LaplaceTypeSpec(lam=2.0, m=3)
-    sol = solve_mode(spec, grid, T=0.1, dt=0.01)
+    sol = solve_modes([spec], grid, T=0.1, dt=0.01)[0]
     assert np.max(np.abs(sol.values)) == 0.0
 
 
@@ -131,9 +130,9 @@ def test_manufactured_solution_t_r3():
     grid = RadialGrid(R=1.0, n_cells=400)
     spec = LaplaceTypeSpec(lam=2.0, m=3)
     T = 0.1
-    sol = solve_mode(spec, grid, T=T, dt=T / 400,
-                     forcing=lambda t, r: r**3 - 10.0 * t * r,
-                     outer_bc=lambda t: t)
+    sol = solve_modes([spec], grid, T=T, dt=T / 400,
+                      forcing=lambda t, r: r**3 - 10.0 * t * r,
+                      outer_bc=lambda t: t)[0]
     err = np.max(np.abs(sol.final() - T * grid.nodes**3))
     assert err < 1e-5
 
@@ -146,9 +145,9 @@ def test_manufactured_spatial_convergence():
     for n in (100, 200, 400):
         grid = RadialGrid(R=1.0, n_cells=n)
         spec = LaplaceTypeSpec(lam=2.0, m=3)
-        sol = solve_mode(spec, grid, T=T, dt=T / 400,
-                         forcing=lambda t, r: r**3 - 10.0 * t * r,
-                         outer_bc=lambda t: t)
+        sol = solve_modes([spec], grid, T=T, dt=T / 400,
+                          forcing=lambda t, r: r**3 - 10.0 * t * r,
+                          outer_bc=lambda t: t)[0]
         errs.append(np.max(np.abs(sol.final() - T * grid.nodes**3)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(3.4 < rho < 4.6 for rho in ratios)
@@ -161,9 +160,9 @@ def test_manufactured_temporal_convergence():
     T = 0.1
     errs = []
     for nt in (25, 50, 100):
-        sol = solve_mode(spec, grid, T=T, dt=T / nt,
-                         forcing=lambda t, r: 2.0 * t * r**3 - 10.0 * t**2 * r,
-                         outer_bc=lambda t: t**2)
+        sol = solve_modes([spec], grid, T=T, dt=T / nt,
+                          forcing=lambda t, r: 2.0 * t * r**3 - 10.0 * t**2 * r,
+                          outer_bc=lambda t: t**2)[0]
         errs.append(np.max(np.abs(sol.final() - T**2 * grid.nodes**3)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(1.7 < rho < 2.3 for rho in ratios)
@@ -172,8 +171,8 @@ def test_manufactured_temporal_convergence():
 def test_comparison_principle_nonnegative():
     grid = RadialGrid(R=1.0, n_cells=200)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
-    sol = solve_mode(spec, grid, T=0.2, dt=0.002,
-                     forcing=lambda t, r: np.sqrt(r))
+    sol = solve_modes([spec], grid, T=0.2, dt=0.002,
+                      forcing=lambda t, r: np.sqrt(r))[0]
     assert sol.values.min() >= -1e-10
 
 
@@ -187,8 +186,8 @@ def test_drift_perturbation_keeps_leading_exponent():
     drift = LaplaceTypeSpec(lam=0.0, m=3, drift=lambda r: 0.3 * np.ones_like(r))
     lead = {}
     for name, spec in (("base", base), ("drift", drift)):
-        sol = solve_mode(spec, grid, T=0.1, dt=0.1 / 400,
-                         forcing=lambda t, r: r**0.5)
+        sol = solve_modes([spec], grid, T=0.1, dt=0.1 / 400,
+                          forcing=lambda t, r: r**0.5)[0]
         exp = extract_asymptotics(sol, table, gamma=1.5)
         assert exp.terms, f"no leading term extracted for {name}"
         lead[name] = exp.terms[0]
@@ -206,7 +205,7 @@ def test_invalid_forcing_reports_step():
         return np.full_like(r, np.nan) if t > 0.05 else np.zeros_like(r)
 
     with pytest.raises(NumericalError) as err:
-        solve_mode(spec, grid, T=0.1, dt=0.01, forcing=bad_forcing)
+        solve_modes([spec], grid, T=0.1, dt=0.01, forcing=bad_forcing)
     assert "step" in str(err.value)
 
 
@@ -231,7 +230,7 @@ def test_solve_modes_matches_one_mode_solves():
     together = solve_modes([LaplaceTypeSpec(lam=lam, m=3) for lam in lams], grid, **kwargs)
     assert [sol.lam for sol in together] == list(lams)
     for lam, sol in zip(lams, together):
-        alone = solve_mode(LaplaceTypeSpec(lam=lam, m=3), grid, **kwargs)
+        alone = solve_modes([LaplaceTypeSpec(lam=lam, m=3)], grid, **kwargs)[0]
         assert np.array_equal(sol.times, alone.times)
         assert np.array_equal(sol.values, alone.values)
         assert sol.values.shape == (26, 120)
@@ -291,8 +290,8 @@ def test_zero_pivot_is_a_numerical_error_at_step_0():
 
 def test_step_that_does_not_divide_T_ends_at_T():
     grid = RadialGrid(R=1.0, n_cells=50)
-    sol = solve_mode(LaplaceTypeSpec(lam=2.0, m=3), grid, T=0.1, dt=0.03,
-                     forcing=lambda t, r: np.ones_like(r), store_every=1)
+    sol = solve_modes([LaplaceTypeSpec(lam=2.0, m=3)], grid, T=0.1, dt=0.03,
+                      forcing=lambda t, r: np.ones_like(r), store_every=1)[0]
     assert sol.times[-1] == 0.1
     assert np.max(np.diff(sol.times)) <= 0.03
     assert len(sol.times) == 5
@@ -302,7 +301,7 @@ def test_step_that_does_not_divide_T_ends_at_T():
 def test_non_finite_times_are_rejected(T, dt):
     grid = RadialGrid(R=1.0, n_cells=50)
     with pytest.raises(ValidationError):
-        solve_mode(LaplaceTypeSpec(lam=0.0, m=3), grid, T=T, dt=dt)
+        solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=T, dt=dt)
 
 
 @pytest.mark.parametrize("T, dt", [(1e9, 1e-3), (1.0, 1e-300), (1e300, 1e-10)])
@@ -315,15 +314,16 @@ def test_step_count_over_the_limit_is_refused_before_the_solve(T, dt):
 def test_stored_values_over_the_limit_are_refused_before_the_solve():
     spec = LaplaceTypeSpec(lam=0.0, m=3)
     with pytest.raises(ValidationError, match="stored values.*--store-every"):
-        solve_mode(spec, RadialGrid(R=1.0, n_cells=2000), T=1.0, dt=1e-5, store_every=1)
+        solve_modes([spec], RadialGrid(R=1.0, n_cells=2000), T=1.0, dt=1e-5, store_every=1)
     # 1 + 999 frames of 1000 nodes are exactly the limit; one more frame is over it
     grid = RadialGrid(R=1.0, n_cells=1000)
-    assert solve_mode(spec, grid, T=0.999, dt=1e-3, store_every=1).values.shape == (1000, 1000)
+    sol = solve_modes([spec], grid, T=0.999, dt=1e-3, store_every=1)[0]
+    assert sol.values.shape == (1000, 1000)
     with pytest.raises(ValidationError, match="1001 frames"):
-        solve_mode(spec, grid, T=1.0, dt=1e-3, store_every=1)
+        solve_modes([spec], grid, T=1.0, dt=1e-3, store_every=1)
     # the last frame is kept too when store_every does not divide the step count
     with pytest.raises(ValidationError, match="1001 frames"):
-        solve_mode(spec, grid, T=1.999, dt=1e-3, store_every=2)
+        solve_modes([spec], grid, T=1.999, dt=1e-3, store_every=2)
 
 
 def test_potential_over_the_float_range_is_refused_before_the_solve():
@@ -332,8 +332,8 @@ def test_potential_over_the_float_range_is_refused_before_the_solve():
     grid = RadialGrid(R=1.0, n_cells=50)
     spec = LaplaceTypeSpec(lam=1e300, m=3)
     with pytest.raises(ValidationError, match="--lam.*--radius"):
-        solve_mode(spec, grid, T=100.0, dt=100.0)
-    assert np.all(np.isfinite(solve_mode(spec, grid, T=0.01, dt=0.01).final()))
+        solve_modes([spec], grid, T=100.0, dt=100.0)
+    assert np.all(np.isfinite(solve_modes([spec], grid, T=0.01, dt=0.01)[0].final()))
 
 
 def test_operator_over_the_float_range_is_refused_without_a_warning():
@@ -364,8 +364,8 @@ def test_inner_weights_do_not_underflow_at_large_eigenvalues():
 def test_dirichlet_inner_flag():
     grid = RadialGrid(R=1.0, n_cells=200)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
-    sol = solve_mode(spec, grid, T=0.05, dt=0.005,
-                     forcing=lambda t, r: np.ones_like(r), inner_bc="dirichlet0")
+    sol = solve_modes([spec], grid, T=0.05, dt=0.005,
+                      forcing=lambda t, r: np.ones_like(r), inner_bc="dirichlet0")[0]
     assert abs(sol.final()[0]) < 1e-12
     with pytest.raises(ValidationError):
         radial_operator(spec, grid, inner_bc="nonsense")
@@ -374,8 +374,8 @@ def test_dirichlet_inner_flag():
 def test_solution_frames_and_times():
     grid = RadialGrid(R=1.0, n_cells=100)
     spec = LaplaceTypeSpec(lam=0.0, m=3)
-    sol = solve_mode(spec, grid, T=0.1, dt=0.01,
-                     forcing=lambda t, r: np.ones_like(r), store_every=2)
+    sol = solve_modes([spec], grid, T=0.1, dt=0.01,
+                      forcing=lambda t, r: np.ones_like(r), store_every=2)[0]
     assert sol.times[0] == 0.0
     assert abs(sol.times[-1] - 0.1) < 1e-12
     assert sol.values.shape == (len(sol.times), 100)
@@ -383,7 +383,7 @@ def test_solution_frames_and_times():
 
 def test_last_frame_ends_at_T_when_dt_nearly_divides_it():
     # 3 * 0.1 is 0.30000000000000004: the kept dt ended the last frame there
-    sol = solve_mode(LaplaceTypeSpec(lam=0.0, m=3), RadialGrid(R=1.0, n_cells=20),
-                     T=0.3, dt=0.1, store_every=1)
+    sol = solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], RadialGrid(R=1.0, n_cells=20),
+                      T=0.3, dt=0.1, store_every=1)[0]
     assert sol.times[-1] == 0.3
     assert np.array_equal(sol.times[:-1], np.arange(3) * (0.3 / 3))
