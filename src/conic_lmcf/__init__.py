@@ -7,8 +7,10 @@ used to measure how far the nonlinear flow sits from its heat-flow
 linearisation.
 
 The names below are re-exported lazily (PEP 562): ``conic_lmcf.run_flow``
-imports :mod:`conic_lmcf.flow` on first use, so a command that never touches
-the radial solver or a mesh link never imports SciPy's sparse stack.
+imports :mod:`conic_lmcf.flow` on first use, so ``import conic_lmcf`` loads no
+numpy.  The CLI likewise imports each layer where it is used: help,
+``--version`` and usage errors start without numpy, and each command loads
+only the layers it runs.
 """
 
 from __future__ import annotations

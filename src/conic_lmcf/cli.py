@@ -15,27 +15,17 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .asymptotics import extract_asymptotics, synthesize
-from .cones import SLCone, catalog_cone, cone_from_json, harvey_lawson_torus, stability_index
 from .errors import NumericalError, ValidationError, check_count
-from .exponents import ExponentTable, fredholm_index
-from .flow import (
-    catalog_initial_conditions,
-    grid_coordinates,
-    linearization_defect,
-    run_flow,
-)
-from .links import FlatTorus, MeshLink, RoundSphere
+
+# numpy and the numeric layers are imported where used: a command loads only what it runs
 
 
 # ----------------------------------------------------------------------
@@ -43,10 +33,11 @@ from .links import FlatTorus, MeshLink, RoundSphere
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer and floating scalars as numbers.Integral and numbers.Real
+    if isinstance(value, numbers.Integral):
         return str(int(value))
+    if isinstance(value, numbers.Real):
+        return format(float(value), ".17g")
     text = str(value)
     # RFC 4180 quoting, so csv readers keep a field with a comma whole
     return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
@@ -118,10 +109,8 @@ def _json_values(value):
         return {k: _json_values(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_values(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):  # a numpy array or scalar
         return _json_values(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -132,6 +121,7 @@ def write_columns(path: Path, *columns) -> None:
 
     Columns of different lengths raise ``ValueError`` naming the lengths.
     """
+    import numpy as np
     arrays = [np.asarray(c, dtype=float) for c in columns]
     n = len(arrays[0]) if arrays else 0
     values = _row_major(arrays, n)
@@ -177,7 +167,7 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
         "outputs": outputs,
         "versions": {
             "python": ".".join(str(v) for v in sys.version_info[:3]),
-            "numpy": np.__version__,
+            "numpy": __import__("numpy").__version__,
             "scipy": __import__("scipy").__version__,
             "conic-lmcf": __version__,
         },
@@ -272,7 +262,8 @@ def _config_scalar(value, typ, choices=None):
     return converted
 
 
-def _parse_metric(text: str) -> np.ndarray:
+def _parse_metric(text: str):
+    import numpy as np
     try:
         rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
         return np.asarray(rows, dtype=float)
@@ -281,7 +272,10 @@ def _parse_metric(text: str) -> np.ndarray:
 
 
 def build_link(args):
+    import numpy as np
+    from .links import FlatTorus, MeshLink, RoundSphere
     if args.link == "hl-torus":
+        from .cones import harvey_lawson_torus  # loaded only for the one link that needs it
         return harvey_lawson_torus().link
     if args.link == "sphere":
         return RoundSphere(args.dim)
@@ -299,7 +293,8 @@ def build_link(args):
     raise ValidationError(f"unknown link {args.link!r}")
 
 
-def _build_cone(args) -> SLCone:
+def _build_cone(args):
+    from .cones import catalog_cone, cone_from_json
     if args.cone_json:
         return cone_from_json(args.cone_json)
     return catalog_cone(args.cone)
@@ -323,6 +318,7 @@ def compile_expression(text: str, variables, flag: str):
     report.  Its ``reads`` attribute is the frozenset of ``variables`` the
     expression uses; a constant reads none.
     """
+    import numpy as np
     allowed = "allowed: numbers, + - * / ^ **, sin(), cos(), pi, " + ", ".join(variables)
     at = {"lineno": 1, "col_offset": 0}  # the location compile() asks of every new node
     reads = set()
@@ -381,6 +377,7 @@ def _bracket(nodes, x):
     ``x`` lies within ``[nodes[0], nodes[-1]]``, and the last node falls in
     the last cell.  A one-node axis gives ``lo = hi = 0`` and ``w = 0``.
     """
+    import numpy as np
     if nodes.size == 1:
         lo = np.zeros(np.shape(x), dtype=int)
         return lo, lo, np.zeros(np.shape(x))
@@ -390,6 +387,7 @@ def _bracket(nodes, x):
 
 def _forcing_from_csv(path: str):
     """f(t, r) interpolated in a (t, r, f) table; ``reads`` omits ``t`` for one time row."""
+    import numpy as np
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -418,8 +416,10 @@ def _forcing_from_csv(path: str):
     return f
 
 
-def parse_initial_condition(expr: str, m: int, n: int) -> np.ndarray:
+def parse_initial_condition(expr: str, m: int, n: int):
     """Catalog name or an expression in x1..xm (see :func:`compile_expression`)."""
+    import numpy as np
+    from .flow import catalog_initial_conditions, grid_coordinates
     catalog = catalog_initial_conditions(m, n)
     if expr in catalog:
         return catalog[expr]
@@ -440,6 +440,7 @@ def parse_initial_condition(expr: str, m: int, n: int) -> np.ndarray:
 
 
 def cmd_spectrum(args, out: Path) -> dict:
+    from .links import MeshLink
     if args.link == "mesh" and args.count < 1:
         raise ValidationError(f"--count must be a positive integer, got {args.count}")
     link = build_link(args)
@@ -459,6 +460,7 @@ def cmd_spectrum(args, out: Path) -> dict:
 
 
 def cmd_exponents(args, out: Path) -> dict:
+    from .exponents import ExponentTable
     link = build_link(args)
     table = ExponentTable.for_link(link, m=args.m, alpha_max=args.alpha_max)
     rows = []
@@ -478,6 +480,9 @@ def cmd_exponents(args, out: Path) -> dict:
 
 
 def cmd_stability(args, out: Path) -> dict:
+    import dataclasses
+    from .cones import stability_index
+    from .exponents import ExponentTable
     cone = _build_cone(args)
     table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=args.alpha_max)
     report = stability_index(cone, table, n=args.samples, seed=args.seed)
@@ -497,6 +502,7 @@ def cmd_stability(args, out: Path) -> dict:
 
 
 def cmd_fredholm(args, out: Path) -> dict:
+    from .exponents import ExponentTable, fredholm_index
     cone = _build_cone(args)
     gammas = list(args.gamma)
     alpha_max = max([args.alpha_max] + [abs(g) + 1.0 for g in gammas])
@@ -515,10 +521,7 @@ def cmd_fredholm(args, out: Path) -> dict:
 
 
 def _solve_modes(lams, args, forcing, store_every=0):
-    # imported here: radial keeps a spare scipy.sparse.linalg.splu import for
-    # the benchmark tracer, and that import loads SciPy's sparse stack
     from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
-
     if len(set(lams)) < len(lams):
         raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
     if store_every < 0:
@@ -544,12 +547,17 @@ def cmd_heat(args, out: Path) -> dict:
                      ((t, (u,)) for t, u in zip(sol.times.tolist(), sol.values)))
         write_columns(out / f"profile_{tag}.dat", sol.grid.nodes, sol.final())
         files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]
-        sup_final[tag] = float(np.max(np.abs(sol.final())))
+        sup_final[tag] = float(abs(sol.final()).max())
         print(f"lambda={lam:g}: sup|u(T)| = {sup_final[tag]:.6e}")
     return {"files": files, "sup_final": sup_final}
 
 
 def cmd_asymptotics(args, out: Path) -> dict:
+    import dataclasses
+    from .asymptotics import extract_asymptotics, synthesize
+    from .cones import harvey_lawson_torus
+    from .exponents import ExponentTable
+    from .links import FlatTorus
     forcing = parse_forcing(args.forcing, args.forcing_csv)
     lams = list(args.lam)
     if len(lams) != 1:
@@ -566,11 +574,12 @@ def cmd_asymptotics(args, out: Path) -> dict:
     payload = dataclasses.asdict(expansion)
     write_json(out / "asymptotics.json", payload)
     remainder = sol.final() - synthesize(expansion.terms, sol.grid.nodes)
-    write_columns(out / "remainder.dat", sol.grid.nodes, np.abs(remainder))
+    write_columns(out / "remainder.dat", sol.grid.nodes, abs(remainder))
     return {"files": ["asymptotics.json", "remainder.dat"], **payload}
 
 
 def cmd_flow(args, out: Path) -> dict:
+    from .flow import run_flow
     if args.snapshots < 0:
         raise ValidationError(f"--snapshots must be >= 0, got {args.snapshots}")
     u0 = args.amplitude * parse_initial_condition(args.ic, args.m, args.n)
@@ -579,17 +588,19 @@ def cmd_flow(args, out: Path) -> dict:
                  ((st.t, (st.u.ravel(), st.theta.ravel())) for st in states))
     write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
     write_json(out / "flow_summary.json", series)
-    print(f"final time {final.t:g}: sup|u| = {np.max(np.abs(final.u)):.6e}, "
-          f"sup|theta| = {np.max(np.abs(final.theta)):.6e}")
+    print(f"final time {final.t:g}: sup|u| = {abs(final.u).max():.6e}, "
+          f"sup|theta| = {abs(final.theta).max():.6e}")
     return {
         "files": ["flow_snapshots.csv", "sup_theta.dat", "flow_summary.json"],
-        "sup_u_final": float(np.max(np.abs(final.u))),
-        "sup_theta_final": float(np.max(np.abs(final.theta))),
+        "sup_u_final": float(abs(final.u).max()),
+        "sup_theta_final": float(abs(final.theta).max()),
         "n_steps": len(series["t"]) - 1,
     }
 
 
 def cmd_defect(args, out: Path) -> dict:
+    import dataclasses
+    from .flow import linearization_defect
     u0 = parse_initial_condition(args.ic, args.m, args.n)
     report = linearization_defect(u0, epsilons=list(args.eps), T=args.T, dt=args.dt)
     for eps, d, dn in zip(report.epsilons, report.defects, report.defects_per_amplitude):

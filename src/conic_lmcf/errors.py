@@ -54,12 +54,15 @@ def check_count(count: float, what: str, fix: str) -> None:
     """Refuse, before any work, a call whose estimated ``count`` exceeds :data:`COUNT_LIMIT`.
 
     ``count`` may be ``inf``, ``nan`` or an integer beyond the float range
-    (shown as ``inf``); all are refused.  The message says ``what`` is
-    counted and ``fix``, the flags to change.
+    (shown as ``inf``); all are refused.  An integral count below 1e15, exact
+    as a float, is shown in full, so one just over the limit does not read
+    as the limit.  The message says ``what`` is counted and ``fix``, the
+    flags to change.
     """
     if not count <= COUNT_LIMIT:
         shown = math.inf if count > sys.float_info.max else count
-        raise ValidationError(f"{what}: about {shown:.3g}, over the limit of "
+        shown = f"{int(shown):,}" if shown < 1e15 and shown == int(shown) else f"{shown:.3g}"
+        raise ValidationError(f"{what}: about {shown}, over the limit of "
                               f"{COUNT_LIMIT:,}; {fix}")
 
 

@@ -887,6 +887,8 @@ OVER_THE_COUNT_LIMIT = {
     "flow-m-40": (["flow", "--m", "40", "--n", "1"], ["--m", "--n"]),
     "defect-m-40": (["defect", "--m", "40", "--n", "1"], ["--m", "--n"]),
     "flow-m-13": (["flow", "--m", "13", "--n", "1"], ["--m", "--n"]),
+    # 1,002,001 padded values, shown as "about 1e+06" against the limit of 1,000,000
+    "flow-just-over": (["flow", "--m", "2", "--n", "999"], ["--m", "--n", "about 1,002,001,"]),
     "stability-samples": (["stability", "--samples", "200000"], ["--samples"]),
     "spectrum-torus-dim": (["spectrum", "--link", "torus", "--dim", "200000"], ["--dim"]),
     "exponents-torus-dim": (["exponents", "--link", "torus", "--dim", "200000"], ["--dim"]),

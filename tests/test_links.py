@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -451,7 +452,11 @@ def test_spectrum_over_the_count_limit_is_refused_before_it_is_enumerated(link, 
 
 def test_count_limit_admits_the_limit_and_refuses_beyond_it():
     check_count(COUNT_LIMIT, "items", "fix")
-    # an integer beyond the float range is shown as inf
-    for count in (COUNT_LIMIT + 1, math.inf, math.nan, 10**400):
-        with pytest.raises(ValidationError, match="items: about .*; fix"):
+    # an integral count below 1e15 is shown in full, so one just over the limit
+    # does not read as the limit; an integer beyond the float range is shown as inf
+    for count, shown in ((COUNT_LIMIT + 1, "1,000,001"), (1002001.0, "1,002,001"),
+                         (1.5e6 + 0.5, "1.5e+06"), (10**15, "1e+15"), (math.inf, "inf"),
+                         (math.nan, "nan"), (10**400, "inf")):
+        message = f"items: about {shown}, over the limit of 1,000,000; fix"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             check_count(count, "items", "fix")

@@ -73,26 +73,40 @@ def test_every_export_has_a_caller():
 
 
 # Runs each command through cli.main in one fresh interpreter and records,
-# after each, which of the probed modules are loaded.  sys.modules only grows,
-# so the first command that loads a module is the one that needs it.  No
-# command loads jsonschema: report.json is checked without it.
+# after each, its exit code and which of the watched modules are loaded:
+# numpy, SciPy's sparse stack and interpolate, jsonschema and conic_lmcf's
+# submodules.  sys.modules only grows, so the first command that loads a
+# module is the one that needs it.
 PROBE = """
 import json, sys
 import conic_lmcf
-probed = ("numpy", "scipy", "scipy.sparse", "scipy.interpolate", "jsonschema")
-loaded = {"import conic_lmcf": [m for m in probed if m in sys.modules]}
+watched = ("numpy", "scipy.sparse", "scipy.interpolate", "jsonschema")
+def loaded():
+    return sorted(m for m in sys.modules if m in watched or m.startswith("conic_lmcf."))
+seen = {"import conic_lmcf": [0, loaded()]}
 from conic_lmcf.cli import main
 for i, argv in enumerate(json.loads(sys.argv[1])):
     try:
-        main(argv + ["--outdir", f"{sys.argv[2]}/{i}"] if argv[0] != "--version" else argv)
-    except SystemExit:
-        pass
-    loaded[" ".join(argv)] = [m for m in probed[2:] if m in sys.modules]
-print(json.dumps(loaded))
+        code = main(argv if argv[0].startswith("-") else argv + ["--outdir", f"{sys.argv[2]}/{i}"])
+    except SystemExit as exc:
+        code = exc.code
+    seen[" ".join(argv)] = [code, loaded()]
+print(json.dumps(seen))
 """
 
 
+def probe(commands, tmp_path):
+    """``{argv joined: [exit code, watched modules loaded]}`` from one fresh interpreter."""
+    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_commands_without_a_sparse_matrix_do_not_load_scipy_sparse(tmp_path):
+    # No command loads jsonschema: report.json is checked without it.
     table = tmp_path / "forcing.csv"
     table.write_text("t,r,f\n0,0,1\n0,1,2\n0.1,0,3\n0.1,1,4\n", encoding="utf-8")
     commands = [
@@ -108,13 +122,40 @@ def test_commands_without_a_sparse_matrix_do_not_load_scipy_sparse(tmp_path):
         # by the benchmark tracer) loads scipy.sparse; the table needs no interpolate
         ["heat", "--n", "20", "--T", "0.01", "--forcing-csv", str(table)],
     ]
-    src = str(Path(conic_lmcf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = {argv: [m for m in names if m.startswith("scipy") or m == "jsonschema"]
+              for argv, (_, names) in probe(commands, tmp_path).items()}
     expected = {" ".join(argv): [] for argv in commands}
     expected["import conic_lmcf"] = []
     expected[" ".join(commands[-1])] = ["scipy.sparse"]
     assert loaded == expected
+
+
+PACKAGE = {f"conic_lmcf.{path.stem}" for path in
+           Path(conic_lmcf.__file__).resolve().parent.glob("*.py")} - {"conic_lmcf.__init__"}
+# One fresh interpreter a group: its commands with their exit codes, and the
+# modules that none of them may load.  Help, --version and usage errors load
+# no numpy and no numeric layer; each command loads only the layers it runs.
+IMPORT_GROUPS = {
+    "start-up": ({"--version": 0, "-h": 0, "flow --bogus": 2, "flow --config CONFIG": 2},
+                 {"numpy"} | PACKAGE - {"conic_lmcf.cli", "conic_lmcf.errors"}),
+    "torus": ({"flow --n 16 --T 0.01": 0, "defect --n 16 --T 0.01": 0},
+              {f"conic_lmcf.{m}" for m in
+               ("cones", "links", "exponents", "asymptotics", "norms", "radial")}),
+    "cone-side": ({"spectrum --link torus --lmax 3": 0, "spectrum --link sphere --lmax 3": 0,
+                   "exponents": 0, "stability --samples 12": 0, "fredholm --gamma 2.1": 0},
+                  {f"conic_lmcf.{m}" for m in ("flow", "radial", "asymptotics", "norms")}),
+}
+
+
+@pytest.mark.parametrize("group", IMPORT_GROUPS)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, group):
+    codes, forbidden = IMPORT_GROUPS[group]
+    config = tmp_path / "config.json"
+    config.write_text('{"n": "many"}', encoding="utf-8")  # a value --n cannot take
+    commands = [argv.replace("CONFIG", str(config)).split() for argv in codes]
+    seen = probe(commands, tmp_path)
+    assert seen.pop("import conic_lmcf") == [0, []]
+    assert {argv: code for argv, (code, _) in seen.items()} == {
+        argv.replace("CONFIG", str(config)): code for argv, code in codes.items()}
+    assert {argv: sorted(forbidden & set(names)) for argv, (_, names) in seen.items()} == {
+        argv: [] for argv in seen}
