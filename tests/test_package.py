@@ -74,13 +74,13 @@ def test_every_export_has_a_caller():
 
 # Runs each command through cli.main in one fresh interpreter and records,
 # after each, its exit code and which of the watched modules are loaded:
-# numpy, SciPy's sparse stack and interpolate, jsonschema and conic_lmcf's
-# submodules.  sys.modules only grows, so the first command that loads a
+# numpy, SciPy with its sparse stack and interpolate, jsonschema and
+# conic_lmcf's submodules.  sys.modules only grows, so the first command that loads a
 # module is the one that needs it.
 PROBE = """
 import json, sys
 import conic_lmcf
-watched = ("numpy", "scipy.sparse", "scipy.interpolate", "jsonschema")
+watched = ("numpy", "scipy", "scipy.sparse", "scipy.interpolate", "jsonschema")
 def loaded():
     return sorted(m for m in sys.modules if m in watched or m.startswith("conic_lmcf."))
 seen = {"import conic_lmcf": [0, loaded()]}
@@ -122,7 +122,7 @@ def test_commands_without_a_sparse_matrix_do_not_load_scipy_sparse(tmp_path):
         # by the benchmark tracer) loads scipy.sparse; the table needs no interpolate
         ["heat", "--n", "20", "--T", "0.01", "--forcing-csv", str(table)],
     ]
-    loaded = {argv: [m for m in names if m.startswith("scipy") or m == "jsonschema"]
+    loaded = {argv: [m for m in names if m in ("scipy.sparse", "scipy.interpolate", "jsonschema")]
               for argv, (_, names) in probe(commands, tmp_path).items()}
     expected = {" ".join(argv): [] for argv in commands}
     expected["import conic_lmcf"] = []
