@@ -173,11 +173,10 @@ def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: fl
         },
         "wall_time_s": time.perf_counter() - t0,
     }
-    # round-trip through the serialiser so the checked object is exactly
-    # what lands on disk
-    canonical = json.loads(json.dumps(_json_values(report), sort_keys=True, allow_nan=False))
-    _check_report(canonical)
-    write_json(outdir / "report.json", canonical)
+    text = json.dumps(_json_values(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # the checked object is parsed from the very text that lands on disk
+    _check_report(json.loads(text))
+    (outdir / "report.json").write_text(text, encoding="utf-8", newline="")
 
 
 # ----------------------------------------------------------------------
