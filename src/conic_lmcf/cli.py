@@ -437,6 +437,8 @@ def parse_initial_condition(expr: str, m: int, n: int):
 # subcommand handlers: each writes its artifacts into ``out`` and returns
 # the report's outputs
 
+_ALPHA_MAX = 3.0  # the least exponent window edge: stability counts the exponents in [0, 2]
+
 
 def cmd_spectrum(args, out: Path) -> dict:
     from .links import MeshLink
@@ -461,6 +463,9 @@ def cmd_spectrum(args, out: Path) -> dict:
 def cmd_exponents(args, out: Path) -> dict:
     from .exponents import ExponentTable
     link = build_link(args)
+    if args.m != link.dim + 1:
+        raise ValidationError(f"--m {args.m} is not {link.dim + 1}, the dimension of a cone over "
+                              f"the {link.dim}-dimensional link: make --m and --dim agree")
     table = ExponentTable.for_link(link, m=args.m, alpha_max=args.alpha_max)
     rows = []
     for entry in table.entries:
@@ -483,7 +488,7 @@ def cmd_stability(args, out: Path) -> dict:
     from .cones import stability_index
     from .exponents import ExponentTable
     cone = _build_cone(args)
-    table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=args.alpha_max)
+    table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=_ALPHA_MAX)
     report = stability_index(cone, table, n=args.samples, seed=args.seed)
     counts = report.harmonic_counts
     print(f"stability index: {report.index}")
@@ -504,7 +509,7 @@ def cmd_fredholm(args, out: Path) -> dict:
     from .exponents import ExponentTable, fredholm_index
     cone = _build_cone(args)
     gammas = list(args.gamma)
-    alpha_max = max([args.alpha_max] + [abs(g) + 1.0 for g in gammas])
+    alpha_max = max([_ALPHA_MAX] + [abs(g) + 1.0 for g in gammas])
     table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=alpha_max)
     index = fredholm_index([table] * len(gammas), gammas,
                            with_asymptotics=args.with_asymptotics)
@@ -519,15 +524,13 @@ def cmd_fredholm(args, out: Path) -> dict:
     return {"files": ["fredholm.json"], **payload}
 
 
-def _solve_modes(lams, args, forcing, store_every=0):
+def _solve_modes(lams, m, args, forcing, store_every=0):
     from .radial import LaplaceTypeSpec, RadialGrid, solve_modes
     if len(set(lams)) < len(lams):
         raise ValidationError(f"--lam lists an eigenvalue twice: {lams}")
-    if store_every < 0:
-        raise ValidationError(f"--store-every must be >= 0, got {store_every}")
     outer = None if args.outer is None else lambda t, value=args.outer: value
     grid = RadialGrid(R=args.radius, n_cells=args.n, q=args.q)
-    specs = [LaplaceTypeSpec(lam=lam, m=args.m) for lam in lams]
+    specs = [LaplaceTypeSpec(lam=lam, m=m) for lam in lams]
     dt = args.dt if args.dt is not None else args.T / 400.0
     return solve_modes(specs, grid, T=args.T, dt=dt, forcing=forcing,
                        outer_bc=outer, inner_bc=args.inner, store_every=store_every)
@@ -538,7 +541,7 @@ def cmd_heat(args, out: Path) -> dict:
     lams = list(args.lam)
     if not lams:
         raise ValidationError("at least one --lam is required")
-    sols = _solve_modes(lams, args, forcing, args.store_every)
+    sols = _solve_modes(lams, args.m, args, forcing, args.store_every)
     files, sup_final = [], {}
     for lam, sol in zip(lams, sols):
         tag = _fmt(float(lam))
@@ -554,17 +557,17 @@ def cmd_heat(args, out: Path) -> dict:
 def cmd_asymptotics(args, out: Path) -> dict:
     import dataclasses
     from .asymptotics import extract_asymptotics, synthesize
-    from .cones import harvey_lawson_torus
     from .exponents import ExponentTable
-    from .links import FlatTorus
     forcing = parse_forcing(args.forcing, args.forcing_csv)
     lams = list(args.lam)
     if len(lams) != 1:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
+    link = build_link(argparse.Namespace(link="torus" if args.metric else "hl-torus",
+                                         metric=args.metric))
+    m = link.dim + 1  # the cone over the link
+    table = ExponentTable.for_link(link, m=m, alpha_max=max(args.gamma + 1.0, _ALPHA_MAX))
     # the fit reads the final frame only, so no intermediate frame is kept
-    sol = _solve_modes(lams, args, forcing)[0]
-    link = FlatTorus(_parse_metric(args.metric)) if args.metric else harvey_lawson_torus().link
-    table = ExponentTable.for_link(link, m=args.m, alpha_max=max(args.gamma + 1.0, 3.0))
+    sol = _solve_modes(lams, m, args, forcing)[0]
     expansion = extract_asymptotics(sol, table, gamma=args.gamma)
     for alpha, k, coeff in expansion.terms:
         print(f"term r^{alpha + 2 * k:g} (harmonic order {alpha:g}, lift {k}): "
@@ -579,8 +582,6 @@ def cmd_asymptotics(args, out: Path) -> dict:
 
 def cmd_flow(args, out: Path) -> dict:
     from .flow import run_flow
-    if args.snapshots < 0:
-        raise ValidationError(f"--snapshots must be >= 0, got {args.snapshots}")
     u0 = args.amplitude * parse_initial_condition(args.ic, args.m, args.n)
     final, series, states = run_flow(u0, T=args.T, dt=args.dt, snapshots=args.snapshots)
     write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
@@ -633,7 +634,6 @@ def cone_flags(a: _Arg) -> None:
 def radial_flags(a: _Arg) -> None:
     a.add("--lam", type=float, nargs="+", default=[0.0],
           help="link eigenvalue(s); the modes share one factorisation and step loop")
-    a.add("--m", type=int, default=3, help="cone dimension")
     a.add("--radius", type=float, default=1.0, help="outer radius of the annulus (finite)")
     a.add("--n", type=int, default=400, help="number of grid cells")
     a.add("--q", type=float, default=2.0, help="grid grading power")
@@ -668,7 +668,7 @@ def exponents_flags(a: _Arg) -> None:
 
 def stability_flags(a: _Arg) -> None:
     cone_flags(a)
-    a.add("--alpha-max", type=float, default=3.0, help="exponent window upper edge (must exceed 2)")
+    a.add("--seed", type=int, default=0, help="seed for the randomised rank checks")
     a.add("--samples", type=int, default=24, help="link sample resolution for rank checks")
 
 
@@ -677,11 +677,11 @@ def fredholm_flags(a: _Arg) -> None:
     a.add("--gamma", type=float, nargs="+", required=True, help="weight, one per cone end")
     a.add("--with-asymptotics", action="store_true",
           help="index of the extended operator with polyhomogeneous unknowns")
-    a.add("--alpha-max", type=float, default=3.0, help="minimum exponent window upper edge")
 
 
 def heat_flags(a: _Arg) -> None:
     radial_flags(a)
+    a.add("--m", type=int, default=3, help="cone dimension")
     a.add("--store-every", type=int, default=0, help="keep every k-th frame (0: first/last)")
 
 
@@ -722,7 +722,6 @@ def _add_command_flags(parser, config: dict, name: str) -> argparse.ArgumentPars
     """``parser`` with the flags of subcommand ``name``, their defaults read from ``config``."""
     a = _Arg(parser, config, name)
     a.add("--outdir", type=str, default="out", help="directory for artifacts (created if missing)")
-    a.add("--seed", type=int, default=0, help="seed for any randomised sampling")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag defaults (explicit flags take precedence)")
     COMMANDS[name][2](a)

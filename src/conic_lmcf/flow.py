@@ -215,7 +215,7 @@ def flow_step(state, dt=None):
 def _snapshot_steps(count, n_steps):
     """``min(count, n_steps + 1)`` evenly spaced step indices from 0 to ``n_steps``."""
     if count < 0:
-        raise ValidationError(f"snapshots must be a nonnegative count, got {count}")
+        raise ValidationError(f"--snapshots must be >= 0, got {count}")
     return np.linspace(0, n_steps, min(count, n_steps + 1)).round().astype(int).tolist()
 
 

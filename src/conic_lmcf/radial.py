@@ -281,8 +281,10 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     modes × nodes), are refused before the factorisation.  Returns one
     :class:`ModeSolution` per spec.
     """
-    if not (0 < dt < math.inf and 0 < T < math.inf and store_every >= 0):
-        raise ValidationError("need finite dt > 0 and T > 0, and store_every >= 0")
+    if not (0 < dt < math.inf and 0 < T < math.inf):
+        raise ValidationError("need finite dt > 0 and T > 0")
+    if store_every < 0:
+        raise ValidationError(f"--store-every must be >= 0, got {store_every}")
     specs = list(specs)
     n_steps, dt = time_steps(T, dt)
     stored = (n_steps // store_every + (n_steps % store_every > 0) if store_every else 1) + 1

@@ -272,6 +272,16 @@ def test_asymptotics_extracts_terms(tmp_path, capsys):
     assert set(data) == {"terms", "remainder_rate", "remainder_sup", "gamma", "time"}
 
 
+def test_asymptotics_takes_the_cone_dimension_from_its_link(tmp_path):
+    # the cone over T^3 has dimension 4, where lambda = 3 has alpha+ = 1; a
+    # --m 3 default fitted r^1.30278, the root for dimension 3
+    assert main(["asymptotics", "--metric", "1,0,0;0,1,0;0,0,1", "--lam", "3",
+                 "--forcing", "r^0.5", "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "asymptotics.json", encoding="utf-8") as fh:
+        terms = json.load(fh)["terms"]
+    assert [(alpha, k) for alpha, k, _ in terms] == [(pytest.approx(1.0, abs=1e-12), 0)]
+
+
 def test_flow_artifacts(tmp_path):
     rc = main(
         ["flow", "--n", "32", "--T", "0.2", "--ic", "sine",
@@ -718,10 +728,17 @@ def test_a_named_subcommand_builds_one_parser(tmp_path, monkeypatch, capsys):
         assert (found, built) == (code, parsers), argv
 
 
-def test_seed_flag_is_recorded(tmp_path):
+def test_seed_flag_is_recorded(tmp_path, capsys):
     main(["stability", "--cone", "hl-torus-3", "--seed", "42",
           "--outdir", str(tmp_path)])
     assert read_report(tmp_path)["inputs"]["seed"] == 42
+    # only stability samples at random, so no other subcommand takes a seed
+    for command in set(COMMANDS) - {"stability"}:
+        required = ["--gamma", "2.1"] if command == "fredholm" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--seed", "42", "--outdir", str(tmp_path / command)])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --seed 42" in capsys.readouterr().err, command
 
 
 # ---------------------------------------------------------------------------
@@ -1047,11 +1064,13 @@ OUT_OF_RANGE = {
     "samples-0": (["stability", "--samples", "0"], "link samples"),
     "spectrum-dim-0": (["spectrum", "--link", "torus", "--dim", "0"], "dimension"),
     "exponents-dim-0": (["exponents", "--link", "torus", "--dim", "0"], "dimension"),
+    # exited 0 with alpha+(1) = 0.618, the root for a cone of dimension 3, not 4
+    "exponents-m-not-link-dim": (["exponents", "--link", "torus", "--dim", "3", "--m", "3"],
+                                 "--m and --dim"),
     "spectrum-dim-negative": (["spectrum", "--link", "torus", "--dim", "-1"], "dimension"),
     "sphere-lmax-inf": (["spectrum", "--link", "sphere", "--lmax", "inf"], "--lmax"),
     "lmax-nan": (["spectrum", "--lmax", "nan"], "--lmax"),
     "exponents-alpha-max-nan": (["exponents", "--alpha-max", "nan"], "--alpha-max"),
-    "stability-alpha-max-nan": (["stability", "--alpha-max", "nan"], "--alpha-max"),
     "asymptotics-gamma-nan": (["asymptotics", "--gamma", "nan"], "--gamma"),
     "fredholm-gamma-nan": (["fredholm", "--gamma", "2.1", "nan"], "--gamma"),
     "flow-amplitude-nan": (["flow", "--n", "16", "--T", "0.01", "--amplitude", "nan"],

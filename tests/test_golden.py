@@ -48,48 +48,48 @@ TOOLCHAIN = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 GOLDEN = {
     "spectrum": {
-        "report.json": "d28e43c39373bc4da8056d91d2c20fce77e8ac3080fa73f717971db1184cc646",
+        "report.json": "b69f31af2e2e1c1c2494a6ee786503ffce5752c97655b77f6d6ec9e34d423d18",
         "spectrum.csv": "d830f69d73b1796c3e2a22d830d81127c3943b0325e418c3ab04bb01d38664c3",
     },
     "exponents": {
         "exponents.csv": "0de75665a2786cb7d0f21385a566c4bd0221341ceffdb8ec24b3ca6cf02bd3ca",
-        "report.json": "3adbc706f437d7c42e758f078786697897decb898f38bb1fc8df71cb2ff2e989",
+        "report.json": "eb1411a145fe98a3044224ed680b57b044d540a4ec8295245a8b2c3190912e98",
     },
     "stability": {
-        "report.json": "b021b844f4222c67fe3029331bde1081bbf26ea4ac89cccd0ea5459dfc3a08f4",
+        "report.json": "4735fb6977142d8e2726c896154b506287e63787fd481ff7acb590c59795312a",
         "stability.json": "4da88407473ef92f173661f3bae4d2e6636b367e70a98ef7c279f6da1d190f12",
     },
     "fredholm": {
         "fredholm.json": "f70119b9e8f2b55ff735b0b00a65d128244995669ebc8145a7db8aa982ed811f",
-        "report.json": "d81c40c16d7c91dbc3c5818b351c1d6935c47648d16eab14026dc010ee78f5f6",
+        "report.json": "6f13f491dc4278d534b1852fd4034e8cbc348b672b44da31a62722d9921698db",
     },
     "heat": {
         "mode_0.csv": "8172810a78e96b518c6fc65d9db7a10ac0684211a89bc61006a1c6221e4a79fe",
         "mode_2.csv": "0e516da44bda173334e74a801ae95add4243c7babbf6de16ad4cfdd70cb37428",
         "profile_0.dat": "c25fcf1a975b286e69595ef6a92cd652e84d0a693ece5decdba412710692ea15",
         "profile_2.dat": "a8bee4477cf36b3b4e8991c8bc5a47d0cdad362625837abe649f2e881af23428",
-        "report.json": "4143f106a95b4d0e6e556e629673d4177636c3aac71ee5734d44cd390e80ddc2",
+        "report.json": "663451ae7747847bda04921f3f1725637e2ed66dfea8f90c57b4b01cf88d3ea5",
     },
     "asymptotics": {
         "asymptotics.json": "3cc1a8b48342e97598e06a3937482e3368dca2e3860adb091e3baeb0aff08d21",
         "remainder.dat": "ca5f7ddeb8fec8cc8d2e91010ae645ca6674ce211ad61e3e37e6ec6bfc0670b7",
-        "report.json": "49ea0df6c27da695f68ec23ec78aa306bdb8cac5a50300fda367be3293447594",
+        "report.json": "132b198599af004552b987f605193e5706d0d44c78ee75d1bd9d1e6e857e19bf",
     },
     "flow": {
         "flow_snapshots.csv": "ebd859359f04997ac047d63338a6b79a3b4b12c3cf8f93872b319bc3c6f83487",
         "flow_summary.json": "9bd78358ad244b2f546131d1ead227a1f69bd12734d94e64816a87b3b5f19f16",
-        "report.json": "3260918cf1b853d14d01ee43b54dee97ea51a9986b164e66cc0387ff14b2c044",
+        "report.json": "7eff4885fc44e4eb6825d8e37617858df3451193cb01561c05d11e88d61e4a6b",
         "sup_theta.dat": "accefeefd5d39e31cece6c7e87f63a2d90be560109ea40919c739c644e4122c7",
     },
     "defect": {
         "defect.dat": "1fbc62362dc15ab2717d725ad46fe0bf85888aef67e12412f402919a8d69f1b4",
         "defect.json": "141b2e550e2844ee0006ced8f4996ee44a1c5610542f100e253994a7fd33093f",
-        "report.json": "431f0d0a4263d4ec4eeec995ec7a98f04cafa00b33df1b19399ce482a2c8b8e7",
+        "report.json": "135139a57ce7f4e7e5612152339fc18b1daebeca581297bc04af4cac1e8e58c7",
     },
     "flow-expression": {
         "flow_snapshots.csv": "e53d27cbc17b321543645ebdf1ddf5df06fbf5162a6ef43e55b4c33969c20f66",
         "flow_summary.json": "e516d85ed4d7bd2a8a58324758526cf9cdafff669a7f66ede11267407fd8f4a5",
-        "report.json": "daf567d6ad14999a5157b1e3dd65bdfba700f89387188e367ffe691816895937",
+        "report.json": "db2d0f3163b1bce3be6a19a1829d46c5b55cd3f6b261684714d211aa3c9ed4bc",
         "sup_theta.dat": "0b5ea202abc364608b45baa4e5fb0c7728baed4099f7cf301f5c54fa130bb836",
     },
     "heat-expression": {
@@ -97,7 +97,7 @@ GOLDEN = {
         "mode_2.csv": "c535b95cb938b36dc12ef7b03c936d514554c4a33d0956cc0bbe526fd392e911",
         "profile_0.dat": "52d58ced3307c1f93d6f0a864d4a2a2e35b5165331102169bd0a901d8ff19c27",
         "profile_2.dat": "da1ebde5487b7d86ffebff737709971cf9c14308be3f581e0c490f3f4400b290",
-        "report.json": "04f1af9ec54918ef7ee355aef74532595c7bb4a4233c2b8c7388e5950669a83f",
+        "report.json": "ac92714c578bc60741d1473f593f155d9e412613d07f58dfbe1459ac616c7e79",
     },
 }
 
