@@ -19,7 +19,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it contributes to the package namespace
+# submodule -> its public names: the one list of them.  Each submodule sets
+# ``__all__ = list(_EXPORTS[...])`` from it, and the lazy lookup below maps a
+# name to its module without importing the module.
 _EXPORTS = {
     "asymptotics": ("AsymptoticExpansion", "extract_asymptotics", "synthesize"),
     "cones": ("MomentElement", "SLCone", "StabilityReport", "catalog_cone", "cone_from_json",

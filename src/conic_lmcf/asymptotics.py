@@ -29,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DegenerateDataError, ExceptionalWeightError, NumericalError, ValidationError
 from .norms import decay_rate, dyadic_annulus_suprema
 
-__all__ = [
-    "AsymptoticExpansion",
-    "extract_asymptotics",
-    "synthesize",
-]
+__all__ = list(_EXPORTS["asymptotics"])
 
 
 @dataclass
@@ -81,8 +78,7 @@ def extract_asymptotics(sol, table, gamma):
     """
     if table.is_exceptional(gamma, lifted=True):
         raise ExceptionalWeightError(
-            f"gamma={gamma} is within tolerance of an exceptional exponent",
-            offending=[0])
+            f"gamma={gamma} is within tolerance of an exceptional exponent")
     r = sol.grid.nodes
     u = np.asarray(sol.final(), dtype=float)
     R = sol.grid.R

@@ -292,6 +292,13 @@ def build_link(args):
     raise ValidationError(f"unknown link {args.link!r}")
 
 
+def _check_cone_link(link, flag: str) -> None:
+    """Refuse a link below dimension 2, whose cone is below m = 3, naming ``flag``."""
+    if link.dim < 2:
+        raise ValidationError(f"{flag} gives a {link.dim}-dimensional link, but exponents need "
+                              f"a cone of dimension m >= 3, over a link of dimension >= 2")
+
+
 def _build_cone(args):
     from .cones import catalog_cone, cone_from_json
     if args.cone_json:
@@ -463,6 +470,7 @@ def cmd_spectrum(args, out: Path) -> dict:
 def cmd_exponents(args, out: Path) -> dict:
     from .exponents import ExponentTable
     link = build_link(args)
+    _check_cone_link(link, "--metric" if args.link == "torus" and args.metric else "--dim")
     if args.m != link.dim + 1:
         raise ValidationError(f"--m {args.m} is not {link.dim + 1}, the dimension of a cone over "
                               f"the {link.dim}-dimensional link: make --m and --dim agree")
@@ -564,6 +572,7 @@ def cmd_asymptotics(args, out: Path) -> dict:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
     link = build_link(argparse.Namespace(link="torus" if args.metric else "hl-torus",
                                          metric=args.metric))
+    _check_cone_link(link, "--metric")
     m = link.dim + 1  # the cone over the link
     table = ExponentTable.for_link(link, m=m, alpha_max=max(args.gamma + 1.0, _ALPHA_MAX))
     # the fit reads the final frame only, so no intermediate frame is kept

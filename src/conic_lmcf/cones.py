@@ -37,24 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericalError, ValidationError, WindowError, check_count
 from .links import FlatTorus, RoundSphere, angle_grid
 
-__all__ = [
-    "MomentElement",
-    "SLCone",
-    "StabilityReport",
-    "moment_eval",
-    "hamiltonian_field",
-    "verify_hamiltonian",
-    "su_basis",
-    "translation_basis",
-    "stability_index",
-    "harvey_lawson_torus",
-    "plane_cone",
-    "cone_from_json",
-    "catalog_cone",
-]
+__all__ = list(_EXPORTS["cones"])
 
 
 # --- moment elements ---------------------------------------------------------

@@ -26,10 +26,6 @@ class WindowError(ValidationError):
 class ExceptionalWeightError(ValidationError):
     """A weight sits (within tolerance) on an exceptional exponent."""
 
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = tuple(offending) if offending is not None else ()
-
 
 class DegenerateDataError(ValidationError):
     """Rate fitting received degenerate (zero or too little) data."""
@@ -40,14 +36,7 @@ class NumericalError(RuntimeError):
 
 
 class GraphConditionError(NumericalError):
-    """The gradient graph left the locally-embedded regime.
-
-    Carries the offending node indices.
-    """
-
-    def __init__(self, message, nodes=None):
-        super().__init__(message)
-        self.nodes = nodes if nodes is not None else []
+    """The gradient graph left the locally-embedded regime."""
 
 
 def check_count(count: float, what: str, fix: str) -> None:

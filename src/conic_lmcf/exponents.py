@@ -31,14 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import ExceptionalWeightError, ValidationError, WindowError
 
-__all__ = [
-    "ExponentEntry",
-    "ExponentTable",
-    "exponent_roots",
-    "fredholm_index",
-]
+__all__ = list(_EXPORTS["exponents"])
 
 
 def exponent_roots(lam, m):
@@ -199,7 +195,7 @@ def fredholm_index(tables, gammas, with_asymptotics=False):
 
     ``tables`` holds one :class:`ExponentTable` per conical point and
     ``gammas`` the matching weights.  Every weight must be non-exceptional;
-    offenders are listed in the raised :class:`ExceptionalWeightError`.
+    the message of the raised :class:`ExceptionalWeightError` lists offenders.
 
     Plain weighted spaces give index ``−Σ_i M_{Σ_i}(γ_i)``.  With discrete
     asymptotics attached (``with_asymptotics=True``) the operator has index
@@ -214,8 +210,7 @@ def fredholm_index(tables, gammas, with_asymptotics=False):
     if offending:
         raise ExceptionalWeightError(
             "exceptional weight at conical point(s) "
-            + ", ".join(f"{i} (gamma={gammas[i]})" for i in offending),
-            offending=offending)
+            + ", ".join(f"{i} (gamma={gammas[i]})" for i in offending))
     if with_asymptotics:
         for t, g in zip(tables, gammas):
             if g <= 2 - t.m:

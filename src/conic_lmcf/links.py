@@ -30,17 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericalError, ValidationError, check_count
 
-__all__ = [
-    "EigenEntry",
-    "angle_grid",
-    "FlatTorus",
-    "RoundSphere",
-    "MeshLink",
-    "read_off",
-    "sphere_multiplicity",
-]
+__all__ = list(_EXPORTS["links"])
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,10 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DegenerateDataError, ValidationError
 
-__all__ = [
-    "decay_rate",
-    "dyadic_annulus_suprema",
-]
+__all__ = list(_EXPORTS["norms"])
 
 
 def dyadic_annulus_suprema(r, values, r_lo, r_hi):

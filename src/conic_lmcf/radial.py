@@ -43,17 +43,11 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
+from . import _EXPORTS
 from .errors import NumericalError, ValidationError, check_count, time_steps
 from .exponents import exponent_roots
 
-__all__ = [
-    "RadialGrid",
-    "LaplaceTypeSpec",
-    "ModeSolution",
-    "radial_operator",
-    "apply_radial_operator",
-    "solve_modes",
-]
+__all__ = list(_EXPORTS["radial"])
 
 
 @dataclass(frozen=True)

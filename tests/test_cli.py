@@ -1067,6 +1067,13 @@ OUT_OF_RANGE = {
     # exited 0 with alpha+(1) = 0.618, the root for a cone of dimension 3, not 4
     "exponents-m-not-link-dim": (["exponents", "--link", "torus", "--dim", "3", "--m", "3"],
                                  "--m and --dim"),
+    # the next three exited 2 with "cone dimension m must be >= 3", naming no flag
+    "exponents-torus-dim-1": (["exponents", "--link", "torus", "--dim", "1", "--m", "2"],
+                              "--dim gives a 1-dimensional link"),
+    "exponents-sphere-dim-1": (["exponents", "--link", "sphere", "--dim", "1", "--m", "2"],
+                               "--dim gives a 1-dimensional link"),
+    "asymptotics-metric-1x1": (["asymptotics", "--metric", "1", "--lam", "0", "--n", "100",
+                                "--T", "0.05"], "--metric gives a 1-dimensional link"),
     "spectrum-dim-negative": (["spectrum", "--link", "torus", "--dim", "-1"], "dimension"),
     "sphere-lmax-inf": (["spectrum", "--link", "sphere", "--lmax", "inf"], "--lmax"),
     "lmax-nan": (["spectrum", "--lmax", "nan"], "--lmax"),

@@ -1,7 +1,11 @@
 """Tests for the periodic graphical flow driver and its defect diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_lmcf import (
     DefectReport,
@@ -18,6 +22,7 @@ from conic_lmcf import (
     run_flow,
 )
 from conic_lmcf.errors import COUNT_LIMIT
+from conic_lmcf.flow import DET_FLOOR
 
 # a snapshot count above every admissible step count: run_flow keeps every state
 EVERY = COUNT_LIMIT + 1
@@ -75,10 +80,12 @@ def test_angle_is_odd_in_the_potential():
 
 def test_angle_rejects_steep_graphs():
     xs = grid_coordinates(2, 32)
+    u, dx = 2.0 * np.sin(xs[0]), 2 * np.pi / 32
     with pytest.raises(GraphConditionError) as exc:
-        lagrangian_angle(2.0 * np.sin(xs[0]), 2 * np.pi / 32)
-    assert exc.value.nodes  # offending nodes are reported
-    assert "det" in str(exc.value)
+        lagrangian_angle(u, dx)
+    bad = np.count_nonzero(graph_determinant(u, dx) < DET_FLOOR)
+    assert bad > 0
+    assert f"det(I+Hess) < {DET_FLOOR} at {bad} node(s)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +253,33 @@ def test_three_dimensional_flow_stays_finite_and_graphical():
     assert series["sup_theta"][-1] < series["sup_theta"][0]
 
 
-def test_steep_initial_condition_reports_nodes_and_smaller_dt():
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(catalog_initial_conditions(2, 8))),
+       st.sampled_from([8, 16, 32, 48]), st.sampled_from([0.05, 0.2]))
+def test_flow_of_negated_potential_is_negated_flow(name, n, T):
+    # θ(−u) = −θ(u) at m = 2: the closed-form Hessian eigenvalues swap and
+    # negate, and arctan is odd, so u -> −u maps the flow to itself bitwise
+    u0 = catalog_initial_conditions(2, n)[name]
+    final, series, states = run_flow(u0, T, snapshots=EVERY)
+    neg_final, neg_series, neg_states = run_flow(-u0, T, snapshots=EVERY)
+    assert neg_series == series  # sup norms and times
+    assert len(neg_states) == len(states)
+    for state, neg in zip([final, *states], [neg_final, *neg_states]):
+        assert neg.t == state.t
+        assert np.array_equal(neg.u, -state.u)
+        assert np.array_equal(neg.theta, -state.theta)
+
+
+def test_steep_initial_condition_reports_nodes():
+    # the initial condition fails in FlowState.from_potential, before any
+    # step, so the message counts nodes and suggests no dt
     xs = grid_coordinates(2, 32)
     with pytest.raises(GraphConditionError) as exc:
         run_flow(2.0 * np.sin(xs[0]), T=0.5)
-    assert len(exc.value.nodes) > 0
+    message = str(exc.value)
+    assert message.startswith("graph condition violated in lagrangian_angle")
+    assert re.search(r" at [1-9]\d* node\(s\)", message)
+    assert "retry" not in message
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -70,6 +71,27 @@ def test_every_export_has_a_caller():
     uncalled = {f"{name}.{member}" for name, cls in classes if inspect.isclass(cls)
                 for member in public_members(cls) if member not in refs}
     assert uncalled == set(UNCALLED_MEMBERS)
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # The benchmark's tracer (clibench/tracer.py, loaded by path and only read)
+    # looks up every name in each module's __all__ and in its own
+    # EXTRA_FUNCTIONS and METHODS: a name the package drops fails here, not
+    # first in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "clibench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("clibench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    from conic_lmcf import flow
+    original = flow.run_flow
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert flow.run_flow is not original
+        assert flow.run_flow.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert flow.run_flow is original
 
 
 # Runs each command through cli.main in one fresh interpreter and records,

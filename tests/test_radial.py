@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conic_lmcf import (
     LaplaceTypeSpec,
@@ -387,3 +391,33 @@ def test_last_frame_ends_at_T_when_dt_nearly_divides_it():
                       T=0.3, dt=0.1, store_every=1)[0]
     assert sol.times[-1] == 0.3
     assert np.array_equal(sol.times[:-1], np.arange(3) * (0.3 / 3))
+
+
+def final_or_failed_step(s, lam, m, q, n, inner, a, T=0.1):
+    """Bytes of the final frame of the ``(r/s)^a/s²`` forcing on ``RadialGrid(R=s)`` with
+    ``T·s²`` and ``dt·s²``; or, when the solve fails, the step it names."""
+    grid = RadialGrid(R=s, n_cells=n, q=q)
+    try:
+        # a failing solve meets inf·0 at the inner row before NumericalError
+        with np.errstate(all="ignore"):
+            sol = solve_modes([LaplaceTypeSpec(lam, m)], grid, T=T * s * s, dt=T / 400 * s * s,
+                              forcing=lambda t, r: (r / s) ** a / (s * s), inner_bc=inner,
+                              store_every=0)[0]
+    except NumericalError as exc:
+        return re.search(r"step \d+", str(exc)).group()
+    return sol.final().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, 2.0, 8.0, 30.0]), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from([8, 50, 400]),
+       st.sampled_from(["extrapolation", "dirichlet0"]), st.sampled_from([0.5, 1.5]),
+       st.sampled_from([1, 2]))
+# the solve fails at step 398 at both scales (a known blow-up, ROADMAP item 10)
+@example(0.0, 4, 3.0, 8, "dirichlet0", 0.5, 1)
+def test_dilation_by_a_power_of_two_keeps_the_bits(lam, m, q, n, inner, a, k):
+    # r -> s·r, t -> s²·t maps the cone heat equation to itself, and scaling
+    # by s = 2^k is exact in floating point, so every solver value scales exactly
+    s = 2.0 ** k
+    assert final_or_failed_step(s, lam, m, q, n, inner, a) == final_or_failed_step(
+        1.0, lam, m, q, n, inner, a)
