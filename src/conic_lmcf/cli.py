@@ -271,25 +271,38 @@ def _parse_metric(text: str):
 
 
 def build_link(args):
+    """The link that ``--link`` names, refusing a flag of another link or a ``--dim`` unlike its own.
+
+    An hl-torus or mesh link has dimension 2, a ``--metric`` torus the metric's size.
+    A command without ``--dim`` passes ``dim=None``.
+    """
     import numpy as np
     from .links import FlatTorus, MeshLink, RoundSphere
-    if args.link == "hl-torus":
-        from .cones import harvey_lawson_torus  # loaded only for the one link that needs it
-        return harvey_lawson_torus().link
+    for flag, value, owner in (("--metric", args.metric, "torus"),
+                               ("--mesh-file", args.mesh_file, "mesh")):
+        if value is not None and args.link != owner:
+            raise ValidationError(f"{flag} is for --link {owner}, not --link {args.link}")
     if args.link == "sphere":
         return RoundSphere(args.dim)
-    if args.link == "torus":
-        if args.metric is not None:
-            return FlatTorus(_parse_metric(args.metric))
+    if args.link == "torus" and args.metric is None:
         # FlatTorus rejects the 0 x 0 metric of a --dim below 1
         dim = max(args.dim, 0)
         check_count(dim * dim, f"entries of the {dim}x{dim} torus metric", "lower --dim")
         return FlatTorus(np.eye(dim))
-    if args.link == "mesh":
+    if args.link == "torus":
+        link = FlatTorus(_parse_metric(args.metric))
+    elif args.link == "mesh":
         if args.mesh_file is None:
             raise ValidationError("--link mesh requires --mesh-file")
-        return MeshLink.from_off(args.mesh_file)
-    raise ValidationError(f"unknown link {args.link!r}")
+        link = MeshLink.from_off(args.mesh_file)
+    else:  # hl-torus, the one link that loads the cone catalog (--link takes no other choice)
+        from .cones import harvey_lawson_torus
+        link = harvey_lawson_torus().link
+    if args.dim not in (None, link.dim):
+        given = "the --metric torus" if args.metric is not None else f"--link {args.link}"
+        raise ValidationError(f"--dim {args.dim} is not {link.dim}, the dimension of {given}: "
+                              f"drop --dim or make it agree")
+    return link
 
 
 def _check_cone_link(link, flag: str) -> None:
@@ -444,7 +457,7 @@ def parse_initial_condition(expr: str, m: int, n: int):
 # subcommand handlers: each writes its artifacts into ``out`` and returns
 # the report's outputs
 
-_ALPHA_MAX = 3.0  # the least exponent window edge: stability counts the exponents in [0, 2]
+_ALPHA_MAX = 3.0  # the least exponent window edge of fredholm and asymptotics
 
 
 def cmd_spectrum(args, out: Path) -> dict:
@@ -470,11 +483,11 @@ def cmd_spectrum(args, out: Path) -> dict:
 def cmd_exponents(args, out: Path) -> dict:
     from .exponents import ExponentTable
     link = build_link(args)
-    _check_cone_link(link, "--metric" if args.link == "torus" and args.metric else "--dim")
+    _check_cone_link(link, "--dim")
     if args.m != link.dim + 1:
         raise ValidationError(f"--m {args.m} is not {link.dim + 1}, the dimension of a cone over "
                               f"the {link.dim}-dimensional link: make --m and --dim agree")
-    table = ExponentTable.for_link(link, m=args.m, alpha_max=args.alpha_max)
+    table = ExponentTable.for_link(link, args.alpha_max)
     rows = []
     for entry in table.entries:
         if entry.alpha >= 0:
@@ -494,10 +507,8 @@ def cmd_exponents(args, out: Path) -> dict:
 def cmd_stability(args, out: Path) -> dict:
     import dataclasses
     from .cones import stability_index
-    from .exponents import ExponentTable
     cone = _build_cone(args)
-    table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=_ALPHA_MAX)
-    report = stability_index(cone, table, n=args.samples, seed=args.seed)
+    report = stability_index(cone, n=args.samples, seed=args.seed)
     counts = report.harmonic_counts
     print(f"stability index: {report.index}")
     print(f"harmonic counts (orders 0/1/2): {counts[0]}/{counts[1]}/{counts[2]}")
@@ -518,7 +529,7 @@ def cmd_fredholm(args, out: Path) -> dict:
     cone = _build_cone(args)
     gammas = list(args.gamma)
     alpha_max = max([_ALPHA_MAX] + [abs(g) + 1.0 for g in gammas])
-    table = ExponentTable.for_link(cone.link, m=cone.m, alpha_max=alpha_max)
+    table = ExponentTable.for_link(cone.link, alpha_max)
     index = fredholm_index([table] * len(gammas), gammas,
                            with_asymptotics=args.with_asymptotics)
     print(f"fredholm index: {index}")
@@ -571,12 +582,11 @@ def cmd_asymptotics(args, out: Path) -> dict:
     if len(lams) != 1:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
     link = build_link(argparse.Namespace(link="torus" if args.metric else "hl-torus",
-                                         metric=args.metric))
+                                         metric=args.metric, mesh_file=None, dim=None))
     _check_cone_link(link, "--metric")
-    m = link.dim + 1  # the cone over the link
-    table = ExponentTable.for_link(link, m=m, alpha_max=max(args.gamma + 1.0, _ALPHA_MAX))
+    table = ExponentTable.for_link(link, max(args.gamma + 1.0, _ALPHA_MAX))
     # the fit reads the final frame only, so no intermediate frame is kept
-    sol = _solve_modes(lams, m, args, forcing)[0]
+    sol = _solve_modes(lams, table.m, args, forcing)[0]
     expansion = extract_asymptotics(sol, table, gamma=args.gamma)
     for alpha, k, coeff in expansion.terms:
         print(f"term r^{alpha + 2 * k:g} (harmonic order {alpha:g}, lift {k}): "

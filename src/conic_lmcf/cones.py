@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from .errors import NumericalError, ValidationError, WindowError, check_count
+from .errors import NumericalError, ValidationError, check_count
+from .exponents import ExponentTable
 from .links import FlatTorus, RoundSphere, angle_grid
 
 __all__ = list(_EXPORTS["cones"])
@@ -377,24 +378,23 @@ def _gap_rank(svals):
     return rank
 
 
-def stability_index(cone, table, n=24, seed=0):
+def stability_index(cone, n=24, seed=0):
     """Stability index of a special Lagrangian cone, with rank diagnostics.
 
     The index is the multiplicity-weighted number of homogeneity exponents
     in the closed interval [0, 2] minus ``m² + 2m − dim G``, the dimension
-    count of the harmonic functions generated by rigid motions and dilation.
+    count of the harmonic functions generated by rigid motions and dilation;
+    the exponents come from the cone's link spectrum, in a window up to 3.
     The report also carries the numerically measured dimensions of the
     spans of the moment maps restricted to the link, for generators ranging
     over translations and over ``su(m)``; for a non-degenerate cone these
     equal ``2m`` and ``m² − 1 − dim G``.
     """
-    if table.alpha_hi < 2.0 - table.tol:
-        raise WindowError("exponent table window must cover [0, 2]")
     if n < 1:
         raise ValidationError(f"need n >= 1 link samples per axis, got n={n}")
-    # link_samples: an n^d angle grid on a trig cone's torus, n² points on a sphere
-    d = cone._freqs[0].shape[1] if cone.trig_table is not None else 2
-    check_count(n ** d, f"link sample points ({n} per axis)", "lower --samples")
+    # link_samples: n^d points on a d-dimensional link (a torus angle grid, or n² on S²)
+    check_count(n ** cone.link.dim, f"link sample points ({n} per axis)", "lower --samples")
+    table = ExponentTable.for_link(cone.link, 3.0)
     m = cone.m
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}
     # exponents in [0, 2) and at 2: together the closed interval [0, 2]

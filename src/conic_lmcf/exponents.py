@@ -102,54 +102,49 @@ class ExponentTable:
         return cls(m, rows, lo, hi)
 
     @classmethod
-    def for_link(cls, link, m, alpha_max):
-        """Table for a link object covering exponents up to ``alpha_max``.
+    def for_link(cls, link, alpha_max):
+        """Table for the cone over ``link`` covering exponents up to ``alpha_max``.
 
-        The spectrum is enumerated completely up to the eigenvalue matching
-        ``alpha_max``, so the table's validity window is the full requested
-        range ``[2 − m − alpha_max, alpha_max]`` even when the largest
-        realized exponent falls short of it.
+        The cone has dimension ``m = link.dim + 1``.  The spectrum is
+        enumerated completely up to the eigenvalue matching ``alpha_max``, so
+        the table's validity window is the full requested range
+        ``[2 − m − alpha_max, alpha_max]`` even when the largest realized
+        exponent falls short of it.
         """
         if alpha_max < 0:
             raise ValidationError("alpha_max must be nonnegative")
+        m = link.dim + 1
         lam_max = alpha_max * (alpha_max + m - 2)
         table = cls.from_spectrum(link.spectrum(lam_max), m)
         table.alpha_lo = min(table.alpha_lo, 2.0 - m - alpha_max)
         table.alpha_hi = max(table.alpha_hi, float(alpha_max))
         return table
 
+    def _points(self, lifted):
+        """``(α, m_Σ(α))`` over ``D_Σ``; lifted, also ``(α + 2k, m_Σ(α))`` for ``α ≥ 0``, k ≥ 1."""
+        edge = self.alpha_hi + 2 * self.tol  # the farthest point a query in the window reaches
+        for e in self.entries:
+            lifts = math.floor((edge - e.alpha) / 2) if lifted and e.alpha >= -self.tol else 0
+            for k in range(lifts + 1):
+                yield e.alpha + 2 * k, e.multiplicity
+
     # -- membership ----------------------------------------------------------
 
     def multiplicity(self, alpha):
         """``m_Σ(alpha)`` (0 exactly when ``alpha ∉ D_Σ``)."""
         self._require_in_window(alpha)
-        return sum(e.multiplicity for e in self.entries
-                   if abs(e.alpha - alpha) <= self.tol)
+        return sum(mult for a, mult in self._points(False) if abs(a - alpha) <= self.tol)
 
     def lifted_exponents(self, upper):
         """Sorted distinct elements of ``E_Σ ∩ [0, upper]``."""
         self._require_in_window(upper)
-        out = set()
-        for e in self.entries:
-            if e.alpha < -self.tol:
-                continue
-            beta = e.alpha
-            while beta <= upper + self.tol:
-                out.add(round(beta, 12))
-                beta += 2.0
-        return sorted(out)
+        return sorted({round(b, 12) for b, _ in self._points(True)
+                       if -self.tol <= b <= upper + self.tol})
 
     def is_exceptional(self, gamma, lifted=False):
         """Whether ``gamma`` sits within ``tol`` of ``D_Σ`` (or ``E_Σ``)."""
         self._require_in_window(gamma)
-        for e in self.entries:
-            if abs(gamma - e.alpha) <= self.tol:
-                return True
-            if lifted and e.alpha >= -self.tol:
-                k = round((gamma - e.alpha) / 2.0)
-                if k >= 1 and abs(e.alpha + 2 * k - gamma) <= self.tol:
-                    return True
-        return False
+        return any(abs(gamma - b) <= self.tol for b, _ in self._points(lifted))
 
     def _require_in_window(self, delta):
         if delta < self.alpha_lo - self.tol or delta > self.alpha_hi + self.tol:
@@ -160,31 +155,22 @@ class ExponentTable:
 
     # -- counting functions ----------------------------------------------------
 
-    def count_M(self, delta):
-        """Signed count of ``D_Σ`` exponents between 0 and ``delta``."""
+    def _count(self, delta, lifted):
+        """Signed count: the points in ``[0, delta)``, or minus those in ``(delta, 0)``."""
         self._require_in_window(delta)
         if delta >= 0:
-            return sum(e.multiplicity for e in self.entries
-                       if -self.tol <= e.alpha < delta - self.tol)
-        return -sum(e.multiplicity for e in self.entries
-                    if delta + self.tol < e.alpha < -self.tol)
+            return sum(mult for b, mult in self._points(lifted)
+                       if -self.tol <= b < delta - self.tol)
+        return -sum(mult for b, mult in self._points(lifted)
+                    if delta + self.tol < b < -self.tol)
+
+    def count_M(self, delta):
+        """Signed count of ``D_Σ`` exponents between 0 and ``delta``."""
+        return self._count(delta, lifted=False)
 
     def count_N(self, delta):
         """Signed count over ``(E_Σ, n_Σ)``; equals ``count_M`` for δ ≤ 2."""
-        self._require_in_window(delta)
-        if delta < 0:
-            # no lifted points below 0 carry extra multiplicity
-            return self.count_M(delta)
-        total = 0
-        for e in self.entries:
-            if e.alpha < -self.tol:
-                continue
-            # number of k >= 0 with alpha + 2k < delta
-            beta = e.alpha
-            while beta < delta - self.tol:
-                total += e.multiplicity
-                beta += 2.0
-        return total
+        return self._count(delta, lifted=True)
 
 
 # --- Fredholm index ----------------------------------------------------------

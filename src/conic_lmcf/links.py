@@ -127,7 +127,7 @@ class FlatTorus:
         radii = [math.sqrt(lam_max * self.metric[i, i]) + 1e-9 for i in range(self.dim)]
         check_count(math.prod(2 * r + 1 for r in radii),
                     f"lattice points with k^T H^-1 k <= {lam_max:g} in their bounding box",
-                    "lower --lmax (or --alpha-max)")
+                    "lower --lmax, --alpha-max or --gamma (whichever the command has)")
         bounds = [math.floor(r) for r in radii]
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
@@ -204,7 +204,7 @@ class RoundSphere:
         d = self.dim - 1
         check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + EXACT_TOL, 0.0)) - d) / 2,
                     f"eigenvalues of S^{self.dim} up to {lam_max:g}",
-                    "lower --lmax (or --alpha-max)")
+                    "lower --lmax, --alpha-max or --gamma (whichever the command has)")
         entries = []
         l = 0
         while l * (l + self.dim - 1) <= lam_max + EXACT_TOL:

@@ -54,9 +54,7 @@ class timed:
 
 def test_criterion_1_torus_cone_stability():
     with timed(1.0) as t:
-        cone = harvey_lawson_torus()
-        table = ExponentTable.for_link(cone.link, m=3, alpha_max=3.0)
-        report = stability_index(cone, table)
+        report = stability_index(harvey_lawson_torus())
         assert report.index == 0
         assert report.harmonic_counts == {0: 1, 1: 6, 2: 6}
         assert report.rank_translations == 6
@@ -72,7 +70,7 @@ def test_criterion_2_spectral_counting_identities():
         rng = np.random.default_rng(1215)
         links = [FlatTorus(HEX_METRIC), RoundSphere(2)]
         for link in links:
-            table = ExponentTable.for_link(link, m=3, alpha_max=6.0)
+            table = ExponentTable.for_link(link, 6.0)
             lifted = np.asarray(table.lifted_exponents(6.0))
             checked = 0
             while checked < 50:
@@ -167,7 +165,7 @@ def test_criterion_6_decay_rate_and_coefficient_stability():
     with timed(60.0) as t:
         gamma = 2.5
         T = 0.1
-        table = ExponentTable.for_link(FlatTorus(HEX_METRIC), m=3, alpha_max=4.0)
+        table = ExponentTable.for_link(FlatTorus(HEX_METRIC), 4.0)
         spec = LaplaceTypeSpec(lam=0.0, m=3)
         a0, a2, rates = [], [], []
         for n in (400, 800, 1600):
@@ -197,7 +195,7 @@ def test_criterion_6_decay_rate_and_coefficient_stability():
 
 def test_criterion_7_index_jumps_match_multiplicities():
     with timed(1.0) as t:
-        table = ExponentTable.for_link(FlatTorus(HEX_METRIC), m=3, alpha_max=4.0)
+        table = ExponentTable.for_link(FlatTorus(HEX_METRIC), 4.0)
         exps = sorted(
             {round(e.alpha, 12) for e in table.entries if 0.0 <= e.alpha <= 3.0}
         )

@@ -25,7 +25,7 @@ HEX_METRIC = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
 
 @pytest.fixture(scope="module")
 def table():
-    return ExponentTable.for_link(FlatTorus(HEX_METRIC), m=3, alpha_max=4.0)
+    return ExponentTable.for_link(FlatTorus(HEX_METRIC), 4.0)
 
 
 def fake_solution(grid, profile, lam=6.0):

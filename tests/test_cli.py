@@ -1089,6 +1089,19 @@ OUT_OF_RANGE = {
                          "metric entries must be finite"),
     "torus-metric-nan": (["spectrum", "--link", "torus", "--metric", "nan,0;0,1"],
                          "metric entries must be finite"),
+    # the next four exited 0, building the link --link names and ignoring the flag
+    "sphere-metric": (["spectrum", "--link", "sphere", "--metric", "1,0;0,1"],
+                      "--metric is for --link torus"),
+    "metric-torus-dim-5": (["spectrum", "--link", "torus", "--dim", "5", "--metric", "1,0;0,1"],
+                           "--dim 5 is not 2, the dimension of the --metric torus"),
+    "hl-torus-dim-7": (["exponents", "--link", "hl-torus", "--dim", "7"],
+                       "--dim 7 is not 2, the dimension of --link hl-torus"),
+    "hl-torus-mesh-file": (["spectrum", "--link", "hl-torus", "--mesh-file", "x.off"],
+                           "--mesh-file is for --link mesh"),
+    # these two named --lmax (or --alpha-max), flags neither command has
+    "fredholm-gamma-window": (["fredholm", "--gamma", "1000.5"], "--gamma"),
+    "asymptotics-gamma-window": (["asymptotics", "--gamma", "1000.5", "--lam", "0", "--n", "50",
+                                  "--T", "0.01"], "--gamma"),
 }
 
 

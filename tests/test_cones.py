@@ -8,16 +8,16 @@ import math
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_lmcf import (
-    EigenEntry,
     ExponentTable,
     FlatTorus,
     MomentElement,
     NumericalError,
     SLCone,
     ValidationError,
-    WindowError,
     catalog_cone,
     cone_from_json,
     hamiltonian_field,
@@ -258,9 +258,7 @@ def test_cone_json_round_trip_bits(tmp_path):
 
 
 def test_stability_hl_torus_is_zero():
-    cone = harvey_lawson_torus()
-    table = ExponentTable.for_link(cone.link, m=3, alpha_max=3.0)
-    report = stability_index(cone, table)
+    report = stability_index(harvey_lawson_torus())
     assert report.index == 0
     assert report.harmonic_counts == {0: 1, 1: 6, 2: 6}
     assert report.rank_translations == 6
@@ -270,9 +268,7 @@ def test_stability_hl_torus_is_zero():
 
 
 def test_stability_plane_degenerate():
-    cone = plane_cone()
-    table = ExponentTable.for_link(cone.link, m=3, alpha_max=3.0)
-    report = stability_index(cone, table)
+    report = stability_index(plane_cone())
     assert report.index == -3
     assert report.harmonic_counts == {0: 1, 1: 3, 2: 5}
     assert report.rank_translations == 3          # only Re(z) restricts nontrivially
@@ -281,21 +277,44 @@ def test_stability_plane_degenerate():
     assert any("not injective" in w for w in report.warnings)
 
 
-def test_stability_window_too_small():
-    cone = harvey_lawson_torus()
-    entries = [EigenEntry(0.0, 1), EigenEntry(2.0, 6)]
-    table = ExponentTable.from_spectrum(entries, m=3)
-    with pytest.raises(WindowError):
-        stability_index(cone, table)
-
-
 def test_stability_nonnegative_for_synthetic_minimal_link():
     # a link whose only low harmonics are the forced ones cannot push the
     # index below the catalog's dim_G honestly; exercise the index formula
-    cone = harvey_lawson_torus()
-    table = ExponentTable.for_link(cone.link, m=3, alpha_max=3.0)
-    report = stability_index(cone, table)
+    report = stability_index(harvey_lawson_torus())
     assert report.index >= 0
+
+
+SL2Z_GENERATORS = (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]),
+                   np.array([[0, -1], [1, 0]]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.sampled_from(range(3)), max_size=3),
+       psi=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))
+def test_reparametrised_cone_file_keeps_spectrum_and_indices(tmp_path_factory, word, psi):
+    # angles σ ↦ Aᵀσ for A in SL(2,Z) and a diagonal SU(3) phase move the
+    # description of hl-torus-3 but not the cone, so nothing computed from it moves
+    A = np.eye(2, dtype=int)
+    for g in word:
+        A = A @ SL2Z_GENERATORS[g]
+    data = harvey_lawson_torus().to_json()
+    for coord, phase in zip(data["coordinates"], (psi[0], psi[1], -psi[0] - psi[1])):
+        for mono in coord:
+            c = complex(*mono["c"]) * complex(math.cos(phase), math.sin(phase))
+            mono["c"], mono["k"] = [c.real, c.imag], (A.T @ mono["k"]).tolist()
+    path = tmp_path_factory.mktemp("cone") / "moved.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    cone, hl = cone_from_json(path), harvey_lawson_torus()
+
+    moved, fixed = cone.link.spectrum(12.0), hl.link.spectrum(12.0)
+    assert [e.multiplicity for e in moved] == [e.multiplicity for e in fixed]
+    assert [e.lam for e in moved] == pytest.approx([e.lam for e in fixed], rel=1e-9, abs=1e-12)
+    report = stability_index(cone)
+    assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
+    assert (report.rank_translations, report.rank_su) == (6, 6)
+    tables = [ExponentTable.for_link(c.link, 3.0) for c in (cone, hl)]
+    for gamma in (-1.5, -0.5, 0.5, 1.5, 2.5):
+        assert tables[0].count_M(gamma) == tables[1].count_M(gamma)
 
 
 @pytest.mark.parametrize("svals, rank", [

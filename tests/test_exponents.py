@@ -29,12 +29,17 @@ NEXT_EXCEPTIONAL = (-1.0 + math.sqrt(33.0)) / 2.0
 
 @pytest.fixture(scope="module")
 def torus_table():
-    return ExponentTable.for_link(FlatTorus(HEX_METRIC), m=3, alpha_max=5.0)
+    return ExponentTable.for_link(FlatTorus(HEX_METRIC), 5.0)
 
 
 @pytest.fixture(scope="module")
 def sphere_table():
-    return ExponentTable.for_link(RoundSphere(2), m=3, alpha_max=5.0)
+    return ExponentTable.for_link(RoundSphere(2), 5.0)
+
+
+@pytest.fixture(scope="module")
+def s3_table():
+    return ExponentTable.for_link(RoundSphere(3), 5.0)
 
 
 def test_exponent_roots_quadratic_identity():
@@ -188,3 +193,33 @@ def test_m_examples_match_sum_over_halfopen(torus_table):
         direct = sum(torus_table.multiplicity(e.alpha) for e in torus_table.entries
                      if 0.0 <= e.alpha < delta - 1e-12)
         assert torus_table.count_M(delta) == direct
+
+
+def test_cone_dimension_comes_from_the_link(torus_table, sphere_table, s3_table):
+    assert (torus_table.m, sphere_table.m, s3_table.m) == (3, 3, 4)
+
+
+@pytest.mark.parametrize("name", ["torus_table", "sphere_table", "s3_table"])
+def test_count_N_jumps_by_n_sigma_across_each_lifted_exponent(request, name):
+    # n_Σ(β) = m_Σ(β) + Σ_{k≥1, 2k≤β} m_Σ(β − 2k), read from the plain table
+    table = request.getfixturevalue(name)
+    lifted = table.lifted_exponents(4.9)
+    assert lifted[:2] == [0.0, 1.0] and len(lifted) >= 5
+    for beta in lifted:
+        n_sigma = table.multiplicity(beta) + sum(
+            table.multiplicity(beta - 2 * k) for k in range(1, int(beta / 2 + table.tol) + 1))
+        assert table.count_N(beta + 1e-6) - table.count_N(beta - 1e-6) == n_sigma > 0
+
+
+@pytest.mark.parametrize("name", ["torus_table", "sphere_table", "s3_table"])
+def test_is_exceptional_lifted_holds_within_tol_and_fails_beyond(request, name):
+    table = request.getfixturevalue(name)
+    inside = (table.alpha_lo + 11 * table.tol, table.alpha_hi - 11 * table.tol)
+    points = [b for b in table.lifted_exponents(table.alpha_hi)
+              + [e.alpha for e in table.entries if e.alpha < 0] if inside[0] <= b <= inside[1]]
+    for beta in points:
+        for sign in (1, -1):
+            assert table.is_exceptional(beta + sign * table.tol / 2, lifted=True)
+            away = beta + sign * 10 * table.tol
+            if min(abs(away - b) for b in points) > 9 * table.tol:
+                assert not table.is_exceptional(away, lifted=True)

@@ -164,7 +164,7 @@ IMPORT_GROUPS = {
               {f"conic_lmcf.{m}" for m in
                ("cones", "links", "exponents", "asymptotics", "norms", "radial")}),
     "cone-side": ({"spectrum --link torus --lmax 3": 0, "spectrum --link sphere --lmax 3": 0,
-                   "exponents": 0, "stability --samples 12": 0, "fredholm --gamma 2.1": 0},
+                   "spectrum --link hl-torus --lmax 3": 0, "exponents": 0, "stability --samples 12": 0, "fredholm --gamma 2.1": 0},
                   {f"conic_lmcf.{m}" for m in ("flow", "radial", "asymptotics", "norms")}),
     # a --metric link is a flat torus, so the cone catalog is not needed
     "metric-asymptotics": ({"asymptotics --metric 1,0;0,1 --lam 0 --n 100 --T 0.05": 0},
