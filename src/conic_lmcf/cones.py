@@ -178,12 +178,11 @@ class SLCone:
 
     # -- embedding
 
-    def link_samples(self, n=12, seed=0):
-        """Sample points on the link (angle grid or seeded sphere points)."""
+    def link_samples(self, n=12):
+        """Sample points on the link (angle grid or n² seed-0 sphere points)."""
         if self.trig_table is not None:
             return angle_grid(n, self._freqs[0].shape[1])
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((n * n, self.m))
+        pts = np.random.default_rng(0).standard_normal((n * n, self.m))
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
     def embed(self, sigma, r=1.0):
@@ -230,10 +229,11 @@ class SLCone:
     # -- geometric checks
 
     def validate(self):
-        """Frame one link sample; set ``phase_theta`` and check the cone.
+        """Frame one link sample; set ``phase_theta`` and ``link_points``; check the cone.
 
         A sphere cone takes 12² points, a trig table the n×n angle grid with
-        n = max(12, 2·m·max|k| + 1), finer than every frequency of the checks.
+        n = max(12, 2·m·max|k| + 1), finer than every frequency of the checks and
+        of the moment maps.  ``link_points`` is the frame's first column, at r = 1.
         θ is the frame determinant's phase at the first sample (σ = 0).  A trig
         table's metric ``H_ab = Re⟨∂_aX, ∂_bX⟩`` at σ = 0 must hold at every
         sample and match ``link`` (``None`` becomes ``FlatTorus(H)``).  Returns
@@ -245,6 +245,7 @@ class SLCone:
             check_count(n ** self._freqs[0].shape[1], "validation samples", "use smaller k")
         frame = self.frames(self.link_samples(n))
         dets = np.linalg.det(frame)
+        self.link_points = frame[:, 0]
         self.phase_theta = float(cmath.phase(complex(dets[0])))
         gram = np.einsum("naj,nbj->nab", frame.conj(), frame)
         if self.trig_table is not None:
@@ -307,30 +308,33 @@ def plane_cone():
 def cone_from_json(path):
     """Build a cone, linked by its induced metric, from a JSON trig-monomial file.
 
-    Fields: ``name``, ``m``, ``dim_G`` and ``coordinates``, one nonempty list
-    of monomials ``{"c": [re, im], "k": [k1, ..., k_{m−1}]}`` per coordinate.
+    Fields: ``name``, an integer ``m`` ≥ 3, an integer ``dim_G`` = dim G from 0 to
+    m² − 1 (G ⊂ SU(m); default 0) and ``coordinates``, one nonempty list of monomials
+    ``{"c": [re, im], "k": [k1, ..., k_{m−1}]}`` per coordinate.
     The integer frequencies must span ``Z^{m−1}`` (their maximal minors have
     gcd 1).  Any failure raises :class:`ValidationError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        m = int(data["m"])
+        m, dim_G = data["m"], data.get("dim_G", 0)
+        if type(m) is not int or m < 3 or type(dim_G) is not int or not 0 <= dim_G < m * m:
+            raise ValidationError(f"need an integer m >= 3 and an integer dim_G from 0 to "
+                                  f"m^2 - 1, got m={m!r} and dim_G={dim_G!r}")
         table = [[(complex(mono["c"][0], mono["c"][1]), tuple(mono["k"])) for mono in coord]
                  for coord in data["coordinates"]]
         ks = [k for coord in table for _, k in coord]
-        if (m < 2 or len(table) != m or not all(table)
+        if (len(table) != m or not all(table)
                 or any(len(k) != m - 1 or any(type(x) is not int for x in k) for k in ks)):
-            raise ValidationError(f"need m >= 2 and {m} nonempty monomial lists, each "
-                                  f"monomial with m - 1 integer frequencies k")
+            raise ValidationError(f"need {m} nonempty monomial lists, each monomial with "
+                                  f"m - 1 integer frequencies k")
         check_count(math.comb(len(ks), m - 1), "frequency minors", "use fewer monomials")
         gcd = math.gcd(*(round(np.linalg.det(np.array(rows, dtype=float)))
                          for rows in itertools.combinations(ks, m - 1)))
         if gcd != 1:
             raise ValidationError(f"the frequencies k must span all of Z^{m - 1}, but the gcd "
                                   f"of their minors is {gcd}")
-        return SLCone(data.get("name", "custom"), m, None, int(data.get("dim_G", 0)),
-                      trig_table=table)
+        return SLCone(data.get("name", "custom"), m, None, dim_G, trig_table=table)
     except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         # ValidationError is a ValueError: every failure is re-raised naming the file
         what = f"no field {exc}" if isinstance(exc, KeyError) else exc
@@ -362,23 +366,23 @@ class StabilityReport:
     warnings: list = field(default_factory=list)
 
 
-def _gap_rank(svals):
+def _gap_rank(svals, name):
     """Numerical rank from descending singular values: the count above ``1e-8·σ₀``.
 
     The count is trusted only at a clear gap: when a value is dropped, the
     smallest kept one must exceed the largest dropped one by a factor of at
-    least 1e4, otherwise :class:`NumericalError` is raised.
+    least 1e4, otherwise :class:`NumericalError` naming the cone is raised.
     """
     rank = int((svals > 1e-8 * svals[0]).sum())
     if 0 < rank < len(svals) and svals[rank - 1] < 1e4 * svals[rank]:
         raise NumericalError(
-            f"moment-map span rank is ambiguous: singular values {svals[rank - 1]:.3g} "
-            f"(kept) and {svals[rank]:.3g} (dropped) are within a factor 1e4; "
-            f"change --samples or --seed")
+            f"cone {name}: moment-map span rank is ambiguous: singular values "
+            f"{svals[rank - 1]:.3g} (kept) and {svals[rank]:.3g} (dropped) are within "
+            f"a factor 1e4")
     return rank
 
 
-def stability_index(cone, n=24, seed=0):
+def stability_index(cone):
     """Stability index of a special Lagrangian cone, with rank diagnostics.
 
     The index is the multiplicity-weighted number of homogeneity exponents
@@ -388,12 +392,10 @@ def stability_index(cone, n=24, seed=0):
     The report also carries the numerically measured dimensions of the
     spans of the moment maps restricted to the link, for generators ranging
     over translations and over ``su(m)``; for a non-degenerate cone these
-    equal ``2m`` and ``m² − 1 − dim G``.
+    equal ``2m`` and ``m² − 1 − dim G``.  They are read on ``cone.link_points``:
+    that angle grid samples the moment maps (frequencies ≤ 2·max|k|) without
+    aliasing, and 144 sphere points exceed the dimension (10) of quadratics on ℝ³.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1 link samples per axis, got n={n}")
-    # link_samples: n^d points on a d-dimensional link (a torus angle grid, or n² on S²)
-    check_count(n ** cone.link.dim, f"link sample points ({n} per axis)", "lower --samples")
     table = ExponentTable.for_link(cone.link, 3.0)
     m = cone.m
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}
@@ -401,12 +403,9 @@ def stability_index(cone, n=24, seed=0):
     count_up_to_2 = table.count_M(2.0) + counts[2]
     index = count_up_to_2 - m * m - 2 * m + cone.dim_G
 
-    sigma = cone.link_samples(n, seed=seed)
-    pts = cone.embed(sigma, 1.0)
-
     def span_rank(elements):
-        rows = np.stack([moment_eval(X, pts) for X in elements])
-        return _gap_rank(np.linalg.svd(rows, compute_uv=False))
+        rows = np.stack([moment_eval(X, cone.link_points) for X in elements])
+        return _gap_rank(np.linalg.svd(rows, compute_uv=False), cone.name)
 
     rank_tr = span_rank([MomentElement(np.zeros((m, m)), v) for v in translation_basis(m)])
     rank_su = span_rank([MomentElement(A, np.zeros(m)) for A in su_basis(m)])

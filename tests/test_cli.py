@@ -732,7 +732,8 @@ def test_seed_flag_is_recorded(tmp_path, capsys):
     main(["stability", "--cone", "hl-torus-3", "--seed", "42",
           "--outdir", str(tmp_path)])
     assert read_report(tmp_path)["inputs"]["seed"] == 42
-    # only stability samples at random, so no other subcommand takes a seed
+    # stability keeps a hidden --seed that nothing reads while the benchmark's
+    # stability jobs pass it; no other subcommand takes a seed
     for command in set(COMMANDS) - {"stability"}:
         required = ["--gamma", "2.1"] if command == "fredholm" else []
         with pytest.raises(SystemExit) as exc:
@@ -895,8 +896,7 @@ OVER_THE_COUNT_LIMIT = {
     # 1e5 steps are under the limit, but their stored frames filled memory
     "heat-store-every": (["heat", "--lam", "0", "--n", "2000", "--T", "1", "--dt", "1e-5",
                           "--store-every", "1"], ["--store-every"]),
-    # these died with a MemoryError traceback: a 7.28 TiB grid, 298 GiB of
-    # link samples, a 200000 x 200000 metric
+    # these died with a MemoryError traceback: a 7.28 TiB grid, a 200000 x 200000 metric
     "flow-grid": (["flow", "--m", "6", "--n", "100"], ["--m", "--n"]),
     "defect-grid": (["defect", "--m", "7", "--n", "60"], ["--m", "--n"]),
     # one node per axis passed the n^m node count: 40 axes exceeded numpy's
@@ -906,7 +906,6 @@ OVER_THE_COUNT_LIMIT = {
     "flow-m-13": (["flow", "--m", "13", "--n", "1"], ["--m", "--n"]),
     # 1,002,001 padded values, shown as "about 1e+06" against the limit of 1,000,000
     "flow-just-over": (["flow", "--m", "2", "--n", "999"], ["--m", "--n", "about 1,002,001,"]),
-    "stability-samples": (["stability", "--samples", "200000"], ["--samples"]),
     "spectrum-torus-dim": (["spectrum", "--link", "torus", "--dim", "200000"], ["--dim"]),
     "exponents-torus-dim": (["exponents", "--link", "torus", "--dim", "200000"], ["--dim"]),
 }
@@ -917,6 +916,8 @@ def test_work_over_the_count_limit_exits_2_naming_the_flags(tmp_path, case):
     argv, flags = OVER_THE_COUNT_LIMIT[case]
     rc, err = run_capped(argv, tmp_path)
     assert rc == 2, err
+    # the program's own refusal, not argparse's usage error naming a flag
+    assert "over the limit of 1,000,000" in err, err
     assert all(flag in err for flag in flags), err
     assert not (tmp_path / "report.json").exists()
 
@@ -1061,7 +1062,6 @@ OUT_OF_RANGE = {
     "flow-m-0": (["flow", "--m", "0", "--T", "0.01"], "m=0"),
     "defect-m-0": (["defect", "--m", "0", "--T", "0.01"], "m=0"),
     "flow-n-0": (["flow", "--n", "0", "--T", "0.01"], "n=0"),
-    "samples-0": (["stability", "--samples", "0"], "link samples"),
     "spectrum-dim-0": (["spectrum", "--link", "torus", "--dim", "0"], "dimension"),
     "exponents-dim-0": (["exponents", "--link", "torus", "--dim", "0"], "dimension"),
     # exited 0 with alpha+(1) = 0.618, the root for a cone of dimension 3, not 4
@@ -1116,6 +1116,15 @@ def test_unknown_flag_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fredholm", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_stability_takes_no_sample_resolution(tmp_path, capsys):
+    # --samples 3 reported hl-torus-3 as degenerate (su(3) rank 2/6) with exit 0;
+    # the ranks are read on the cone's own validation sample
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--samples", "3", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1287,9 +1296,16 @@ OFF_GRID_PHASE = {"name": "off-grid", "m": 3, "dim_G": 2, "coordinates": [
     [{"c": [math.sqrt(13 / 27), 0.0], "k": [0, 1]}],
     [{"c": [math.sqrt(13 / 27), 0.0], "k": [-1, -1]}]]}
 
+# an m = 2 special Lagrangian cone, (e^{iσ}, e^{−iσ})/√2: it validates, and
+# then exited 2 with "cone dimension m must be >= 3", naming neither the file
+# nor --cone-json
+M2_CONE = {"name": "m-2", "m": 2, "dim_G": 0, "coordinates": [
+    [{"c": [math.sqrt(0.5), 0.0], "k": [1]}], [{"c": [math.sqrt(0.5), 0.0], "k": [-1]}]]}
+
 # each exited 1 with a traceback, or 0 with indices of a different link or
 # of a cone that is not special (k·1.5: stability 6, fredholm -31; 2k:
-# stability 30)
+# stability 30), or of a symmetry group SU(3) cannot hold (dim_G 100: su(3)
+# 6/-92 and index 98; -4: index -6; 2.5 read as 2)
 BAD_CONE_FILES = {
     "missing.json": None,
     "not-json.json": "{not json",
@@ -1299,6 +1315,10 @@ BAD_CONE_FILES = {
     "fractional-k.json": hl_cone_data(1.5),
     "doubled-k.json": hl_cone_data(2),
     "off-grid-phase.json": OFF_GRID_PHASE,
+    "m-2.json": M2_CONE,
+    "dim-g-over.json": dict(hl_cone_data(), dim_G=100),
+    "dim-g-negative.json": dict(hl_cone_data(), dim_G=-4),
+    "dim-g-fractional.json": dict(hl_cone_data(), dim_G=2.5),
 }
 
 

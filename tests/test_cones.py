@@ -277,11 +277,35 @@ def test_stability_plane_degenerate():
     assert any("not injective" in w for w in report.warnings)
 
 
-def test_stability_nonnegative_for_synthetic_minimal_link():
-    # a link whose only low harmonics are the forced ones cannot push the
-    # index below the catalog's dim_G honestly; exercise the index formula
-    report = stability_index(harvey_lawson_torus())
-    assert report.index >= 0
+def test_stability_reads_the_sample_the_constructor_framed(monkeypatch):
+    # the ranks come from the points validate() framed; nothing samples the link again
+    cone = harvey_lawson_torus()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the link was sampled a second time")
+
+    for method in ("embed", "frames", "link_samples"):
+        monkeypatch.setattr(SLCone, method, refuse)
+    report = stability_index(cone)
+    assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
+    assert (report.rank_translations, report.rank_su, report.degenerate) == (6, 6, False)
+
+
+@pytest.mark.parametrize("shear", range(12))
+def test_cone_files_with_frequencies_up_to_12_keep_full_ranks(tmp_path, shear):
+    # σ ↦ (σ₁ + shear·σ₂, σ₂) moves hl-torus-3's frequencies to max|k| = shear + 1;
+    # the validation grid, n = max(12, 6·max|k| + 1), samples the moment maps unaliased
+    data = harvey_lawson_torus().to_json()
+    for coord in data["coordinates"]:
+        for mono in coord:
+            mono["k"] = [mono["k"][0], shear * mono["k"][0] + mono["k"][1]]
+    assert max(abs(k) for coord in data["coordinates"] for mono in coord
+               for k in mono["k"]) == shear + 1
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    report = stability_index(cone_from_json(path))
+    assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
+    assert (report.rank_translations, report.rank_su, report.degenerate) == (6, 6, False)
 
 
 SL2Z_GENERATORS = (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]),
@@ -324,11 +348,11 @@ def test_reparametrised_cone_file_keeps_spectrum_and_indices(tmp_path_factory, w
     ([0.0, 0.0], 0),                      # a zero matrix has rank 0
 ])
 def test_gap_rank_counts_values_above_the_cut(svals, rank):
-    assert _gap_rank(np.array(svals)) == rank
+    assert _gap_rank(np.array(svals), "test-cone") == rank
 
 
 def test_gap_rank_rejects_an_ambiguous_gap():
     # 2e-8 is kept and 5e-9 dropped, but they are only a factor 4 apart
-    with pytest.raises(NumericalError, match="ambiguous"):
-        _gap_rank(np.array([1.0, 0.5, 2e-8, 5e-9]))
+    with pytest.raises(NumericalError, match="cone test-cone: moment-map span rank is ambiguous"):
+        _gap_rank(np.array([1.0, 0.5, 2e-8, 5e-9]), "test-cone")
 

@@ -270,6 +270,55 @@ def test_flow_of_negated_potential_is_negated_flow(name, n, T):
         assert np.array_equal(neg.theta, -state.theta)
 
 
+def trig_profile(m, n, terms):
+    """Σ (a·cos k·x + b·sin k·x)/max(1, |k|²) on the periodic n^m grid: graphical
+    for |a|, |b| ≤ 0.03 and up to three terms."""
+    xs = grid_coordinates(m, n)
+    u = np.zeros((n,) * m)
+    for k, a, b in terms:
+        phase = sum(ki * x for ki, x in zip(k, xs))
+        u = u + (a * np.cos(phase) + b * np.sin(phase)) / max(1, sum(ki * ki for ki in k))
+    return u
+
+
+def trig_terms(m):
+    coefficient = st.floats(-0.03, 0.03)
+    return st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * m), coefficient, coefficient),
+                    min_size=1, max_size=3)
+
+
+def reflection(axis):
+    """The grid reflection i ↦ −i (mod n) on one axis."""
+    return lambda u: np.roll(np.flip(u, axis), 1, axis)
+
+
+GRID_MAPS = {
+    "reflection": lambda m: st.integers(0, m - 1).map(reflection),
+    "axis-swap": lambda m: st.permutations(range(m)).map(
+        lambda p: lambda u: np.swapaxes(u, p[0], p[1])),
+}
+
+
+@pytest.mark.parametrize("m, n, kind", [(2, 16, "reflection"), (3, 8, "reflection"),
+                                        (2, 16, "axis-swap"), (3, 8, "axis-swap"),
+                                        (3, 8, "sign")])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flow_commutes_with_reflections_axis_swaps_and_sign(m, n, kind, data):
+    # each map is an isometry of the lattice (or u -> −u, which negates θ), so it
+    # commutes with the flow.  The stencils sum in an order a map permutes, so
+    # each step may round differently by about 1 ulp of sup|u₀|, and the
+    # contracting flow only adds those up: at most one such ulp a step (for
+    # ((1, -1), 0.00694, 0) an m = 2 axis swap is 1.5 ulp off after 10 steps).
+    # The m = 2 negation is bitwise and tested above.
+    u0 = trig_profile(m, n, data.draw(trig_terms(m), label="terms"))
+    g = data.draw(GRID_MAPS[kind](m), label="map") if kind != "sign" else np.negative
+    T = 10 * default_dt(m, n)
+    (mapped, series), plain = run_flow(g(u0), T), g(run_flow(u0, T)[0].u)
+    steps = len(series["t"]) - 1
+    assert np.abs(mapped.u - plain).max() <= steps * np.spacing(np.abs(u0).max())
+
+
 def test_steep_initial_condition_reports_nodes():
     # the initial condition fails in FlowState.from_potential, before any
     # step, so the message counts nodes and suggests no dt

@@ -29,7 +29,7 @@ from conic_lmcf.cli import build_parser, command_parser, main
 RUNS = {
     "spectrum": ["spectrum", "--link", "torus", "--dim", "2", "--lmax", "3"],
     "exponents": ["exponents", "--link", "hl-torus", "--alpha-max", "3"],
-    "stability": ["stability", "--cone", "hl-torus-3", "--samples", "12"],
+    "stability": ["stability", "--cone", "hl-torus-3"],
     "fredholm": ["fredholm", "--cone", "hl-torus-3", "--gamma", "2.1"],
     "heat": ["heat", "--lam", "0", "2", "--n", "50", "--T", "0.05",
              "--forcing", "t*r^0.5", "--store-every", "40"],
@@ -56,7 +56,7 @@ GOLDEN = {
         "report.json": "eb1411a145fe98a3044224ed680b57b044d540a4ec8295245a8b2c3190912e98",
     },
     "stability": {
-        "report.json": "4735fb6977142d8e2726c896154b506287e63787fd481ff7acb590c59795312a",
+        "report.json": "bbfe07d3f992bdd4a5ee7b287c0570337fb21b0de90a751df2e6eab22e89b455",
         "stability.json": "4da88407473ef92f173661f3bae4d2e6636b367e70a98ef7c279f6da1d190f12",
     },
     "fredholm": {

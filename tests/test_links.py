@@ -434,6 +434,57 @@ def test_unconverged_mesh_solve_is_a_numerical_error(monkeypatch):
         FlatTorus(HEX_METRIC).triangulate(8).eigenvalues(5)
 
 
+def revolution_torus(nu=16, nv=8, R=2.0, a=0.7):
+    """Vertices and faces of a torus of revolution on an ``nu × nv`` grid."""
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    phi, th = 2 * np.pi * i / nu, 2 * np.pi * j / nv
+    rho = R + a * np.cos(th)
+    vertices = np.stack([rho * np.cos(phi), rho * np.sin(phi), a * np.sin(th)], axis=-1)
+    p, q = i * nv + j, (i + 1) % nu * nv + j
+    r, s = (i + 1) % nu * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+    faces = np.stack([np.stack([p, q, r], -1), np.stack([p, r, s], -1)]).reshape(-1, 3)
+    return vertices.reshape(-1, 3), faces
+
+
+TORUS_VERTICES, TORUS_FACES = revolution_torus()
+
+
+def rotation(alpha, beta, gamma):
+    """The rotation R_z(α)·R_y(β)·R_z(γ)."""
+    def about(axis, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        i, j = [k for k in range(3) if k != axis]
+        out = np.eye(3)
+        out[i, i], out[i, j], out[j, i], out[j, j] = c, -s, s, c
+        return out
+    return about(2, alpha) @ about(1, beta) @ about(2, gamma)
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+MESH_SIMILARITIES = {
+    # scaling by 2^k divides the eigenvalues by 4^k; undo it, exactly
+    "scale": st.integers(-3, 3).map(lambda k: (lambda v, f: (2.0 ** k * v, f), 4.0 ** k)),
+    "rotation": st.tuples(ANGLE, ANGLE, ANGLE).map(
+        lambda angles: (lambda v, f: (v @ rotation(*angles).T, f), 1.0)),
+    "permutation": st.permutations(range(len(TORUS_VERTICES))).map(
+        lambda perm: (lambda v, f: (v[perm], np.argsort(perm)[f]), 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", MESH_SIMILARITIES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mesh_spectrum_is_invariant_under_similarities(kind, data):
+    # the cotangent Laplacian and lumped mass read only edge lengths, so a
+    # rotation or relabelling keeps the spectrum and a scaling divides it by s²;
+    # the zero eigenvalue reads 2.8e-15 at one scale and 0 at another, so the
+    # round-off is measured against λ_max
+    move, undo = data.draw(MESH_SIMILARITIES[kind], label=kind)
+    plain = MeshLink(TORUS_VERTICES, TORUS_FACES).eigenvalues(10)
+    moved = MeshLink(*move(TORUS_VERTICES, TORUS_FACES)).eigenvalues(10)
+    assert np.max(np.abs(moved * undo - plain)) <= 1e-12 * plain.max()
+
+
 @pytest.mark.parametrize("link", [RoundSphere(2), FlatTorus(np.eye(2))])
 @pytest.mark.parametrize("lam_max", [math.inf, math.nan])
 def test_spectrum_rejects_a_non_finite_bound(link, lam_max):
