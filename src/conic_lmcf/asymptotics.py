@@ -79,9 +79,9 @@ def extract_asymptotics(sol, table, gamma):
     if table.is_exceptional(gamma, lifted=True):
         raise ExceptionalWeightError(
             f"gamma={gamma} is within tolerance of an exceptional exponent")
-    r = sol.grid.nodes
-    u = np.asarray(sol.final(), dtype=float)
     R = sol.grid.R
+    r = sol.grid.nodes / R  # in r/R, a dilation by 2^k keeps every bit of the fit
+    u = np.asarray(sol.final(), dtype=float)
 
     lam = sol.lam
     matches = [e for e in table.entries if e.alpha >= -table.tol
@@ -96,9 +96,8 @@ def extract_asymptotics(sol, table, gamma):
     scale = max(float(np.abs(u).max()), 1e-300)
     work = u.copy()
     accepted = []
-    window0 = 3e-3 * R
     for i, (e, alpha, k) in enumerate(basis):
-        win = min(window0 * 10.0 ** i, 0.1 * R)
+        win = min(3e-3 * 10.0 ** i, 0.1)
         sel = r <= win
         if sel.sum() < 4:
             sel = np.zeros_like(sel)
@@ -119,14 +118,14 @@ def extract_asymptotics(sol, table, gamma):
         colnorm = np.linalg.norm(Amat, axis=0)
         if not np.all((colnorm > 0) & np.isfinite(colnorm)):
             raise NumericalError(
-                f"asymptotics fit: a basis column r^e on r <= {win:.3g} underflows or "
-                f"overflows; choose --radius and --n so that r^{gamma:g} stays in range")
+                f"asymptotics fit: a basis column (r/R)^e on r/R <= {win:.3g} underflows; "
+                f"choose a --gamma below {gamma:g}")
         coef, *_ = np.linalg.lstsq(Amat / colnorm, work[sel], rcond=None)
         c = float(coef[0] / colnorm[0])
-        accepted.append((alpha, k, c))
+        accepted.append((alpha, k, c * R ** -e))
         work = work - c * r ** e
 
-    centers, sups = dyadic_annulus_suprema(r, work, 1e-3 * R, 1e-1 * R)
+    centers, sups = dyadic_annulus_suprema(r, work, 1e-3, 1e-1)
     rem_sup = float(np.abs(work).max())
     if np.all(sups <= 1e-12 * scale):
         rate, _ = math.inf, 0.0

@@ -16,7 +16,10 @@ flat section; a larger ``dt`` raises
 :class:`~conic_lmcf.errors.ValidationError`.  The stencil slices one
 wrap-padded copy of ``u`` and the rest is elementwise, so a step commutes
 with grid translations *bitwise* (an FFT would not: reductions reorder),
-and translation equivariance is a contract here.
+and translation equivariance is a contract here.  At m = 2 the angle is
+atan2(tr H, 1 − det H), with no eigenvalues, and the stencil adds in pairs
+that a reflection or axis swap permutes, so those maps and u ↦ −u commute
+with the flow bitwise too.
 
 The graph stays admissible while ``det(I + Hess u) > 0`` at every node;
 the determinant dipping below 1e−6 (or going negative — the graph left the
@@ -84,10 +87,10 @@ def _second_differences(u, dx):
 
     d = {}
     for a in range(m):
-        d[a, a] = (at(-e[a]) - 2.0 * u + at(e[a])) / (dx * dx)
+        d[a, a] = ((at(-e[a]) + at(e[a])) - 2.0 * u) / (dx * dx)
         for b in range(a + 1, m):
-            d[a, b] = (at(e[a] + e[b]) + at(-e[a] - e[b])
-                       - at(e[a] - e[b]) - at(e[b] - e[a])) / (4.0 * dx * dx)
+            d[a, b] = ((at(e[a] + e[b]) + at(-e[a] - e[b]))
+                       - (at(e[a] - e[b]) + at(e[b] - e[a]))) / (4.0 * dx * dx)
     return d
 
 
@@ -104,18 +107,20 @@ def hessian_field(u, dx):
     return H
 
 
-def _hessian_eigenvalues(u, dx):
+def _angle_and_determinant(u, dx):
+    """θ and det(I + Hess u) per node; at m = 2 from tr and det, as θ stays in (−π, π)."""
     if u.ndim != 2:
-        return np.linalg.eigvalsh(hessian_field(u, dx))
+        lam = np.linalg.eigvalsh(hessian_field(u, dx))
+        return np.arctan(lam).sum(axis=-1), np.prod(1.0 + lam, axis=-1)
     d = _second_differences(u, dx)
-    half_tr = 0.5 * (d[0, 0] + d[1, 1])
-    disc = np.sqrt(0.25 * (d[0, 0] - d[1, 1]) ** 2 + d[0, 1] * d[0, 1])
-    return np.stack([half_tr - disc, half_tr + disc], axis=-1)
+    tr = d[0, 0] + d[1, 1]
+    det = d[0, 0] * d[1, 1] - d[0, 1] * d[0, 1]
+    return np.arctan2(tr, 1.0 - det), (1.0 + tr) + det
 
 
 def graph_determinant(u, dx):
     """``det(I + Hess u)`` per node (positive on admissible graphs)."""
-    return np.prod(1.0 + _hessian_eigenvalues(u, dx), axis=-1)
+    return _angle_and_determinant(u, dx)[1]
 
 
 def lagrangian_angle(u, dx):
@@ -124,14 +129,13 @@ def lagrangian_angle(u, dx):
     Raises :class:`GraphConditionError`, counting the offending nodes, when
     the graph condition fails; otherwise θ ∈ (−mπ/2, mπ/2) by construction.
     """
-    lam = _hessian_eigenvalues(u, dx)
-    det = np.prod(1.0 + lam, axis=-1)
+    theta, det = _angle_and_determinant(u, dx)
     bad = det < DET_FLOOR
     if bad.any():
         raise GraphConditionError(
             f"graph condition violated in lagrangian_angle: det(I+Hess) < {DET_FLOOR} "
             f"at {np.count_nonzero(bad)} node(s), min det {det.min():.3e}")
-    return np.arctan(lam).sum(axis=-1)
+    return theta
 
 
 @dataclass
@@ -205,35 +209,31 @@ def _snapshot_steps(count, n_steps):
     return np.linspace(0, n_steps, min(count, n_steps + 1)).round().astype(int).tolist()
 
 
-def run_flow(u0, T, dt=None, snapshots=None):
-    """Integrate the nonlinear flow to time ``T``; returns (state, series[, states]).
+def run_flow(u0, T, dt=None, snapshots=0):
+    """Integrate the nonlinear flow to time ``T``; returns (state, series, states).
 
     ``series`` carries the per-step sup|θ| and amplitude histories.  ``dt``
-    is lowered, never raised, to divide ``T`` exactly.  ``snapshots=k`` also
-    returns the states at ``min(k, n_steps + 1)`` evenly spaced steps from
-    the first to the last (the first alone when ``k = 1``; every state when
-    ``k`` exceeds the step count) and holds no other state in memory.
+    is lowered, never raised, to divide ``T`` exactly.  ``states`` holds the
+    states at ``min(snapshots, n_steps + 1)`` evenly spaced steps from the
+    first to the last (none by default; the first alone for 1; every state
+    when ``snapshots`` exceeds the step count), and no other state is kept.
     """
     u0 = np.asarray(u0, dtype=float)
     # reject a bad T, dt or snapshot count (exit 2) before the initial angle
     # can fail (exit 1)
     n_steps, dt = _schedule(T, dt, u0.ndim, u0.shape[0])
-    pick = _snapshot_steps(snapshots, n_steps) if snapshots is not None else []
-    keep = set(pick)
+    keep = set(_snapshot_steps(snapshots, n_steps))
     state = FlowState.from_potential(u0)
-    series = {"t": [state.t], "sup_theta": [float(np.abs(state.theta).max())],
-              "amplitude": [float(np.abs(state.u).max())]}
-    kept = {0: state} if 0 in keep else {}
-    for k in range(1, n_steps + 1):
-        state = flow_step(state, dt)
+    series, kept = {"t": [], "sup_theta": [], "amplitude": []}, []
+    for k in range(n_steps + 1):
+        if k:
+            state = flow_step(state, dt)
         series["t"].append(state.t)
         series["sup_theta"].append(float(np.abs(state.theta).max()))
         series["amplitude"].append(float(np.abs(state.u).max()))
         if k in keep:
-            kept[k] = state
-    if snapshots is None:
-        return state, series
-    return state, series, [kept[k] for k in pick]
+            kept.append(state)
+    return state, series, kept
 
 
 # --- linearization defect -------------------------------------------------------

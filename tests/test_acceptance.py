@@ -238,7 +238,7 @@ def test_criterion_9_angle_monotonicity_and_stationarity():
         catalog = catalog_initial_conditions(2, 48)
         assert len(catalog) == 5
         for name, u0 in sorted(catalog.items()):
-            _, series = run_flow(u0, T=0.5)
+            _, series, _ = run_flow(u0, T=0.5)
             sups = np.asarray(series["sup_theta"])
             assert np.all(sups[1:] <= sups[:-1] + 1e-10), name
         from conic_lmcf import FlowState, flow_step

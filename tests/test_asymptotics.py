@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_lmcf import (
     AsymptoticExpansion,
@@ -111,3 +115,32 @@ def test_terms_respect_gamma_bound(table):
     for gamma in (1.5, 2.5):
         exp = extract_asymptotics(sol, table, gamma=gamma)
         assert all(a + 2 * k < gamma for a, k, _ in exp.terms)
+
+
+def dilated_fit(table, s, lam, gamma, q, n):
+    """The fit of the ``(r/s)^(γ−2)/s²`` forcing's mode solution on ``RadialGrid(R=s)``
+    with ``T·s²`` and ``dt·s²``: the R = 1 problem dilated by s."""
+    T = 0.1 * s * s
+    sol = solve_modes([LaplaceTypeSpec(lam, m=3)], RadialGrid(R=s, n_cells=n, q=q), T=T,
+                      dt=T / 400, forcing=lambda t, r: (r / s) ** (gamma - 2) / (s * s),
+                      store_every=0)[0]
+    return extract_asymptotics(sol, table, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.0, 2.0, 6.0, 8.0]), st.sampled_from([1.5, 2.5, 3.5]),
+       st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([100, 400]),
+       st.integers(-3, 3).filter(bool))
+def test_fit_under_dilation_scales_each_coefficient(table, lam, gamma, q, n, k):
+    # u(r) -> u(r/s) with s = 2^k takes c·r^e to c·s^(−e)·r^e and leaves the
+    # remainder's rate alone.  The solver keeps every bit under this dilation
+    # (test_radial), so the fit alone is tested: the same ladder is accepted,
+    # the rate agrees to 1e-10 and each coefficient scales by s^(−e) up to the
+    # two roundings of c·s^(−e), 4 ulp.  (Fitting in r rather than r/R, the
+    # rate moved by up to 3.8e-8: lam 0, gamma 3.5, q 3, n 400, odd k.)
+    s = 2.0 ** k
+    plain, dilated = (dilated_fit(table, x, lam, gamma, q, n) for x in (1.0, s))
+    assert [(a, j) for a, j, _ in dilated.terms] == [(a, j) for a, j, _ in plain.terms]
+    assert math.isclose(dilated.remainder_rate, plain.remainder_rate, rel_tol=0, abs_tol=1e-10)
+    for (alpha, j, c), (_, _, c_s) in zip(plain.terms, dilated.terms):
+        assert math.isclose(c_s, c * s ** -(alpha + 2 * j), rel_tol=4 * np.finfo(float).eps)

@@ -835,14 +835,24 @@ def test_initial_condition_list_is_rejected_before_it_is_built(tmp_path):
 
 
 def test_asymptotics_fit_on_underflowing_radii_is_a_numerical_failure(tmp_path):
-    # r^e underflows on these radii, so the fit's column norms were 0 and
-    # lstsq died in LAPACK with an uncaught LinAlgError
-    proc = run_child(["asymptotics", "--lam", "0", "--radius", "1e-100", "--n", "200",
-                      "--gamma", "2.5", "--forcing", "r^0.5"], tmp_path)
+    # (r/R)^150 underflows on the inner window, so the fit's column norms are 0;
+    # lstsq once died there in LAPACK with an uncaught LinAlgError
+    proc = run_child(["asymptotics", "--lam", "0", "--n", "200",
+                      "--gamma", "150.5", "--forcing", "r^148.5"], tmp_path)
     assert proc.returncode == 1, proc.stderr
-    assert "numerical failure:" in proc.stderr and "--radius" in proc.stderr, proc.stderr
+    assert "numerical failure:" in proc.stderr and "--gamma" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     assert "DLASCL" not in proc.stdout + proc.stderr
+
+
+def test_asymptotics_fit_at_a_tiny_radius_completes(tmp_path):
+    # the fit runs in r/R, so r^2.5 on radii near 1e-102 no longer underflows it
+    proc = run_child(["asymptotics", "--lam", "0", "--radius", "1e-100", "--n", "200",
+                      "--gamma", "2.5", "--forcing", "r^0.5"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    fit = json.loads((tmp_path / "asymptotics.json").read_text(encoding="utf-8"))
+    assert fit["terms"] and all(math.isfinite(c) and c != 0 for _, _, c in fit["terms"])
+    assert fit["remainder_rate"] >= 2.5
 
 
 def test_radius_whose_squares_overflow_exits_2_naming_it(tmp_path):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conic_lmcf import (
@@ -17,6 +17,7 @@ from conic_lmcf import (
     flow_step,
     graph_determinant,
     grid_coordinates,
+    hessian_field,
     lagrangian_angle,
     linearization_defect,
     run_flow,
@@ -31,6 +32,23 @@ EVERY = COUNT_LIMIT + 1
 def sine_ic(m, n, eps):
     xs = grid_coordinates(m, n)
     return eps * np.sin(xs[0])
+
+
+def trig_profile(m, n, terms):
+    """Σ (a·cos k·x + b·sin k·x)/max(1, |k|²) on the periodic n^m grid: graphical
+    for |a|, |b| ≤ 0.03 and up to three terms."""
+    xs = grid_coordinates(m, n)
+    u = np.zeros((n,) * m)
+    for k, a, b in terms:
+        phase = sum(ki * x for ki, x in zip(k, xs))
+        u = u + (a * np.cos(phase) + b * np.sin(phase)) / max(1, sum(ki * ki for ki in k))
+    return u
+
+
+def trig_terms(m):
+    coefficient = st.floats(-0.03, 0.03)
+    return st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * m), coefficient, coefficient),
+                    min_size=1, max_size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +96,64 @@ def test_angle_is_odd_in_the_potential():
         )
 
 
+def general_angle_and_determinant(u, dx):
+    """θ and det(I + H) by the route that holds for every m: the Hessian's eigenvalues."""
+    H = hessian_field(u, dx)
+    return np.arctan(np.linalg.eigvalsh(H)).sum(-1), np.linalg.det(np.eye(u.ndim) + H)
+
+
+def curvature_profile(n, s0):
+    """A periodic g on n points whose second difference is s0 at node 0 and
+    −s0/(n − 1) at every other node."""
+    dx = 2 * np.pi / n
+    s = np.full(n, -s0 / (n - 1))
+    s[0] = s0
+    slopes = np.cumsum(s) * dx
+    slopes -= slopes.mean()  # forward differences summing to 0: g is periodic
+    return np.concatenate(([0.0], np.cumsum(slopes[:-1]) * dx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_terms(2), st.sampled_from([1.0, 4.0, 10.0]), st.sampled_from([8, 16, 32]))
+def test_closed_form_angle_matches_the_eigenvalue_route(terms, scale, n):
+    # at m = 2 the angle is atan2(tr, 1 − det) and det(I + H) = (1 + tr) + det;
+    # both agree with the eigenvalue route to an ulp or two (over 1,350 seeded
+    # draws: θ to 2.2e-16, the determinant to 4.4e-16 of its largest value)
+    u, dx = scale * trig_profile(2, n, terms), 2 * np.pi / n
+    det = graph_determinant(u, dx)
+    assume(det.min() >= DET_FLOOR)
+    theta, ref_det = general_angle_and_determinant(u, dx)
+    assert np.abs(lagrangian_angle(u, dx) - theta).max() <= 1e-14
+    assert np.abs(det - ref_det).max() <= 1e-14 * np.abs(ref_det).max()
+
+
+def test_closed_form_angle_takes_the_branch_beyond_a_right_angle():
+    # λ₁ = λ₂ = 3 at node (0, 0): θ = 2·arctan 3 = 2.498 > π/2, where 1 − det < 0
+    # and arctan(tr/(1 − det)) = −0.644 would be off by π
+    n = 16
+    g, dx = curvature_profile(n, 3.0), 2 * np.pi / n
+    u = g[:, None] + g[None, :]
+    assert np.abs(hessian_field(u, dx)[0, 0] - 3 * np.eye(2)).max() <= 1e-12
+    theta, det = general_angle_and_determinant(u, dx)
+    got = lagrangian_angle(u, dx)
+    assert got[0, 0] == pytest.approx(2 * np.arctan(3.0), abs=1e-12) and got[0, 0] > np.pi / 2
+    assert np.abs(got - theta).max() <= 1e-14
+    assert np.abs(graph_determinant(u, dx) - det).max() <= 1e-14 * np.abs(det).max()
+
+
+def test_closed_form_determinant_just_above_the_floor():
+    # det(I + H) = 1 + s0 = 2e-6 at the nodes x1 = 0: the closed form keeps it
+    # to 1e-18 and the graph is accepted
+    n = 16
+    g, dx = curvature_profile(n, -1.0 + 2 * DET_FLOOR), 2 * np.pi / n
+    u = np.repeat(g[:, None], n, axis=1)
+    theta, det = general_angle_and_determinant(u, dx)
+    got = graph_determinant(u, dx)
+    assert DET_FLOOR < got.min() < 2.01 * DET_FLOOR
+    assert np.abs(got - det).max() <= 1e-18
+    assert np.abs(lagrangian_angle(u, dx) - theta).max() <= 1e-14
+
+
 def test_angle_rejects_steep_graphs():
     xs = grid_coordinates(2, 32)
     u, dx = 2.0 * np.sin(xs[0]), 2 * np.pi / 32
@@ -113,7 +189,7 @@ def test_run_flow_amplitude_decays_like_heat():
     # a single sine mode decays as eps * exp(-t) up to the cubic
     # nonlinearity; at eps = 0.1 the relative gap stays below a percent.
     eps, T = 0.1, 0.5
-    final, series = run_flow(sine_ic(2, 64, eps), T=T)
+    final, _, _ = run_flow(sine_ic(2, 64, eps), T=T)
     amp = np.max(np.abs(final.u))
     assert amp == pytest.approx(eps * np.exp(-T), rel=0.01)
     assert final.t == pytest.approx(T)
@@ -143,7 +219,7 @@ def test_snapshots_are_evenly_spaced_recorded_states(count):
 @pytest.mark.parametrize("name", sorted(catalog_initial_conditions(2, 48)))
 def test_sup_angle_is_monotone_decreasing(name):
     u0 = catalog_initial_conditions(2, 48)[name]
-    _, series = run_flow(u0, T=0.5)
+    _, series, _ = run_flow(u0, T=0.5)
     sups = np.asarray(series["sup_theta"])
     assert np.all(sups[1:] <= sups[:-1] + 1e-10)
 
@@ -170,8 +246,8 @@ def test_grid_over_the_count_limit_is_refused_before_it_is_built(m, n):
 def test_flow_commutes_with_grid_shifts():
     xs = grid_coordinates(2, 32)
     u0 = 0.1 * (np.sin(xs[0]) + np.cos(2 * xs[1]))
-    shifted, _ = run_flow(np.roll(u0, (3, 5), axis=(0, 1)), T=0.2)
-    plain, _ = run_flow(u0, T=0.2)
+    shifted, _, _ = run_flow(np.roll(u0, (3, 5), axis=(0, 1)), T=0.2)
+    plain, _, _ = run_flow(u0, T=0.2)
     assert np.array_equal(shifted.u, np.roll(plain.u, (3, 5), axis=(0, 1)))
 
 
@@ -182,7 +258,7 @@ def test_flow_refines_at_second_order_in_space():
     dt = 0.9 * T * (2 * np.pi / 128) ** 2
 
     def final_u(n):
-        final, _ = run_flow(sine_ic(2, n, 0.1), T=T, dt=dt)
+        final, _, _ = run_flow(sine_ic(2, n, 0.1), T=T, dt=dt)
         return final.u
 
     ref = final_u(128)
@@ -200,7 +276,7 @@ def test_flow_refines_at_second_order_in_space():
 ])
 def test_step_count_never_raises_dt(n, T, dt, steps):
     requested = default_dt(2, n) if dt is None else dt
-    _, series = run_flow(sine_ic(2, n, 0.05), T=T, dt=dt)
+    _, series, _ = run_flow(sine_ic(2, n, 0.05), T=T, dt=dt)
     assert len(series["t"]) - 1 == steps
     assert T / steps <= requested
     assert series["t"][-1] == pytest.approx(T)
@@ -257,8 +333,8 @@ def test_three_dimensional_flow_stays_finite_and_graphical():
 @given(st.sampled_from(sorted(catalog_initial_conditions(2, 8))),
        st.sampled_from([8, 16, 32, 48]), st.sampled_from([0.05, 0.2]))
 def test_flow_of_negated_potential_is_negated_flow(name, n, T):
-    # θ(−u) = −θ(u) at m = 2: the closed-form Hessian eigenvalues swap and
-    # negate, and arctan is odd, so u -> −u maps the flow to itself bitwise
+    # θ(−u) = −θ(u) at m = 2: u -> −u negates tr H exactly and keeps det H,
+    # and atan2 is odd in y, so u -> −u maps the flow to itself bitwise
     u0 = catalog_initial_conditions(2, n)[name]
     final, series, states = run_flow(u0, T, snapshots=EVERY)
     neg_final, neg_series, neg_states = run_flow(-u0, T, snapshots=EVERY)
@@ -268,23 +344,6 @@ def test_flow_of_negated_potential_is_negated_flow(name, n, T):
         assert neg.t == state.t
         assert np.array_equal(neg.u, -state.u)
         assert np.array_equal(neg.theta, -state.theta)
-
-
-def trig_profile(m, n, terms):
-    """Σ (a·cos k·x + b·sin k·x)/max(1, |k|²) on the periodic n^m grid: graphical
-    for |a|, |b| ≤ 0.03 and up to three terms."""
-    xs = grid_coordinates(m, n)
-    u = np.zeros((n,) * m)
-    for k, a, b in terms:
-        phase = sum(ki * x for ki, x in zip(k, xs))
-        u = u + (a * np.cos(phase) + b * np.sin(phase)) / max(1, sum(ki * ki for ki in k))
-    return u
-
-
-def trig_terms(m):
-    coefficient = st.floats(-0.03, 0.03)
-    return st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * m), coefficient, coefficient),
-                    min_size=1, max_size=3)
 
 
 def reflection(axis):
@@ -306,17 +365,22 @@ GRID_MAPS = {
 @given(data=st.data())
 def test_flow_commutes_with_reflections_axis_swaps_and_sign(m, n, kind, data):
     # each map is an isometry of the lattice (or u -> −u, which negates θ), so it
-    # commutes with the flow.  The stencils sum in an order a map permutes, so
-    # each step may round differently by about 1 ulp of sup|u₀|, and the
-    # contracting flow only adds those up: at most one such ulp a step (for
-    # ((1, -1), 0.00694, 0) an m = 2 axis swap is 1.5 ulp off after 10 steps).
-    # The m = 2 negation is bitwise and tested above.
+    # commutes with the flow.  At m = 2 this holds bitwise: a map swaps the
+    # operands of the stencil's pairwise sums or negates the mixed difference
+    # exactly, tr and det of the Hessian are symmetric in their operands, and
+    # atan2 is odd in y.  At m = 3 eigvalsh sees the permuted or negated
+    # Hessian, so each step may round differently by about 1 ulp of sup|u₀|, and
+    # the contracting flow only adds those up: at most one such ulp a step.
+    # The m = 2 negation is tested above.
     u0 = trig_profile(m, n, data.draw(trig_terms(m), label="terms"))
     g = data.draw(GRID_MAPS[kind](m), label="map") if kind != "sign" else np.negative
     T = 10 * default_dt(m, n)
-    (mapped, series), plain = run_flow(g(u0), T), g(run_flow(u0, T)[0].u)
-    steps = len(series["t"]) - 1
-    assert np.abs(mapped.u - plain).max() <= steps * np.spacing(np.abs(u0).max())
+    (mapped, series, _), plain = run_flow(g(u0), T), g(run_flow(u0, T)[0].u)
+    if m == 2:
+        assert np.array_equal(mapped.u, plain)
+    else:
+        steps = len(series["t"]) - 1
+        assert np.abs(mapped.u - plain).max() <= steps * np.spacing(np.abs(u0).max())
 
 
 def test_steep_initial_condition_reports_nodes():

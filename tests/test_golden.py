@@ -76,21 +76,21 @@ GOLDEN = {
         "report.json": "132b198599af004552b987f605193e5706d0d44c78ee75d1bd9d1e6e857e19bf",
     },
     "flow": {
-        "flow_snapshots.csv": "ebd859359f04997ac047d63338a6b79a3b4b12c3cf8f93872b319bc3c6f83487",
-        "flow_summary.json": "9bd78358ad244b2f546131d1ead227a1f69bd12734d94e64816a87b3b5f19f16",
-        "report.json": "7eff4885fc44e4eb6825d8e37617858df3451193cb01561c05d11e88d61e4a6b",
-        "sup_theta.dat": "accefeefd5d39e31cece6c7e87f63a2d90be560109ea40919c739c644e4122c7",
+        "flow_snapshots.csv": "599f86f5be5ca81c1dcac9dd07b6b89c66c5b842011beea4e352254fa9f872c0",
+        "flow_summary.json": "e93ab262fa9a21cc33a5178a0df1a7e899e3b5f49ada23092003d3116c6751bf",
+        "report.json": "0b0349cd1d37898762e310feaa1ab733478a95cd30b24c551958b74268658e44",
+        "sup_theta.dat": "526d04e6c9656bb4574f92fca59ad7ba84cbe4f6c2c68aa419a80da98c15e5a1",
     },
     "defect": {
-        "defect.dat": "1fbc62362dc15ab2717d725ad46fe0bf85888aef67e12412f402919a8d69f1b4",
-        "defect.json": "141b2e550e2844ee0006ced8f4996ee44a1c5610542f100e253994a7fd33093f",
-        "report.json": "135139a57ce7f4e7e5612152339fc18b1daebeca581297bc04af4cac1e8e58c7",
+        "defect.dat": "cb0cc97eeb4a4f30f4d057b1c8f235a247c0067dbd6a68817125793e538c9e18",
+        "defect.json": "79e0d21da1315d03abd4e3eca899e8e5583c52cc9f461560982833e30d40b215",
+        "report.json": "b0695cf30b1c3bfd1ab42b0997de81aa2d2f8bbdfd7eb168e9507c7d26c7fd8a",
     },
     "flow-expression": {
-        "flow_snapshots.csv": "e53d27cbc17b321543645ebdf1ddf5df06fbf5162a6ef43e55b4c33969c20f66",
-        "flow_summary.json": "e516d85ed4d7bd2a8a58324758526cf9cdafff669a7f66ede11267407fd8f4a5",
-        "report.json": "db2d0f3163b1bce3be6a19a1829d46c5b55cd3f6b261684714d211aa3c9ed4bc",
-        "sup_theta.dat": "0b5ea202abc364608b45baa4e5fb0c7728baed4099f7cf301f5c54fa130bb836",
+        "flow_snapshots.csv": "6330d031277bcf9e385a510cfd69b1e709f08dccd24da8cdcb8c0b4a67a4b4fa",
+        "flow_summary.json": "2afeb0763fa068395c455a027de17cb68236e434739b9b79738456e33c15af5d",
+        "report.json": "fe1fbb41c4379c11658354762c916711f635116990933d1dae026a5d526dc900",
+        "sup_theta.dat": "3a7327c894011214cf5e2ef07ace385928e92edca0df5b99f7e1f8967ff36d98",
     },
     "heat-expression": {
         "mode_0.csv": "d37c5e9eb39a375cf424e15b7e110db48aa3aa6e413c1676b5c52dfd59fc6b11",
