@@ -136,8 +136,7 @@ def test_fit_under_dilation_scales_each_coefficient(table, lam, gamma, q, n, k):
     # remainder's rate alone.  The solver keeps every bit under this dilation
     # (test_radial), so the fit alone is tested: the same ladder is accepted,
     # the rate agrees to 1e-10 and each coefficient scales by s^(−e) up to the
-    # two roundings of c·s^(−e), 4 ulp.  (Fitting in r rather than r/R, the
-    # rate moved by up to 3.8e-8: lam 0, gamma 3.5, q 3, n 400, odd k.)
+    # two roundings of c·s^(−e), 4 ulp.
     s = 2.0 ** k
     plain, dilated = (dilated_fit(table, x, lam, gamma, q, n) for x in (1.0, s))
     assert [(a, j) for a, j, _ in dilated.terms] == [(a, j) for a, j, _ in plain.terms]
