@@ -97,14 +97,15 @@ def extract_asymptotics(sol, table, gamma):
     work = u.copy()
     accepted = []
     for i, (e, alpha, k) in enumerate(basis):
-        win = min(3e-3 * 10.0 ** i, 0.1)
-        sel = r <= win
-        if sel.sum() < 4:
-            sel = np.zeros_like(sel)
-            sel[:4] = True
-            win = r[3]
+        # at least four nodes, doubled until the rate gate sees three non-empty
+        # dyadic annuli above r_0 (four nodes of a uniform grid span two)
+        win = max(min(3e-3 * 10.0 ** i, 0.1), r[3])
         # rate gate: does the remainder actually behave like r^e here?
         centers, sups = dyadic_annulus_suprema(r, work, r[0], win)
+        while len(centers) < 3 and win < 1.0:
+            win *= 2.0
+            centers, sups = dyadic_annulus_suprema(r, work, r[0], win)
+        sel = r <= win
         good = sups > 1e-13 * scale
         if good.sum() >= 3:
             x, y = np.log(centers[good]), np.log(sups[good])

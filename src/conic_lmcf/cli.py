@@ -552,7 +552,7 @@ def _solve_modes(lams, m, args, forcing, store_every=0):
     specs = [LaplaceTypeSpec(lam=lam, m=m) for lam in lams]
     dt = args.dt if args.dt is not None else args.T / 400.0
     return solve_modes(specs, grid, T=args.T, dt=dt, forcing=forcing,
-                       outer_bc=outer, inner_bc=args.inner, store_every=store_every)
+                       outer_bc=outer, store_every=store_every)
 
 
 def cmd_heat(args, out: Path) -> dict:
@@ -661,8 +661,6 @@ def radial_flags(a: _Arg) -> None:
     a.add("--forcing", type=str, default=None, help="expression in t and r, e.g. 't*r^0.5'")
     a.add("--forcing-csv", type=str, default=None, help="CSV table t,r,f")
     a.add("--outer", type=float, default=None, help="constant outer Dirichlet value (finite)")
-    a.add("--inner", type=str, default="extrapolation",
-          choices=["extrapolation", "dirichlet0"], help="inner boundary treatment")
 
 
 def torus_flags(a: _Arg, ic: str) -> None:

@@ -112,7 +112,7 @@ class ExponentTable:
         exponent falls short of it.
         """
         if alpha_max < 0:
-            raise ValidationError("alpha_max must be nonnegative")
+            raise ValidationError(f"--alpha-max must be >= 0, got {alpha_max:g}")
         m = link.dim + 1
         lam_max = alpha_max * (alpha_max + m - 2)
         table = cls.from_spectrum(link.spectrum(lam_max), m)

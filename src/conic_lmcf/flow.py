@@ -270,7 +270,7 @@ def linearization_defect(u0, epsilons, T, dt=None):
     if not eps or any(e <= 0 for e in eps) or any(
         b >= a for a, b in zip(eps, eps[1:])
     ):
-        raise ValidationError("epsilons must be positive and decreasing")
+        raise ValidationError(f"--eps must be positive and decreasing, got {eps}")
     finals = [run_flow(e * u0, T, dt)[0] for e in eps]
     # the heat flow is linear: run it once on the unit profile, scale by ε
     n_steps, step = _schedule(T, dt, finals[0].m, finals[0].n)

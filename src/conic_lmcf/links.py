@@ -123,7 +123,9 @@ class FlatTorus:
         more than :data:`~conic_lmcf.errors.COUNT_LIMIT` points is refused.
         """
         if not 0 <= lam_max < math.inf:
-            raise ValidationError(f"lam_max must be finite and nonnegative, got {lam_max}")
+            raise ValidationError(f"eigenvalue bound lam_max={lam_max:g} must be finite and "
+                                  f">= 0; change --lmax, --alpha-max or --gamma (whichever the "
+                                  f"command has)")
         radii = [math.sqrt(lam_max * self.metric[i, i]) + 1e-9 for i in range(self.dim)]
         check_count(math.prod(2 * r + 1 for r in radii),
                     f"lattice points with k^T H^-1 k <= {lam_max:g} in their bounding box",
@@ -199,7 +201,8 @@ class RoundSphere:
     def spectrum(self, lam_max):
         """Eigenvalues ``l(l + dim − 1) ≤ lam_max``; more than COUNT_LIMIT of them are refused."""
         if not lam_max < math.inf:
-            raise ValidationError(f"lam_max must be finite, got {lam_max}")
+            raise ValidationError(f"eigenvalue bound lam_max={lam_max:g} must be finite; lower "
+                                  f"--lmax, --alpha-max or --gamma (whichever the command has)")
         # the degrees l >= 0 with l(l + d - 1) <= lam_max + EXACT_TOL, counted in closed form
         d = self.dim - 1
         check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + EXACT_TOL, 0.0)) - d) / 2,

@@ -10,7 +10,7 @@ with ``u(0, ·) = 0``.  The discretization:
 * graded nodes ``r_j = R (j/n)^q`` concentrating resolution near the tip,
 * second-order 3-point stencils on the nonuniform grid,
 * inner boundary: a one-sided extrapolation row enforcing the admissible
-  growth ``u ~ c·r^{α₊(λ)}`` (Dirichlet-zero available as a fallback flag),
+  growth ``u ~ c·r^{α₊(λ)}``,
 * outer boundary: Dirichlet data,
 * backward Euler in time (the r⁻² potential is stiff; damping beats
   second-order accuracy here).
@@ -59,10 +59,11 @@ class RadialGrid:
     q: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.R < math.inf and self.n_cells >= 8 and 1 <= self.q < math.inf):
-            raise ValidationError(
-                "need a finite radius R > 0, n_cells >= 8 and a finite q >= 1; "
-                f"got R={self.R}, n_cells={self.n_cells}, q={self.q}")
+        for flag, value, ok, rule in (("--radius", self.R, 0 < self.R < math.inf, "finite and > 0"),
+                                      ("--n", self.n_cells, self.n_cells >= 8, ">= 8"),
+                                      ("--q", self.q, 1 <= self.q < math.inf, "finite and >= 1")):
+            if not ok:
+                raise ValidationError(f"{flag} must be {rule}, got {value}")
         # the operator divides by the squared radii and by products of
         # neighbouring spacings, which lie between h_min² and 2·h_max²
         r0, r1 = (self.R * (j / self.n_cells) ** self.q for j in (1, 2))
@@ -101,9 +102,9 @@ class LaplaceTypeSpec:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValidationError("mode eigenvalue must be >= 0")
+            raise ValidationError(f"mode eigenvalue --lam must be >= 0, got {self.lam:g}")
         if self.m < 2:
-            raise ValidationError("cone dimension must be >= 2")
+            raise ValidationError(f"cone dimension --m must be >= 2, got {self.m}")
 
 
 def _profile_values(profile, r, what):
@@ -165,7 +166,7 @@ def _inner_weights(r, alpha):
                      (r[0] / r[2]) ** alpha * (r[0] ** 2 - r[1] ** 2) / d])
 
 
-def radial_operator(spec, grid, inner_bc="extrapolation"):
+def radial_operator(spec, grid):
     """Assemble the discrete operator ``L`` on the grid as its three bands.
 
     Returns ``((lower, diag, upper), w)``: the sub-, main and super-
@@ -189,12 +190,7 @@ def radial_operator(spec, grid, inner_bc="extrapolation"):
     rows = c2 + coef1[:, None] * c1
     rows[1:-1, 1] += coef0[1:-1]
 
-    if inner_bc == "extrapolation":
-        w = _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
-    elif inner_bc == "dirichlet0":
-        w = np.zeros(2)
-    else:
-        raise ValidationError(f"unknown inner boundary condition {inner_bc!r}")
+    w = _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
     return (rows[1:, 0], rows[:, 1], rows[:-1, 2]), w
 
 
@@ -213,7 +209,7 @@ def apply_radial_operator(spec, grid, u):
 # --- time stepping -------------------------------------------------------------
 
 
-def _implicit_rows(spec, grid, dt, inner_bc):
+def _implicit_rows(spec, grid, dt):
     """Bands ``(lower, diag, upper)`` of ``I − dt·L`` with ``u_0`` eliminated.
 
     ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
@@ -223,7 +219,7 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     entry must be floats, or the solve would turn an infinity into a silent
     zero or a zero pivot.
     """
-    bands, w = radial_operator(spec, grid, inner_bc=inner_bc)
+    bands, w = radial_operator(spec, grid)
     # in Python floats, which overflow to inf without a numpy warning
     peak = max(float(np.abs(band).max()) for band in bands)
     if not float(dt) * max(peak, float(spec.lam) / float(grid.r_min) ** 2) < math.inf:
@@ -239,8 +235,7 @@ def _implicit_rows(spec, grid, dt, inner_bc):
     return lower, diag, upper, w
 
 
-def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extrapolation",
-                store_every=1):
+def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     """Backward-Euler solve of ``∂_t u = L_λ u + f`` for several modes at once.
 
     All modes share the grid, the time step, the forcing ``f(t, r)`` (``None``
@@ -249,12 +244,12 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
 
         (I − dt·L_λ) u_λ^{n+1} = u_λ^n + dt·f(t^{n+1}, ·)
 
-    with the extrapolation (or Dirichlet-zero) row ``u_0 = w1·u_1 + w2·u_2``
-    at ``r_min`` and the Dirichlet row at ``R``.  The inner row is eliminated
-    into row 1, which makes each mode's matrix tridiagonal; the modes' bands
-    are concatenated with a zero coupling between blocks, factored once with
-    ``dgttrf``, and every step solves all modes with one ``dgttrs`` call and
-    rebuilds ``u_0`` from the weights.  Pivoting does not cross the zero
+    with the extrapolation row ``u_0 = w1·u_1 + w2·u_2`` at ``r_min`` and the
+    Dirichlet row at ``R``.  The inner row is eliminated into row 1, which
+    makes each mode's matrix tridiagonal; the modes' bands are concatenated
+    with a zero coupling between blocks, factored once with ``dgttrf``, and
+    every step solves all modes with one ``dgttrs`` call and rebuilds
+    ``u_0`` from the weights.  Pivoting does not cross the zero
     couplings, so each mode gets the bits a one-mode solve would give.  The
     inner exponent of each mode is α₊(λ); ``λ/r_min²`` and the entries of
     ``dt·L_λ`` must be floats, or :class:`ValidationError` is raised.
@@ -276,7 +271,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
     :class:`ModeSolution` per spec.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf):
-        raise ValidationError("need finite dt > 0 and T > 0")
+        raise ValidationError(f"--T and --dt must be finite and > 0, got --T {T:g}, --dt {dt:g}")
     if store_every < 0:
         raise ValidationError(f"--store-every must be >= 0, got {store_every}")
     specs = list(specs)
@@ -287,7 +282,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, inner_bc="extra
                 "raise --store-every (0 keeps the first and last frames), or lower --T or --n")
     r = grid.nodes
     n = len(r)
-    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt, inner_bc) for spec in specs))
+    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt) for spec in specs))
     w = np.array(w)
     # a zero between blocks: the last row of one mode and the first of the next do not couple
     lower, upper = (np.concatenate([np.append(band, 0.0) for band in bands])[:-1]

@@ -88,6 +88,19 @@ def test_solver_output_has_constant_and_square_terms(table):
     assert exp.remainder_rate >= 2.35
 
 
+def test_uniform_grid_fit_matches_the_graded_one(table):
+    # on the uniform grid the first window's four nodes span two dyadic annuli,
+    # so the rate gate refused every term and the rate read -0.0042
+    fits = {}
+    for q in (1.0, 2.0):
+        sol = solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], RadialGrid(R=1.0, n_cells=400, q=q),
+                          T=0.1, dt=0.1 / 400, forcing=lambda t, r: r ** -0.5)[0]
+        fits[q] = extract_asymptotics(sol, table, gamma=1.5)
+    assert [(a, k) for a, k, _ in fits[1.0].terms] == [(0.0, 0)]
+    assert math.isclose(fits[1.0].terms[0][2], fits[2.0].terms[0][2], rel_tol=1e-3)
+    assert fits[1.0].remainder_rate >= 1.5 - 0.15
+
+
 def test_exceptional_gamma_rejected(table):
     grid = RadialGrid(R=1.0, n_cells=200)
     sol = fake_solution(grid, grid.nodes**2, lam=6.0)

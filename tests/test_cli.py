@@ -1112,6 +1112,23 @@ OUT_OF_RANGE = {
     "fredholm-gamma-window": (["fredholm", "--gamma", "1000.5"], "--gamma"),
     "asymptotics-gamma-window": (["asymptotics", "--gamma", "1000.5", "--lam", "0", "--n", "50",
                                   "--T", "0.01"], "--gamma"),
+    # the next eleven named no flag, or a library parameter (R, n_cells, q, lam_max, alpha_max)
+    "heat-lam-negative": (HEAT + ["--lam", "-1"], "--lam must be >= 0, got -1"),
+    "heat-m-1": (HEAT + ["--m", "1"], "--m must be >= 2, got 1"),
+    "heat-n-7": (HEAT + ["--n", "7"], "--n must be >= 8, got 7"),
+    "heat-q-half": (HEAT + ["--q", "0.5"], "--q must be finite and >= 1, got 0.5"),
+    "heat-radius-0": (HEAT + ["--radius", "0"], "--radius must be finite and > 0"),
+    # the default --dt is T/400, so --T 0 makes both zero
+    "heat-T-0": (HEAT + ["--T", "0"], "--T and --dt must be finite and > 0, got --T 0, --dt 0"),
+    "heat-dt-0": (HEAT + ["--dt", "0"], "must be finite and > 0, got --T 0.05, --dt 0"),
+    "torus-lmax-negative": (["spectrum", "--link", "torus", "--lmax", "-1"],
+                            "lam_max=-1 must be finite and >= 0; change --lmax"),
+    "exponents-alpha-max-negative": (["exponents", "--alpha-max", "-1"],
+                                     "--alpha-max must be >= 0, got -1"),
+    "sphere-alpha-max-1e200": (["exponents", "--link", "sphere", "--alpha-max", "1e200"],
+                               "lam_max=inf must be finite; lower --lmax, --alpha-max"),
+    "defect-eps-increasing": (["defect", "--n", "16", "--T", "0.01", "--eps", "0.1", "0.2"],
+                              "--eps must be positive and decreasing, got [0.1, 0.2]"),
 }
 
 
@@ -1126,6 +1143,15 @@ def test_unknown_flag_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fredholm", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [HEAT, ["asymptotics", "--lam", "0", "--n", "50"]])
+def test_dirichlet_zero_inner_row_is_gone(tmp_path, capsys, command):
+    # --inner dirichlet0 exited 0 with a blown-up solution on steep gradings
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--inner", "dirichlet0", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inner dirichlet0" in capsys.readouterr().err
 
 
 def test_stability_takes_no_sample_resolution(tmp_path, capsys):

@@ -68,12 +68,12 @@ GOLDEN = {
         "mode_2.csv": "0e516da44bda173334e74a801ae95add4243c7babbf6de16ad4cfdd70cb37428",
         "profile_0.dat": "c25fcf1a975b286e69595ef6a92cd652e84d0a693ece5decdba412710692ea15",
         "profile_2.dat": "a8bee4477cf36b3b4e8991c8bc5a47d0cdad362625837abe649f2e881af23428",
-        "report.json": "663451ae7747847bda04921f3f1725637e2ed66dfea8f90c57b4b01cf88d3ea5",
+        "report.json": "255ad8958c593b3f481be40332561d1ee3471f55911a112544ebe2eaa9d3182c",
     },
     "asymptotics": {
         "asymptotics.json": "3cc1a8b48342e97598e06a3937482e3368dca2e3860adb091e3baeb0aff08d21",
         "remainder.dat": "ca5f7ddeb8fec8cc8d2e91010ae645ca6674ce211ad61e3e37e6ec6bfc0670b7",
-        "report.json": "132b198599af004552b987f605193e5706d0d44c78ee75d1bd9d1e6e857e19bf",
+        "report.json": "dca7eb3d8c6bc777083ba7542d7a280bd835477eee01d8a0d693cc9b56831607",
     },
     "flow": {
         "flow_snapshots.csv": "599f86f5be5ca81c1dcac9dd07b6b89c66c5b842011beea4e352254fa9f872c0",
@@ -97,7 +97,7 @@ GOLDEN = {
         "mode_2.csv": "c535b95cb938b36dc12ef7b03c936d514554c4a33d0956cc0bbe526fd392e911",
         "profile_0.dat": "52d58ced3307c1f93d6f0a864d4a2a2e35b5165331102169bd0a901d8ff19c27",
         "profile_2.dat": "da1ebde5487b7d86ffebff737709971cf9c14308be3f581e0c490f3f4400b290",
-        "report.json": "ac92714c578bc60741d1473f593f155d9e412613d07f58dfbe1459ac616c7e79",
+        "report.json": "93d7a037250085f9bb6847ff942ee0d98ccd4d0f1d62ecbbf89a731d26d07698",
     },
 }
 
