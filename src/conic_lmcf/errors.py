@@ -58,9 +58,11 @@ def check_count(count: float, what: str, fix: str) -> None:
 def time_steps(T: float, dt: float) -> tuple[int, float]:
     """``(n, T/n)``: the fewest equal steps reaching ``T`` whose size does not exceed ``dt``.
 
-    ``T`` and ``dt`` are positive and finite.  More than :data:`COUNT_LIMIT`
-    steps are refused, naming ``--T`` and ``--dt``.
+    A ``T`` or ``dt`` that is not finite and > 0, and more than
+    :data:`COUNT_LIMIT` steps, are refused, naming ``--T`` and ``--dt``.
     """
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValidationError(f"--T and --dt must be finite and > 0, got --T {T:g}, --dt {dt:g}")
     check_count(T / dt, f"time steps of dt={dt:.6g} to reach T={T:g}", "lower --T or raise --dt")
     n = max(math.floor(T / dt), 1)
     while T / n > dt:

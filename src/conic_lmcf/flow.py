@@ -179,11 +179,7 @@ def _step_size(dt, m, n):
 def _schedule(T, dt, m, n):
     """:func:`~conic_lmcf.errors.time_steps` of ``T`` and the checked ``dt``."""
     _check_grid(m, n)
-    dt = _step_size(dt, m, n)
-    T = float(T)
-    if not 0.0 < T < math.inf:
-        raise ValidationError(f"final time T must be positive and finite, got {T!r}")
-    return time_steps(T, dt)
+    return time_steps(float(T), _step_size(dt, m, n))
 
 
 def flow_step(state, dt=None):
@@ -288,16 +284,26 @@ def linearization_defect(u0, epsilons, T, dt=None):
 # --- initial-condition catalog ----------------------------------------------------
 
 
+def _trig_profile(two_axes, one_axis):
+    """The potential ``two_axes(x1, x2)`` of grid coordinates ``xs``; ``one_axis(x1)`` at m = 1."""
+    return lambda xs: two_axes(xs[0], xs[1]) if len(xs) > 1 else one_axis(xs[0])
+
+
+#: name -> the small-amplitude trig potential it names, as a function of the grid coordinates
+INITIAL_CONDITIONS = {
+    "sine": lambda xs: 0.10 * np.sin(xs[0]),
+    "diag": _trig_profile(lambda x1, x2: 0.10 * np.cos(x1 + x2),
+                          lambda x1: 0.10 * np.cos(2 * x1)),
+    "mixed": _trig_profile(lambda x1, x2: 0.05 * (np.sin(x1) + np.cos(2 * x2)),
+                           lambda x1: 0.05 * (np.sin(x1) + np.cos(2 * x1))),
+    "product": _trig_profile(lambda x1, x2: 0.10 * np.sin(x1) * np.cos(x2),
+                             lambda x1: 0.08 * np.sin(3 * x1)),
+    "ripple": _trig_profile(lambda x1, x2: 0.08 * np.sin(2 * x1) * np.cos(x2) + 0.02 * np.cos(x1),
+                            lambda x1: 0.06 * np.sin(2 * x1) + 0.02 * np.cos(x1)),
+}
+
+
 def catalog_initial_conditions(m, n):
-    """Five named small-amplitude trig potentials on the ``n^m`` grid."""
+    """The five named potentials of :data:`INITIAL_CONDITIONS` on the ``n^m`` grid."""
     xs = grid_coordinates(m, n)
-    x1 = xs[0]
-    x2 = xs[1] if m > 1 else xs[0]
-    return {
-        "sine": 0.10 * np.sin(x1),
-        "diag": 0.10 * np.cos(x1 + x2) if m > 1 else 0.10 * np.cos(2 * x1),
-        "mixed": 0.05 * (np.sin(x1) + np.cos(2 * x2)),
-        "product": 0.10 * np.sin(x1) * np.cos(x2) if m > 1 else 0.08 * np.sin(3 * x1),
-        "ripple": 0.08 * np.sin(2 * x1) * np.cos(x2) + 0.02 * np.cos(x1) if m > 1
-                  else 0.06 * np.sin(2 * x1) + 0.02 * np.cos(x1),
-    }
+    return {name: profile(xs) for name, profile in INITIAL_CONDITIONS.items()}

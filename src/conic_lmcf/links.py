@@ -51,14 +51,24 @@ class EigenEntry:
     basis_tag: str = ""
 
     def __post_init__(self):
-        if self.lam < -1e-12:
-            raise ValidationError(f"negative eigenvalue {self.lam}")
+        if not self.lam >= 0:
+            raise ValidationError(f"link eigenvalue must be >= 0, got {self.lam}")
         if self.multiplicity < 1:
             raise ValidationError("multiplicity must be a positive integer")
 
 
 #: relative distance within which two eigenvalues of an exact spectrum are one
 EXACT_TOL = 1e-9
+
+#: the flags that set an eigenvalue bound, named by every refusal of one
+_BOUND_FLAGS = "--lmax, --alpha-max or --gamma (whichever the command has)"
+
+
+def _check_bound(lam_max):
+    """Refuse an eigenvalue bound that is not finite and >= 0: −Δ_h has no eigenvalue below 0."""
+    if not 0 <= lam_max < math.inf:
+        raise ValidationError(f"eigenvalue bound lam_max={lam_max:g} must be finite and >= 0; "
+                              f"change {_BOUND_FLAGS}")
 
 
 def _clusters(sorted_vals, tol):
@@ -122,14 +132,11 @@ class FlatTorus:
         ellipsoid ``kᵀH⁻¹k ≤ lam_max`` (``k_i² ≤ lam_max·H_ii``); a box of
         more than :data:`~conic_lmcf.errors.COUNT_LIMIT` points is refused.
         """
-        if not 0 <= lam_max < math.inf:
-            raise ValidationError(f"eigenvalue bound lam_max={lam_max:g} must be finite and "
-                                  f">= 0; change --lmax, --alpha-max or --gamma (whichever the "
-                                  f"command has)")
+        _check_bound(lam_max)
         radii = [math.sqrt(lam_max * self.metric[i, i]) + 1e-9 for i in range(self.dim)]
         check_count(math.prod(2 * r + 1 for r in radii),
                     f"lattice points with k^T H^-1 k <= {lam_max:g} in their bounding box",
-                    "lower --lmax, --alpha-max or --gamma (whichever the command has)")
+                    f"lower {_BOUND_FLAGS}")
         bounds = [math.floor(r) for r in radii]
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
@@ -200,14 +207,11 @@ class RoundSphere:
 
     def spectrum(self, lam_max):
         """Eigenvalues ``l(l + dim − 1) ≤ lam_max``; more than COUNT_LIMIT of them are refused."""
-        if not lam_max < math.inf:
-            raise ValidationError(f"eigenvalue bound lam_max={lam_max:g} must be finite; lower "
-                                  f"--lmax, --alpha-max or --gamma (whichever the command has)")
+        _check_bound(lam_max)
         # the degrees l >= 0 with l(l + d - 1) <= lam_max + EXACT_TOL, counted in closed form
         d = self.dim - 1
-        check_count(1 + (math.sqrt(d * d + 4 * max(lam_max + EXACT_TOL, 0.0)) - d) / 2,
-                    f"eigenvalues of S^{self.dim} up to {lam_max:g}",
-                    "lower --lmax, --alpha-max or --gamma (whichever the command has)")
+        check_count(1 + (math.sqrt(d * d + 4 * (lam_max + EXACT_TOL)) - d) / 2,
+                    f"eigenvalues of S^{self.dim} up to {lam_max:g}", f"lower {_BOUND_FLAGS}")
         entries = []
         l = 0
         while l * (l + self.dim - 1) <= lam_max + EXACT_TOL:
@@ -430,8 +434,11 @@ class MeshLink:
 
         Discretization splits continuum multiplicities, so grouping uses a
         coarse relative tolerance appropriate for mesh data.  ``lam_max`` keeps
-        the rows up to it, and must lie below the largest of the ``count``.
+        the rows up to it, and must be finite, >= 0 and below the largest of
+        the ``count``.
         """
+        if lam_max is not None:
+            _check_bound(lam_max)
         vals = self.eigenvalues(count)
         if lam_max is not None:
             if vals[-1] <= lam_max * (1 + group_tol):

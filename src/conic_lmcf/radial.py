@@ -262,20 +262,20 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     or returns a non-finite value raises :class:`NumericalError` naming the
     step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``.
 
-    The steps are the fewest equal ones of size ``T/n ≤ dt``
-    (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
+    ``specs`` may not be empty.  The steps are the fewest equal ones of size
+    ``T/n ≤ dt`` (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
     Solutions are recorded every ``store_every`` steps (``store_every=0``
     keeps only the initial and final states).  More than
     :data:`~conic_lmcf.errors.COUNT_LIMIT` steps, or stored values (frames ×
     modes × nodes), are refused before the factorisation.  Returns one
     :class:`ModeSolution` per spec.
     """
-    if not (0 < dt < math.inf and 0 < T < math.inf):
-        raise ValidationError(f"--T and --dt must be finite and > 0, got --T {T:g}, --dt {dt:g}")
+    specs = list(specs)
+    if not specs:
+        raise ValidationError("at least one --lam is required")
+    n_steps, dt = time_steps(T, dt)
     if store_every < 0:
         raise ValidationError(f"--store-every must be >= 0, got {store_every}")
-    specs = list(specs)
-    n_steps, dt = time_steps(T, dt)
     stored = (n_steps // store_every + (n_steps % store_every > 0) if store_every else 1) + 1
     check_count(stored * len(specs) * grid.n_cells,
                 f"stored values ({stored} frames of {len(specs)} modes on {grid.n_cells} nodes)",

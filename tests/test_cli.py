@@ -22,8 +22,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_modes
-from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _check_report, build_parser, compile_expression,
-                            main, parse_args, parse_forcing, parse_initial_condition, write_columns,
+from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, build_parser, compile_expression, main,
+                            parse_args, parse_forcing, parse_initial_condition, write_columns,
                             write_csv, write_frames)
 from conic_lmcf.flow import grid_coordinates
 
@@ -452,24 +452,19 @@ def test_non_finite_outputs_are_written_as_null(tmp_path, capsys):
 
 
 def test_reports_validate_against_shipped_schema(tmp_path):
+    # the schema is the one statement of the report's shape; every golden run,
+    # which covers each subcommand, must write a report that holds to it
     import jsonschema
     from importlib import resources
 
-    schema = json.loads(
-        resources.files("conic_lmcf.schemas")
-        .joinpath("report.schema.json")
-        .read_text()
-    )
-    for i, argv in enumerate(
-        [
-            ["spectrum", "--link", "sphere", "--dim", "2", "--lmax", "3"],
-            ["fredholm", "--cone", "hl-torus-3", "--gamma", "2.1"],
-            ["stability", "--cone", "plane-3"],
-        ]
-    ):
-        outdir = tmp_path / str(i)
-        assert main(argv + ["--outdir", str(outdir)]) == 0
-        jsonschema.validate(read_report(outdir), schema)
+    from test_golden import RUNS, run_all
+
+    schema = json.loads(resources.files("conic_lmcf.schemas")
+                        .joinpath("report.schema.json").read_text())
+    run_all(tmp_path)
+    assert {argv[0] for argv in RUNS.values()} == set(COMMANDS)
+    for name in RUNS:
+        jsonschema.validate(read_report(tmp_path / name), schema)
 
 
 def test_reports_record_versions(tmp_path):
@@ -478,94 +473,6 @@ def test_reports_record_versions(tmp_path):
     versions = read_report(tmp_path)["versions"]
     assert versions["conic-lmcf"] == conic_lmcf.__version__
     assert set(versions) == {"python", "numpy", "scipy", "conic-lmcf"}
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
-    | st.floats(allow_nan=True, allow_infinity=True),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                               max_size=3),
-    max_leaves=4)
-NUMERIC_OUTPUTS = st.recursive(
-    st.floats(allow_nan=False) | st.integers(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                               max_size=3),
-    max_leaves=4)
-REPORT_BREAKS = ("missing key", "extra key", "command", "inputs", "outputs", "files",
-                 "files entry", "versions", "versions key", "versions value", "wall_time_s")
-
-
-@st.composite
-def report_dicts(draw):
-    """A valid report with nested numeric outputs, broken at up to two places."""
-    def other_than(*types):
-        return draw(JSON_VALUES.filter(lambda value: not isinstance(value, types)))
-
-    version_keys = ["python", "numpy", "scipy", "conic-lmcf"]
-    report = {
-        "command": draw(st.text(min_size=1, max_size=6)),
-        "inputs": draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3)),
-        "outputs": {**draw(st.dictionaries(st.text(max_size=4), NUMERIC_OUTPUTS, max_size=3)),
-                    "files": draw(st.lists(st.text(max_size=8), max_size=3))},
-        "versions": {**draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)),
-                     **{key: draw(st.text(max_size=6)) for key in version_keys}},
-        "wall_time_s": draw(st.floats(min_value=0.0) | st.integers(min_value=0)
-                            | st.just(math.nan)),
-    }
-    count = draw(st.integers(0, 2))
-    breaks = draw(st.sets(st.sampled_from(REPORT_BREAKS), min_size=count, max_size=count))
-    if "command" in breaks:
-        report["command"] = draw(st.just("")) if draw(st.booleans()) else other_than(str)
-    if "inputs" in breaks:
-        report["inputs"] = other_than(dict)
-    if "files" in breaks:
-        report["outputs"]["files"] = other_than(list) if draw(st.booleans()) else None
-        if report["outputs"]["files"] is None:
-            del report["outputs"]["files"]
-    if "files entry" in breaks and "files" not in breaks:
-        report["outputs"]["files"].insert(draw(st.integers(0, 3)), other_than(str))
-    if "outputs" in breaks:
-        report["outputs"] = other_than(dict)
-    if "versions key" in breaks:
-        del report["versions"][draw(st.sampled_from(version_keys))]
-    if "versions value" in breaks:
-        report["versions"][draw(st.sampled_from(version_keys))] = other_than(str)
-    if "versions" in breaks:
-        report["versions"] = other_than(dict)
-    if "wall_time_s" in breaks:
-        report["wall_time_s"] = draw(st.booleans() | st.floats(max_value=-1e-300)
-                                     | st.integers(max_value=-1)) if draw(st.booleans()) \
-            else other_than(int, float)
-    if "missing key" in breaks:
-        del report[draw(st.sampled_from(sorted(report)))]
-    if "extra key" in breaks:
-        report[draw(st.text(max_size=12).filter(lambda key: key not in report))] = \
-            draw(JSON_VALUES)
-    return report
-
-
-@settings(max_examples=300, deadline=None)
-@given(report_dicts())
-def test_report_check_agrees_with_jsonschema(report):
-    """Oracle: the direct check accepts exactly the reports the shipped schema accepts."""
-    import jsonschema
-    from importlib import resources
-
-    schema = json.loads(resources.files("conic_lmcf.schemas")
-                        .joinpath("report.schema.json").read_text())
-    valid = jsonschema.Draft7Validator(schema).is_valid(report)
-    if valid:
-        _check_report(report)
-    else:
-        with pytest.raises(ValueError, match="report"):
-            _check_report(report)
-
-
-def test_a_broken_report_names_the_key(tmp_path, monkeypatch):
-    monkeypatch.setattr(conic_lmcf.cli, "__version__", None)
-    with pytest.raises(ValueError, match="'versions' breaks report.schema.json"):
-        main(["fredholm", "--gamma", "2.1", "--outdir", str(tmp_path)])
-    assert not (tmp_path / "report.json").exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -1126,7 +1033,22 @@ OUT_OF_RANGE = {
     "exponents-alpha-max-negative": (["exponents", "--alpha-max", "-1"],
                                      "--alpha-max must be >= 0, got -1"),
     "sphere-alpha-max-1e200": (["exponents", "--link", "sphere", "--alpha-max", "1e200"],
-                               "lam_max=inf must be finite; lower --lmax, --alpha-max"),
+                               "lam_max=inf must be finite and >= 0; change --lmax, --alpha-max"),
+    # exited 0 with an empty spectrum.csv: the sphere refused only a non-finite bound
+    "sphere-lmax-negative": (["spectrum", "--link", "sphere", "--lmax", "-1"],
+                             "lam_max=-1 must be finite and >= 0; change --lmax"),
+    # the time grid's one rule, for the flow and the defect as for heat
+    "flow-T-0": (["flow", "--n", "16", "--T", "0"],
+                 "--T and --dt must be finite and > 0, got --T 0, --dt"),
+    "defect-T-negative": (["defect", "--n", "16", "--T", "-1"],
+                          "--T and --dt must be finite and > 0, got --T -1, --dt"),
+    "mesh-without-file": (["spectrum", "--link", "mesh"], "--link mesh requires --mesh-file"),
+    "forcing-and-table": (HEAT + ["--forcing", "r^0.5", "--forcing-csv", "f.csv"],
+                          "give either --forcing or --forcing-csv, not both"),
+    "asymptotics-two-modes": (["asymptotics", "--lam", "0", "2", "--n", "50", "--T", "0.01"],
+                              "asymptotics extraction works on a single --lam mode"),
+    "fredholm-asymptotics-gamma-low": (["fredholm", "--gamma", "-1.5", "--with-asymptotics"],
+                                       "asymptotics require gamma > -1, got -1.5"),
     "defect-eps-increasing": (["defect", "--n", "16", "--T", "0.01", "--eps", "0.1", "0.2"],
                               "--eps must be positive and decreasing, got [0.1, 0.2]"),
 }
@@ -1368,6 +1290,18 @@ def test_malformed_cone_file_exits_2_naming_it(tmp_path, capsys, name):
         rc = main(argv + ["--cone-json", str(path), "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert name in capsys.readouterr().err
+
+
+def test_cone_file_off_the_unit_sphere_exits_2(tmp_path, capsys):
+    # hl-torus-3 with every coefficient scaled by 1.5: its link has |z| = 1.5
+    data = hl_cone_data()
+    for coord in data["coordinates"]:
+        for mono in coord:
+            mono["c"] = [1.5 * c for c in mono["c"]]
+    path = tmp_path / "off-unit-sphere.json"
+    path.write_text(json.dumps(data))
+    assert main(["stability", "--cone-json", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "off-unit-sphere.json: link leaves the unit sphere" in capsys.readouterr().err
 
 
 def test_round_tripped_cone_file_keeps_the_indices(tmp_path, capsys):

@@ -22,6 +22,7 @@ from conic_lmcf import (
     linearization_defect,
     run_flow,
 )
+from conic_lmcf import flow
 from conic_lmcf.errors import COUNT_LIMIT
 from conic_lmcf.flow import DET_FLOOR
 
@@ -297,7 +298,7 @@ def test_out_of_range_dt_is_rejected(factor):
 
 @pytest.mark.parametrize("T", [0.0, -0.1, float("inf"), float("nan")])
 def test_final_time_must_be_positive_and_finite(T):
-    with pytest.raises(ValidationError, match="T must be positive"):
+    with pytest.raises(ValidationError, match="--T and --dt must be finite and > 0, got --T"):
         run_flow(sine_ic(2, 16, 0.05), T=T)
 
 
@@ -447,3 +448,18 @@ def test_catalog_profiles_are_graphical():
 def test_flow_state_validates_shape():
     with pytest.raises(ValidationError):
         FlowState.from_potential(np.zeros((8, 9)))
+
+
+def test_a_rejected_step_names_its_time_and_half_the_step(monkeypatch):
+    # no catalog profile leaves the graph regime in one stable step, so the
+    # angle of the updated field is made to fail
+    state = FlowState.from_potential(catalog_initial_conditions(2, 16)["sine"])
+
+    def refuse(u, dx):
+        raise GraphConditionError("graph condition violated in lagrangian_angle")
+
+    monkeypatch.setattr(flow, "lagrangian_angle", refuse)
+    dt = default_dt(2, 16)
+    with pytest.raises(GraphConditionError, match=f"step rejected at t=0: graph condition "
+                       f"violated in lagrangian_angle; retry with dt={dt / 2:.3e}"):
+        flow_step(state, dt)

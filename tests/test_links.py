@@ -92,6 +92,13 @@ def test_eigen_entry_validation():
         EigenEntry(1.0, 0)
 
 
+@pytest.mark.parametrize("lam", [-1e-13, math.nan])
+def test_eigen_entry_refuses_every_eigenvalue_below_zero(lam):
+    # -1e-13 was accepted here, then refused by ExponentTable.from_spectrum
+    with pytest.raises(ValidationError, match="link eigenvalue must be >= 0"):
+        EigenEntry(lam, 1)
+
+
 def test_torus_metric_validation():
     with pytest.raises(ValidationError):
         FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not positive definite
@@ -490,6 +497,15 @@ def test_mesh_spectrum_is_invariant_under_similarities(kind, data):
 def test_spectrum_rejects_a_non_finite_bound(link, lam_max):
     with pytest.raises(ValidationError, match="lam_max"):
         link.spectrum(lam_max)
+
+
+@pytest.mark.parametrize("lam_max", [-1.0, -1e-300, math.inf, math.nan])
+def test_every_link_refuses_a_bound_below_zero_or_not_finite(lam_max):
+    # the sphere and the mesh returned an empty spectrum for lam_max = -1
+    for link in (RoundSphere(2), FlatTorus(np.eye(2)), MeshLink(TORUS_VERTICES, TORUS_FACES)):
+        with pytest.raises(ValidationError, match=r"must be finite and >= 0; change --lmax, "
+                           r"--alpha-max or --gamma \(whichever the command has\)"):
+            link.spectrum(lam_max)
 
 
 @pytest.mark.parametrize("link, lam_max", [(RoundSphere(2), 1e30), (RoundSphere(5), 1e13),

@@ -94,6 +94,34 @@ def test_benchmark_tracer_installs_and_restores():
     assert flow.run_flow is original
 
 
+def load_clibench(name, monkeypatch):
+    """``clibench/<name>.py`` loaded by path, only read, and listed in sys.modules for this test."""
+    path = Path(__file__).resolve().parents[1] / "clibench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_job_parses(tmp_path, monkeypatch):
+    # a flag the benchmark passes and the CLI no longer takes fails here, not
+    # first in a benchmark run
+    from conic_lmcf.cli import parse_args
+    load_clibench("formulas", monkeypatch)  # workloads imports it as a sibling module
+    workloads = load_clibench("workloads", monkeypatch)
+    parsed = 0
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 11):
+            for job in workloads.build(workload, seed, tmp_path / f"{workload}-{seed}"):
+                try:
+                    assert parse_args(job.argv, {}).command == job.argv[0]
+                except SystemExit:
+                    pytest.fail(f"job {job.id} does not parse: {job.argv}")
+                parsed += 1
+    assert parsed == 132
+
+
 # Runs each command through cli.main in one fresh interpreter and records,
 # after each, its exit code and which of the watched modules are loaded:
 # numpy, SciPy with its sparse stack and interpolate, jsonschema and

@@ -303,8 +303,29 @@ def test_step_that_does_not_divide_T_ends_at_T():
 @pytest.mark.parametrize("T, dt", [(np.nan, 0.01), (np.inf, 0.01), (0.1, np.nan), (0.1, 0.0)])
 def test_non_finite_times_are_rejected(T, dt):
     grid = RadialGrid(R=1.0, n_cells=50)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="--T and --dt must be finite and > 0"):
         solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=T, dt=dt)
+
+
+def test_an_empty_mode_list_is_refused_naming_lam():
+    # raised a bare "not enough values to unpack" ValueError
+    with pytest.raises(ValidationError, match="at least one --lam is required"):
+        solve_modes([], RadialGrid(R=1.0, n_cells=50), T=0.1, dt=0.01)
+
+
+def test_an_infinite_outer_value_fails_the_first_step():
+    grid = RadialGrid(R=1.0, n_cells=50)
+    with pytest.raises(NumericalError, match="linear solve failed at step 1"):
+        solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=0.1, dt=0.01,
+                    outer_bc=lambda t: np.inf)
+
+
+def test_a_forcing_whose_step_overflows_names_dt():
+    # a finite f = 1e308 times dt = 5 is not a float
+    grid = RadialGrid(R=1.0, n_cells=50)
+    with pytest.raises(NumericalError, match="leaves the float range at step 1.*lower --dt"):
+        solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=10.0, dt=5.0,
+                    forcing=lambda t, r: np.full_like(r, 1e308))
 
 
 @pytest.mark.parametrize("T, dt", [(1e9, 1e-3), (1.0, 1e-300), (1e300, 1e-10)])
