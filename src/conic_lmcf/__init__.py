@@ -27,8 +27,7 @@ _EXPORTS = {
     "cones": ("MomentElement", "SLCone", "StabilityReport", "catalog_cone", "cone_from_json",
               "hamiltonian_field", "harvey_lawson_torus", "moment_eval", "plane_cone",
               "stability_index", "su_basis", "translation_basis", "verify_hamiltonian"),
-    "errors": ("DegenerateDataError", "ExceptionalWeightError", "GraphConditionError",
-               "NumericalError", "ValidationError", "WindowError"),
+    "errors": ("GraphConditionError", "NumericalError", "ValidationError"),
     "exponents": ("ExponentEntry", "ExponentTable", "exponent_roots", "fredholm_index"),
     "flow": ("DefectReport", "FlowState", "catalog_initial_conditions", "default_dt",
              "flow_step", "graph_determinant", "grid_coordinates", "hessian_field",

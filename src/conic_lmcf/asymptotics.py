@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DegenerateDataError, ExceptionalWeightError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .norms import decay_rate, dyadic_annulus_suprema
 
 __all__ = list(_EXPORTS["asymptotics"])
@@ -74,17 +74,20 @@ def extract_asymptotics(sol, table, gamma):
     empty).  A mode has one nonnegative exponent, since α₋ = 2 − m − α₊ is
     negative unless both are 0, and its ladder is 2 apart.  The returned
     expansion satisfies ``remainder_rate ≥ γ − 0.15`` for solver output with
-    forcing ``O(r^{γ−2})``.
+    forcing ``O(r^{γ−2})``.  The rate is ``inf`` for a remainder below
+    1e−12·max|u|; a grid with nodes in fewer than 5 of its annuli is refused,
+    naming ``--n``.
     """
     if table.is_exceptional(gamma, lifted=True):
-        raise ExceptionalWeightError(
+        raise ValidationError(
             f"gamma={gamma} is within tolerance of an exceptional exponent")
     R = sol.grid.R
     r = sol.grid.nodes / R  # in r/R, a dilation by 2^k keeps every bit of the fit
     u = np.asarray(sol.final(), dtype=float)
 
     lam = sol.lam
-    matches = [e for e in table.entries if e.alpha >= -table.tol
+    # a mode whose exponent reaches gamma has no term below it
+    matches = [e for e in table.entries(gamma) if e.alpha >= -table.tol
                and abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)]
     basis = []
     if matches:
@@ -129,11 +132,12 @@ def extract_asymptotics(sol, table, gamma):
     centers, sups = dyadic_annulus_suprema(r, work, 1e-3, 1e-1)
     rem_sup = float(np.abs(work).max())
     if np.all(sups <= 1e-12 * scale):
-        rate, _ = math.inf, 0.0
+        rate = math.inf
+    elif len(centers) < 5:
+        raise ValidationError(
+            f"the remainder rate needs grid nodes in 5 dyadic annuli of r/R in "
+            f"[1e-3, 1e-1], found {len(centers)}; raise --n")
     else:
-        try:
-            rate, _ = decay_rate(centers, sups)
-        except DegenerateDataError:
-            rate = math.inf
+        rate, _ = decay_rate(centers, sups)
     return AsymptoticExpansion(accepted, rate, rem_sup, gamma, time=float(sol.times[-1]))
 

@@ -430,9 +430,6 @@ def parse_initial_condition(expr: str, m: int, n: int):
 # subcommand handlers: each writes its artifacts into ``out`` and returns
 # the report's outputs
 
-_ALPHA_MAX = 3.0  # the least exponent window edge of fredholm and asymptotics
-
-
 def cmd_spectrum(args, out: Path) -> dict:
     from .links import MeshLink
     if args.link == "mesh" and args.count < 1:
@@ -460,20 +457,19 @@ def cmd_exponents(args, out: Path) -> dict:
     if args.m != link.dim + 1:
         raise ValidationError(f"--m {args.m} is not {link.dim + 1}, the dimension of a cone over "
                               f"the {link.dim}-dimensional link: make --m and --dim agree")
-    table = ExponentTable.for_link(link, args.alpha_max)
-    rows = []
-    for entry in table.entries:
-        if entry.alpha >= 0:
-            lo = 2.0 - args.m - entry.alpha
-            rows.append((entry.lambda_source, entry.multiplicity, entry.alpha, lo))
+    if args.alpha_max < 0:
+        raise ValidationError(f"--alpha-max must be >= 0, got {args.alpha_max:g}")
+    entries = ExponentTable.for_link(link).entries(args.alpha_max)
+    rows = [(e.lambda_source, e.multiplicity, e.alpha, 2.0 - args.m - e.alpha)
+            for e in entries if e.alpha >= 0]
     write_csv(out / "exponents.csv",
               ["lambda", "multiplicity", "alpha_plus", "alpha_minus"], rows)
     for lam, mult, hi, lo in rows:
         print(f"lambda={lam:.12g}  mult={mult}  alpha+={hi:.12g}  alpha-={lo:.12g}")
     return {
         "files": ["exponents.csv"],
-        "window": [table.alpha_lo, table.alpha_hi],
-        "n_exponents": len(table.entries),
+        "window": [2.0 - args.m - args.alpha_max, args.alpha_max],
+        "n_exponents": len(entries),
     }
 
 
@@ -501,8 +497,7 @@ def cmd_fredholm(args, out: Path) -> dict:
     from .exponents import ExponentTable, fredholm_index
     cone = _build_cone(args)
     gammas = list(args.gamma)
-    alpha_max = max([_ALPHA_MAX] + [abs(g) + 1.0 for g in gammas])
-    table = ExponentTable.for_link(cone.link, alpha_max)
+    table = ExponentTable.for_link(cone.link)
     index = fredholm_index([table] * len(gammas), gammas,
                            with_asymptotics=args.with_asymptotics)
     print(f"fredholm index: {index}")
@@ -555,7 +550,7 @@ def cmd_asymptotics(args, out: Path) -> dict:
     link = build_link(argparse.Namespace(link="torus" if args.metric else "hl-torus",
                                          metric=args.metric, mesh_file=None, dim=None))
     _check_cone_link(link, "--metric")
-    table = ExponentTable.for_link(link, max(args.gamma + 1.0, _ALPHA_MAX))
+    table = ExponentTable.for_link(link)
     # the fit reads the final frame only, so no intermediate frame is kept
     sol = _solve_modes(lams, table.m, args, forcing)[0]
     expansion = extract_asymptotics(sol, table, gamma=args.gamma)

@@ -388,7 +388,8 @@ def stability_index(cone):
     The index is the multiplicity-weighted number of homogeneity exponents
     in the closed interval [0, 2] minus ``m² + 2m − dim G``, the dimension
     count of the harmonic functions generated by rigid motions and dilation;
-    the exponents come from the cone's link spectrum, in a window up to 3.
+    the exponents come from the cone's link spectrum, enumerated once, up to
+    the eigenvalue of exponent 2.
     The report also carries the numerically measured dimensions of the
     spans of the moment maps restricted to the link, for generators ranging
     over translations and over ``su(m)``; for a non-degenerate cone these
@@ -396,11 +397,12 @@ def stability_index(cone):
     that angle grid samples the moment maps (frequencies ≤ 2·max|k|) without
     aliasing, and 144 sphere points exceed the dimension (10) of quadratics on ℝ³.
     """
-    table = ExponentTable.for_link(cone.link, 3.0)
+    table = ExponentTable.for_link(cone.link)
     m = cone.m
+    below_2 = table.count_M(2.0)  # the farthest query first, so the table grows once
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}
     # exponents in [0, 2) and at 2: together the closed interval [0, 2]
-    count_up_to_2 = table.count_M(2.0) + counts[2]
+    count_up_to_2 = below_2 + counts[2]
     index = count_up_to_2 - m * m - 2 * m + cone.dim_G
 
     def span_rank(elements):

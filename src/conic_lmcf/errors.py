@@ -19,18 +19,6 @@ class ValidationError(ValueError):
     """An input violates a documented precondition."""
 
 
-class WindowError(ValidationError):
-    """An exponent table does not cover the requested weight window."""
-
-
-class ExceptionalWeightError(ValidationError):
-    """A weight sits (within tolerance) on an exceptional exponent."""
-
-
-class DegenerateDataError(ValidationError):
-    """Rate fitting received degenerate (zero or too little) data."""
-
-
 class NumericalError(RuntimeError):
     """A numerical computation failed (singular solve, NaN blow-up, ...)."""
 

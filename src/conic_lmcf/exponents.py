@@ -24,6 +24,10 @@ Derived counting functions drive everything else:
 The Fredholm index of the associated weighted-space operator drops by
 ``m_Σ(α)`` each time the weight crosses an exponent upward; with discrete
 asymptotics attached the index is zero away from ``E_Σ``.
+
+Every one of these is an exact function of the link spectrum, so a table
+holds its link rather than a caller-chosen range of exponents, and each
+query first enumerates the spectrum as far as that query can see.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import _EXPORTS
-from .errors import ExceptionalWeightError, ValidationError, WindowError
+from .errors import ValidationError
 
 __all__ = list(_EXPORTS["exponents"])
 
@@ -53,116 +57,101 @@ class ExponentEntry:
 
 
 class ExponentTable:
-    """Exponent data ``(D_Σ, m_Σ)`` for one cone link, with counts.
+    """Exponent data ``(D_Σ, m_Σ)`` of the cone over one link, with counts.
 
-    Built from a link spectrum; stores both roots of every eigenvalue that
-    fall inside the valid window ``[alpha_lo, alpha_hi]`` spanned by the
-    largest supplied eigenvalue.  Queries outside the window raise
-    :class:`WindowError` because the table cannot know about exponents it
-    was never given.  Exponents within ``tol`` of each other are equal.
+    The table keeps its link.  A query at weight δ sees the exponents within
+    ``tol`` of δ or between δ and 0; before it answers, the table
+    re-enumerates ``link.spectrum(λ(δ′))``, ``λ(δ′) = δ′(δ′ + m − 2)``,
+    whenever that exceeds the bound it holds.  Here ``δ′ = δ + 2·tol`` for
+    δ ≥ 0, ``δ − 2·tol`` for δ ≤ 2 − m, and 0 in the gap between.  So every
+    query is exact, and a bound too large to enumerate is refused by the
+    link, naming the flags that set it.  Exponents within ``tol`` of each
+    other are equal.
     """
 
     tol = 1e-9
 
-    def __init__(self, m, entries, alpha_lo, alpha_hi):
-        if m < 3:
+    def __init__(self, link):
+        self.link = link
+        self.m = link.dim + 1
+        if self.m < 3:
             raise ValidationError("cone dimension m must be >= 3")
-        entries = sorted(entries, key=lambda e: e.alpha)
-        for e in entries:
-            lam = e.alpha * (e.alpha + m - 2)
-            if abs(lam - e.lambda_source) > 1e-10 * max(1.0, abs(e.lambda_source)):
-                raise ValidationError(
-                    f"entry alpha={e.alpha} fails the indicial identity for "
-                    f"lambda={e.lambda_source}")
-            if 2.0 - m + self.tol < e.alpha < -self.tol:
-                raise ValidationError(
-                    f"exponent {e.alpha} inside the forbidden gap ({2 - m}, 0)")
-        self.m = m
-        self.entries = tuple(entries)
-        self.alpha_lo = float(alpha_lo)
-        self.alpha_hi = float(alpha_hi)
+        self._lam = -math.inf  # the eigenvalue bound that _rows are complete up to
+        self._rows = []
 
     @classmethod
     def from_spectrum(cls, eigen_entries, m):
-        """Build from :class:`~conic_lmcf.links.EigenEntry` rows.
-
-        The window is the widest interval the supplied spectrum determines:
-        ``[α₋(λ_max), α₊(λ_max)]``.
-        """
-        if not eigen_entries:
-            raise ValidationError("empty spectrum")
+        """Sorted :class:`ExponentEntry` rows: both roots of each
+        :class:`~conic_lmcf.links.EigenEntry` (one when they coincide)."""
         rows = []
-        lam_max = max(e.lam for e in eigen_entries)
         for e in eigen_entries:
             ap, am = exponent_roots(e.lam, m)
             rows.append(ExponentEntry(ap, e.multiplicity, e.lam))
             if am < ap - cls.tol:
                 rows.append(ExponentEntry(am, e.multiplicity, e.lam))
-        hi, lo = exponent_roots(lam_max, m)
-        return cls(m, rows, lo, hi)
+        return sorted(rows, key=lambda e: e.alpha)
 
     @classmethod
-    def for_link(cls, link, alpha_max):
-        """Table for the cone over ``link`` covering exponents up to ``alpha_max``.
+    def for_link(cls, link):
+        """The table of the cone over ``link``, of dimension ``m = link.dim + 1``.
 
-        The cone has dimension ``m = link.dim + 1``.  The spectrum is
-        enumerated completely up to the eigenvalue matching ``alpha_max``, so
-        the table's validity window is the full requested range
-        ``[2 − m − alpha_max, alpha_max]`` even when the largest realized
-        exponent falls short of it.
+        Nothing is enumerated until the first query.
         """
-        if alpha_max < 0:
-            raise ValidationError(f"--alpha-max must be >= 0, got {alpha_max:g}")
-        m = link.dim + 1
-        lam_max = alpha_max * (alpha_max + m - 2)
-        table = cls.from_spectrum(link.spectrum(lam_max), m)
-        table.alpha_lo = min(table.alpha_lo, 2.0 - m - alpha_max)
-        table.alpha_hi = max(table.alpha_hi, float(alpha_max))
-        return table
+        return cls(link)
 
-    def _points(self, lifted):
-        """``(α, m_Σ(α))`` over ``D_Σ``; lifted, also ``(α + 2k, m_Σ(α))`` for ``α ≥ 0``, k ≥ 1."""
-        edge = self.alpha_hi + 2 * self.tol  # the farthest point a query in the window reaches
-        for e in self.entries:
-            lifts = math.floor((edge - e.alpha) / 2) if lifted and e.alpha >= -self.tol else 0
-            for k in range(lifts + 1):
-                yield e.alpha + 2 * k, e.multiplicity
+    def _grow(self, delta):
+        """Hold every exponent a query at ``delta`` sees; returns ``δ′``."""
+        if delta >= 0:
+            reach = delta + 2 * self.tol
+        elif delta <= 2 - self.m:
+            reach = delta - 2 * self.tol
+        else:
+            reach = 0.0
+        lam = reach * (reach + self.m - 2)
+        if lam > self._lam:
+            self._rows = self.from_spectrum(self.link.spectrum(lam), self.m)
+            self._lam = lam
+        return reach
+
+    def _points(self, delta, lifted):
+        """``(α, m_Σ(α))`` over ``D_Σ``; lifted, also ``(α + 2k, m_Σ(α))`` for ``α ≥ 0``,
+        ``k ≥ 1``, as far as a query at ``delta`` sees."""
+        reach = self._grow(delta)
+        for e in self._rows:
+            yield e.alpha, e.multiplicity
+            if lifted and e.alpha >= -self.tol:
+                for k in range(1, math.floor((reach - e.alpha) / 2) + 1):
+                    yield e.alpha + 2 * k, e.multiplicity
+
+    def entries(self, upper):
+        """Sorted rows of ``D_Σ`` with α in ``[2 − m − upper, upper]``, within ``tol``."""
+        self._grow(upper)
+        return [e for e in self._rows
+                if 2 - self.m - upper - self.tol <= e.alpha <= upper + self.tol]
 
     # -- membership ----------------------------------------------------------
 
     def multiplicity(self, alpha):
         """``m_Σ(alpha)`` (0 exactly when ``alpha ∉ D_Σ``)."""
-        self._require_in_window(alpha)
-        return sum(mult for a, mult in self._points(False) if abs(a - alpha) <= self.tol)
+        return sum(mult for a, mult in self._points(alpha, False) if abs(a - alpha) <= self.tol)
 
     def lifted_exponents(self, upper):
         """Sorted distinct elements of ``E_Σ ∩ [0, upper]``."""
-        self._require_in_window(upper)
-        return sorted({round(b, 12) for b, _ in self._points(True)
+        return sorted({round(b, 12) for b, _ in self._points(upper, True)
                        if -self.tol <= b <= upper + self.tol})
 
     def is_exceptional(self, gamma, lifted=False):
         """Whether ``gamma`` sits within ``tol`` of ``D_Σ`` (or ``E_Σ``)."""
-        self._require_in_window(gamma)
-        return any(abs(gamma - b) <= self.tol for b, _ in self._points(lifted))
-
-    def _require_in_window(self, delta):
-        if delta < self.alpha_lo - self.tol or delta > self.alpha_hi + self.tol:
-            raise WindowError(
-                f"weight {delta} outside the table window "
-                f"[{self.alpha_lo:.6g}, {self.alpha_hi:.6g}]; rebuild with a "
-                f"larger spectrum")
+        return any(abs(gamma - b) <= self.tol for b, _ in self._points(gamma, lifted))
 
     # -- counting functions ----------------------------------------------------
 
     def _count(self, delta, lifted):
         """Signed count: the points in ``[0, delta)``, or minus those in ``(delta, 0)``."""
-        self._require_in_window(delta)
+        points = self._points(delta, lifted)
         if delta >= 0:
-            return sum(mult for b, mult in self._points(lifted)
-                       if -self.tol <= b < delta - self.tol)
-        return -sum(mult for b, mult in self._points(lifted)
-                    if delta + self.tol < b < -self.tol)
+            return sum(mult for b, mult in points if -self.tol <= b < delta - self.tol)
+        return -sum(mult for b, mult in points if delta + self.tol < b < -self.tol)
 
     def count_M(self, delta):
         """Signed count of ``D_Σ`` exponents between 0 and ``delta``."""
@@ -180,8 +169,9 @@ def fredholm_index(tables, gammas, with_asymptotics=False):
     """Index of the Laplace-type operator between weighted spaces.
 
     ``tables`` holds one :class:`ExponentTable` per conical point and
-    ``gammas`` the matching weights.  Every weight must be non-exceptional;
-    the message of the raised :class:`ExceptionalWeightError` lists offenders.
+    ``gammas`` the matching weights, at any of which the tables answer
+    exactly.  Every weight must be non-exceptional; the message of the
+    raised :class:`ValidationError` lists offenders.
 
     Plain weighted spaces give index ``−Σ_i M_{Σ_i}(γ_i)``.  With discrete
     asymptotics attached (``with_asymptotics=True``) the operator has index
@@ -194,7 +184,7 @@ def fredholm_index(tables, gammas, with_asymptotics=False):
     offending = [i for i, (t, g) in enumerate(zip(tables, gammas))
                  if t.is_exceptional(g, lifted=with_asymptotics)]
     if offending:
-        raise ExceptionalWeightError(
+        raise ValidationError(
             "exceptional weight at conical point(s) "
             + ", ".join(f"{i} (gamma={gammas[i]})" for i in offending))
     if with_asymptotics:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DegenerateDataError, ValidationError
+from .errors import ValidationError
 
 __all__ = list(_EXPORTS["norms"])
 
@@ -47,20 +47,20 @@ def decay_rate(centers, sups):
 
     Returns ``(rate, stderr)``.  Fewer than five data points, a non-finite
     or non-positive center or supremum, or centers that are all equal raise
-    :class:`DegenerateDataError`.
+    :class:`ValidationError`.
     """
     centers = np.asarray(centers, dtype=float)
     sups = np.asarray(sups, dtype=float)
     if len(centers) < 5:
-        raise DegenerateDataError(f"need at least 5 annuli, got {len(centers)}")
+        raise ValidationError(f"need at least 5 annuli, got {len(centers)}")
     data = np.concatenate([centers, sups])
     if not np.all(np.isfinite(data) & (data > 0)):
-        raise DegenerateDataError("annulus centers and suprema must be finite and positive "
-                                  "to fit a rate")
+        raise ValidationError("annulus centers and suprema must be finite and positive "
+                              "to fit a rate")
     x, y = np.log(centers), np.log(sups)
     sxx = float(((x - x.mean()) ** 2).sum())
     if sxx == 0:
-        raise DegenerateDataError("annulus centers must not all be equal to fit a rate")
+        raise ValidationError("annulus centers must not all be equal to fit a rate")
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef

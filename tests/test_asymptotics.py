@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conic_lmcf import (
     AsymptoticExpansion,
-    ExceptionalWeightError,
     ExponentTable,
     FlatTorus,
     LaplaceTypeSpec,
@@ -29,7 +28,7 @@ HEX_METRIC = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
 
 @pytest.fixture(scope="module")
 def table():
-    return ExponentTable.for_link(FlatTorus(HEX_METRIC), 4.0)
+    return ExponentTable.for_link(FlatTorus(HEX_METRIC))
 
 
 def fake_solution(grid, profile, lam=6.0):
@@ -104,10 +103,10 @@ def test_uniform_grid_fit_matches_the_graded_one(table):
 def test_exceptional_gamma_rejected(table):
     grid = RadialGrid(R=1.0, n_cells=200)
     sol = fake_solution(grid, grid.nodes**2, lam=6.0)
-    with pytest.raises(ExceptionalWeightError):
+    with pytest.raises(ValidationError, match="exceptional exponent"):
         extract_asymptotics(sol, table, gamma=2.0)
     # 4 is exceptional only through lifting: 0 + 2*2
-    with pytest.raises(ExceptionalWeightError):
+    with pytest.raises(ValidationError, match="exceptional exponent"):
         extract_asymptotics(sol, table, gamma=4.0)
 
 
@@ -132,12 +131,16 @@ def test_terms_respect_gamma_bound(table):
 
 def dilated_fit(table, s, lam, gamma, q, n):
     """The fit of the ``(r/s)^(γ−2)/s²`` forcing's mode solution on ``RadialGrid(R=s)``
-    with ``T·s²`` and ``dt·s²``: the R = 1 problem dilated by s."""
+    with ``T·s²`` and ``dt·s²``: the R = 1 problem dilated by s.  A refused fit
+    gives its message."""
     T = 0.1 * s * s
     sol = solve_modes([LaplaceTypeSpec(lam, m=3)], RadialGrid(R=s, n_cells=n, q=q), T=T,
                       dt=T / 400, forcing=lambda t, r: (r / s) ** (gamma - 2) / (s * s),
                       store_every=0)[0]
-    return extract_asymptotics(sol, table, gamma)
+    try:
+        return extract_asymptotics(sol, table, gamma)
+    except ValidationError as exc:
+        return str(exc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,6 +155,9 @@ def test_fit_under_dilation_scales_each_coefficient(table, lam, gamma, q, n, k):
     # two roundings of c·s^(−e), 4 ulp.
     s = 2.0 ** k
     plain, dilated = (dilated_fit(table, x, lam, gamma, q, n) for x in (1.0, s))
+    if isinstance(plain, str):  # too few annuli for the rate (q = 1, n = 100): refused alike
+        assert dilated == plain
+        return
     assert [(a, j) for a, j, _ in dilated.terms] == [(a, j) for a, j, _ in plain.terms]
     assert math.isclose(dilated.remainder_rate, plain.remainder_rate, rel_tol=0, abs_tol=1e-10)
     for (alpha, j, c), (_, _, c_s) in zip(plain.terms, dilated.terms):

@@ -272,6 +272,16 @@ def test_asymptotics_extracts_terms(tmp_path, capsys):
     assert set(data) == {"terms", "remainder_rate", "remainder_sup", "gamma", "time"}
 
 
+def test_asymptotics_on_too_few_annuli_exits_2_naming_n(tmp_path, capsys):
+    # exited 0 printing "remainder decay rate: inf": the 8-cell grid puts nodes in
+    # fewer than 5 annuli of r/R in [1e-3, 1e-1], and the refused fit read as no remainder
+    rc = main(["asymptotics", "--lam", "2", "--gamma", "2.5", "--n", "8", "--T", "0.01",
+               "--forcing", "r^0.5", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "raise --n" in capsys.readouterr().err
+    assert not (tmp_path / "asymptotics.json").exists()
+
+
 def test_asymptotics_takes_the_cone_dimension_from_its_link(tmp_path):
     # the cone over T^3 has dimension 4, where lambda = 3 has alpha+ = 1; a
     # --m 3 default fitted r^1.30278, the root for dimension 3

@@ -291,6 +291,25 @@ def test_stability_reads_the_sample_the_constructor_framed(monkeypatch):
     assert (report.rank_translations, report.rank_su, report.degenerate) == (6, 6, False)
 
 
+@pytest.mark.parametrize("build", [harvey_lawson_torus, plane_cone])
+def test_stability_enumerates_the_link_spectrum_once(monkeypatch, build):
+    # the exponent table grows on its first query to just past exponent 2, whose
+    # eigenvalue is 2 * (2 + m - 2) = 2m, and answers the others from what it holds
+    cone = build()
+    bounds = []
+    spectrum = type(cone.link).spectrum
+
+    def counted(link, lam_max):
+        bounds.append(lam_max)
+        return spectrum(link, lam_max)
+
+    monkeypatch.setattr(type(cone.link), "spectrum", counted)
+    for calls in (1, 2):
+        stability_index(cone)
+        assert len(bounds) == calls
+    assert 2 * cone.m < bounds[0] == bounds[1] < 2 * cone.m + 1e-6
+
+
 @pytest.mark.parametrize("shear", range(12))
 def test_cone_files_with_frequencies_up_to_12_keep_full_ranks(tmp_path, shear):
     # σ ↦ (σ₁ + shear·σ₂, σ₂) moves hl-torus-3's frequencies to max|k| = shear + 1;
@@ -336,7 +355,7 @@ def test_reparametrised_cone_file_keeps_spectrum_and_indices(tmp_path_factory, w
     report = stability_index(cone)
     assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
     assert (report.rank_translations, report.rank_su) == (6, 6)
-    tables = [ExponentTable.for_link(c.link, 3.0) for c in (cone, hl)]
+    tables = [ExponentTable.for_link(c.link) for c in (cone, hl)]
     for gamma in (-1.5, -0.5, 0.5, 1.5, 2.5):
         assert tables[0].count_M(gamma) == tables[1].count_M(gamma)
 

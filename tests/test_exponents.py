@@ -6,19 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_lmcf import (
     EigenEntry,
-    ExceptionalWeightError,
     ExponentTable,
     FlatTorus,
     RoundSphere,
     ValidationError,
-    WindowError,
     exponent_roots,
     fredholm_index,
-    harvey_lawson_torus,
 )
+from conic_lmcf.cli import main
+from conic_lmcf.errors import COUNT_LIMIT
 
 HEX_METRIC = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
 
@@ -29,17 +30,17 @@ NEXT_EXCEPTIONAL = (-1.0 + math.sqrt(33.0)) / 2.0
 
 @pytest.fixture(scope="module")
 def torus_table():
-    return ExponentTable.for_link(FlatTorus(HEX_METRIC), 5.0)
+    return ExponentTable.for_link(FlatTorus(HEX_METRIC))
 
 
 @pytest.fixture(scope="module")
 def sphere_table():
-    return ExponentTable.for_link(RoundSphere(2), 5.0)
+    return ExponentTable.for_link(RoundSphere(2))
 
 
 @pytest.fixture(scope="module")
 def s3_table():
-    return ExponentTable.for_link(RoundSphere(3), 5.0)
+    return ExponentTable.for_link(RoundSphere(3))
 
 
 def test_exponent_roots_quadratic_identity():
@@ -61,7 +62,7 @@ def test_known_roots_m3():
 
 
 def test_table_window_and_gap(torus_table):
-    alphas = [e.alpha for e in torus_table.entries]
+    alphas = [e.alpha for e in torus_table.entries(5.0)]
     assert alphas == sorted(alphas)
     # no exponent strictly inside (2-m, 0) = (-1, 0)
     assert all(not (-1.0 + 1e-9 < a < -1e-9) for a in alphas)
@@ -69,14 +70,6 @@ def test_table_window_and_gap(torus_table):
     assert torus_table.multiplicity(1.0) == 6
     assert torus_table.multiplicity(2.0) == 6
     assert torus_table.multiplicity(0.5) == 0
-
-
-def test_entries_reject_bad_quadratic():
-    from conic_lmcf.exponents import ExponentEntry
-
-    good = ExponentEntry(1.0, 6, 2.0)
-    with pytest.raises(ValidationError):
-        ExponentTable(3, (good, ExponentEntry(1.5, 1, 2.0)), -4.0, 5.0)
 
 
 def test_count_M_frozen_values(torus_table):
@@ -98,7 +91,7 @@ def test_count_N_frozen_values(torus_table):
 def test_spectral_identities_random(torus_table, sphere_table):
     rng = np.random.default_rng(7)
     for table in (torus_table, sphere_table):
-        exceptional = np.array(table.lifted_exponents(5.0) + [e.alpha for e in table.entries])
+        exceptional = np.array(table.lifted_exponents(5.0) + [e.alpha for e in table.entries(5.0)])
         checked = 0
         while checked < 50:
             delta = rng.uniform(-3.0, 5.0)
@@ -132,11 +125,19 @@ def test_is_exceptional(torus_table):
     assert not torus_table.is_exceptional(2.5, lifted=True)
 
 
-def test_window_enforcement(torus_table):
-    with pytest.raises(WindowError):
-        torus_table.count_M(20.0)
-    with pytest.raises(WindowError):
-        torus_table.count_M(-20.0)
+def test_window_enforcement(torus_table, tmp_path, capsys):
+    # a weight far past every earlier query is answered exactly: the table grows to it
+    k = np.arange(-40, 41)
+    lams = 2 * (k[:, None] ** 2 - k[:, None] * k[None, :] + k[None, :] ** 2)  # k^T H^-1 k
+    assert torus_table.count_M(20.0) == int((lams < 20 * 21).sum())  # alpha+ < 20
+    assert torus_table.count_M(-20.0) == -int((lams < 19 * 20).sum())  # -1 - alpha+ > -20
+    # one the link cannot enumerate is refused, naming the flags that set it
+    far = math.sqrt(COUNT_LIMIT)
+    with pytest.raises(ValidationError, match="--alpha-max or --gamma"):
+        torus_table.count_M(far)
+    assert main(["exponents", "--link", "hl-torus", "--alpha-max", f"{far:g}",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "--alpha-max" in capsys.readouterr().err
 
 
 def test_fredholm_index_frozen(torus_table):
@@ -147,10 +148,10 @@ def test_fredholm_index_frozen(torus_table):
 
 
 def test_fredholm_exceptional_rejected(torus_table):
-    with pytest.raises(ExceptionalWeightError) as err:
+    with pytest.raises(ValidationError) as err:
         fredholm_index([torus_table], [2.0])
     assert "0" in str(err.value)
-    with pytest.raises(ExceptionalWeightError):
+    with pytest.raises(ValidationError):
         fredholm_index([torus_table], [NEXT_EXCEPTIONAL])
 
 
@@ -163,15 +164,15 @@ def test_fredholm_with_asymptotics(torus_table):
     assert fredholm_index([torus_table], [2.1], with_asymptotics=True) == 0
     assert fredholm_index([torus_table], [2.5], with_asymptotics=True) == 0
     # lifted exceptional values are still excluded
-    with pytest.raises(ExceptionalWeightError):
+    with pytest.raises(ValidationError, match="exceptional weight"):
         fredholm_index([torus_table], [4.0], with_asymptotics=True)
 
 
 def test_from_spectrum_matches_for_link(torus_table):
-    entries = FlatTorus(HEX_METRIC).spectrum(35.0)
-    table = ExponentTable.from_spectrum(entries, m=3)
-    for alpha in (0.0, 1.0, 2.0):
-        assert table.multiplicity(alpha) == torus_table.multiplicity(alpha)
+    # lambda(5) = 5 * (5 + 1) = 30: the rows of exponents in [-6, 5]
+    rows = ExponentTable.from_spectrum(FlatTorus(HEX_METRIC).spectrum(30.0), m=3)
+    assert rows == torus_table.entries(5.0)
+    assert [e.alpha for e in rows] == sorted(e.alpha for e in rows)
 
 
 def test_gap_invariant_randomized():
@@ -182,15 +183,14 @@ def test_gap_invariant_randomized():
         lams = np.sort(rng.uniform(0.0, 30.0, size=4))
         lams[0] = 0.0
         entries = [EigenEntry(float(l), 1) for l in np.unique(np.round(lams, 9))]
-        table = ExponentTable.from_spectrum(entries, m=m)
-        for e in table.entries:
+        for e in ExponentTable.from_spectrum(entries, m=m):
             assert not (2 - m + 1e-9 < e.alpha < -1e-9)
 
 
 def test_m_examples_match_sum_over_halfopen(torus_table):
     # M(delta) for delta >= 0 equals the plain multiplicity sum over [0, delta)
     for delta in (0.5, 1.5, 2.1, 3.0):
-        direct = sum(torus_table.multiplicity(e.alpha) for e in torus_table.entries
+        direct = sum(torus_table.multiplicity(e.alpha) for e in torus_table.entries(5.0)
                      if 0.0 <= e.alpha < delta - 1e-12)
         assert torus_table.count_M(delta) == direct
 
@@ -214,12 +214,41 @@ def test_count_N_jumps_by_n_sigma_across_each_lifted_exponent(request, name):
 @pytest.mark.parametrize("name", ["torus_table", "sphere_table", "s3_table"])
 def test_is_exceptional_lifted_holds_within_tol_and_fails_beyond(request, name):
     table = request.getfixturevalue(name)
-    inside = (table.alpha_lo + 11 * table.tol, table.alpha_hi - 11 * table.tol)
-    points = [b for b in table.lifted_exponents(table.alpha_hi)
-              + [e.alpha for e in table.entries if e.alpha < 0] if inside[0] <= b <= inside[1]]
+    # every point of E_Σ and of the negative exponents in [-6, 5]
+    points = table.lifted_exponents(5.0) + [e.alpha for e in table.entries(6.0)
+                                            if -6.0 <= e.alpha < 0]
+    assert len(points) >= 8
     for beta in points:
         for sign in (1, -1):
             assert table.is_exceptional(beta + sign * table.tol / 2, lifted=True)
             away = beta + sign * 10 * table.tol
             if min(abs(away - b) for b in points) > 9 * table.tol:
                 assert not table.is_exceptional(away, lifted=True)
+
+
+def _flat_torus_metrics():
+    """2 x 2 metrics with diagonal in [0.5, 2] and off-diagonal within 0.8 of the bound sqrt(ac)."""
+    diagonal = st.floats(0.5, 2.0)
+    return st.tuples(diagonal, diagonal, st.floats(-0.8, 0.8)).map(
+        lambda t: FlatTorus(np.array([[t[0], t[2] * math.sqrt(t[0] * t[1])],
+                                      [t[2] * math.sqrt(t[0] * t[1]), t[1]]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(link=st.one_of(st.just(FlatTorus(HEX_METRIC)), st.just(RoundSphere(2)),
+                      _flat_torus_metrics()),
+       data=st.data())
+def test_a_table_grown_on_demand_answers_as_one_grown_first(link, data):
+    wide = ExponentTable.for_link(link)
+    # the points of D_Σ and E_Σ in [-6, 6], near which a query's answer turns
+    points = sorted({e.alpha for e in wide.entries(7.0) if e.alpha >= -6.0}
+                    | set(wide.lifted_exponents(6.0)))
+    tol = wide.tol
+    near = st.builds(lambda b, i: b + i * tol / 8, st.sampled_from(points), st.integers(-16, 16))
+    deltas = data.draw(st.lists(st.one_of(st.floats(-6.0, 6.0), near), min_size=1, max_size=4))
+    grown = ExponentTable.for_link(link)
+    for delta in deltas:  # the fresh table grows here, query by query, or not at all
+        assert [grown.count_M(delta), grown.count_N(delta), grown.multiplicity(delta),
+                grown.is_exceptional(delta), grown.is_exceptional(delta, lifted=True)] == [
+            wide.count_M(delta), wide.count_N(delta), wide.multiplicity(delta),
+            wide.is_exceptional(delta), wide.is_exceptional(delta, lifted=True)]

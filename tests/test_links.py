@@ -94,7 +94,8 @@ def test_eigen_entry_validation():
 
 @pytest.mark.parametrize("lam", [-1e-13, math.nan])
 def test_eigen_entry_refuses_every_eigenvalue_below_zero(lam):
-    # -1e-13 was accepted here, then refused by ExponentTable.from_spectrum
+    # -1e-13 was accepted here, then refused by exponent_roots when an exponent
+    # table built its rows from the spectrum
     with pytest.raises(ValidationError, match="link eigenvalue must be >= 0"):
         EigenEntry(lam, 1)
 

@@ -73,6 +73,22 @@ def test_every_export_has_a_caller():
     assert uncalled == set(UNCALLED_MEMBERS)
 
 
+def test_every_error_class_is_caught_somewhere():
+    # A class that no ``except`` clause names is one that no caller tells apart
+    # from its base: fold it into the base instead.
+    package = Path(conic_lmcf.__file__).resolve().parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {stmt.name for stmt in errors.body if isinstance(stmt, ast.ClassDef)}
+    caught = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+    assert {"ValidationError", "NumericalError"} <= classes
+    assert classes <= caught
+
+
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer (clibench/tracer.py, loaded by path and only read)
     # looks up every name in each module's __all__ and in its own

@@ -181,7 +181,7 @@ def test_comparison_principle_nonnegative():
 def test_drift_perturbation_keeps_leading_exponent():
     from conic_lmcf import ExponentTable, extract_asymptotics, harvey_lawson_torus
 
-    table = ExponentTable.for_link(harvey_lawson_torus().link, 4.0)
+    table = ExponentTable.for_link(harvey_lawson_torus().link)
     grid = RadialGrid(R=1.0, n_cells=400)
     base = LaplaceTypeSpec(lam=0.0, m=3)
     # drift decaying like r^{delta-1} with delta=1: a compact perturbation
