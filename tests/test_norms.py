@@ -61,9 +61,9 @@ def test_decay_rate_scale_invariance():
 def test_decay_rate_needs_five_annuli():
     centers = np.array([0.1, 0.2, 0.4, 0.8])
     sups = centers**2
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need at least 5 annuli, got 4"):
         decay_rate(centers, sups)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="finite and positive"):
         decay_rate(np.array([0.1] * 5), np.zeros(5))
 
 
@@ -115,5 +115,5 @@ def test_annuli_refuse_a_range_whose_halving_never_ends():
     ([-0.1, 0.2, 0.4, 0.8, 1.6], [0.01, 0.04, 0.16, 0.64, 2.56]),
 ])
 def test_decay_rate_refuses_degenerate_data(centers, sups):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="to fit a rate"):
         decay_rate(np.array(centers), np.array(sups))
