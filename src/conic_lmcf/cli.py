@@ -33,7 +33,12 @@ from .errors import NumericalError, ValidationError, check_count
 
 
 def _fmt(value) -> str:
-    # numpy registers its integer and floating scalars as numbers.Integral and numbers.Real
+    # float (numpy's float64 too) and int (bool too) first: an ABC isinstance costs
+    # about 0.5 µs, and numpy registers its other scalars as numbers.Integral and .Real
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(int(value))
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):

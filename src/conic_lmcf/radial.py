@@ -19,18 +19,29 @@ with ``u(0, ·) = 0``.  The discretization:
 the only part of ``I − dt·L_λ`` outside them, and its right-hand side is
 always zero, so the implicit step substitutes ``u_0 = w1·u_1 + w2·u_2`` into
 row 1 and solves a tridiagonal system; ``u_0`` is rebuilt from the weights
-afterwards.  The modes of one run share the grid, the time step and the
-forcing, so :func:`solve_modes` stacks their bands with a zero coupling
-between blocks, factors the stacked system once with LAPACK's ``dgttrf``, and
-advances all modes together with one ``dgttrs`` solve per step.  Pivoting
-cannot cross a zero sub-diagonal entry, so each mode gets the same bits as a
-one-mode solve.
+for the stored frames.  The last interior row's coupling to the Dirichlet
+node goes to the right-hand side, so both end rows are identity rows.  The
+modes of one run share the grid, the time step and the forcing, so
+:func:`solve_modes` stacks their bands with a zero coupling between blocks
+and factors the stacked system once.
+
+The mode operator is self-adjoint in ``L²(r^{m−1} dr)``, and where every
+interior sub·super product of ``I − dt·L_λ`` is positive (for instance
+m = 2 at q ≤ 3, and m = 3 at q ≤ 2, the CLI's defaults) a diagonal scaling
+``D`` makes each block symmetric.  Then LAPACK's ``dpttrf`` factors the
+scaled system, the steps advance the scaled state ``D·u`` with one
+``dpttrs`` solve each, and ``u`` is recovered only for the stored frames.  Any other run (m = 4 at
+q = 2, m = 3 at q = 3, a scaling beyond the float range, or a scaled matrix
+that is not positive definite) takes ``dgttrf`` and one ``dgttrs`` solve per
+step.  Neither factor crosses a zero coupling, so within one path each mode
+gets the same bits as a one-mode solve.
 
 A forcing is evaluated once per step, unless it declares that it does not
 depend on time: a callable with a ``reads`` attribute (the set of variable
 names its value depends on, as the CLI's compiled ``--forcing`` expressions
 and one-time-row ``--forcing-csv`` tables carry) that omits ``"t"`` is
-evaluated and checked once per solve, and each step adds the same ``dt·f``.
+evaluated and checked once per solve, and each step adds the same scaled
+``dt·f``.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; clibench/tracer.py patches radial.splu
 
 from . import _EXPORTS
@@ -235,6 +246,42 @@ def _implicit_rows(spec, grid, dt):
     return lower, diag, upper, w
 
 
+# D and 1/D stay below the square root of the largest float, so y = D·u is a
+# float wherever u is
+_LOG_SCALE_LIMIT = 0.5 * math.log(sys.float_info.max)
+
+
+def _stack(bands):
+    """One off-diagonal for the stacked blocks: each block's row, then a zero coupling."""
+    return np.pad(bands, ((0, 0), (0, 1))).ravel()[:-1]
+
+
+def _symmetric_factor(lower, diag, upper):
+    """``(D, d, e)``: a scaling ``D`` and ``dpttrf``'s factor of ``D·A·D⁻¹``, or ``None``.
+
+    Each row of the arrays holds the bands of one tridiagonal block ``A`` with
+    identity end rows.  Where every interior ``lower[i]·upper[i]`` is positive,
+    ``D[i+1]/D[i] = sqrt(upper[i]/lower[i])`` makes the block symmetric, with
+    off-diagonal ``±sqrt(lower[i]·upper[i])``.  ``D`` is summed in logs and
+    centred on each block's interior rows; the end rows keep ``D = 1``.
+    ``None`` when a product is ≤ 0 (m = 4 at q = 2, m = 3 at q = 3), when
+    ``D`` or ``1/D`` exceeds the square root of the largest float, or when
+    ``dpttrf`` finds the scaled matrix not positive definite.
+    """
+    lo, up = lower[:, 1:-1], upper[:, 1:-1]
+    if not (np.sign(lo) * np.sign(up) > 0).all():
+        return None
+    log_d = np.zeros(diag.shape)
+    np.cumsum(0.5 * (np.log(np.abs(up)) - np.log(np.abs(lo))), axis=1, out=log_d[:, 2:-1])
+    inner = log_d[:, 1:-1]
+    inner -= 0.5 * (inner.max(axis=1, keepdims=True) + inner.min(axis=1, keepdims=True))
+    if not np.abs(inner).max() <= _LOG_SCALE_LIMIT:
+        return None
+    e = np.copysign(np.sqrt(np.abs(lower)) * np.sqrt(np.abs(upper)), upper)
+    d, e, info = dpttrf(diag.ravel(), _stack(e))
+    return (np.exp(log_d), d, e) if info == 0 else None
+
+
 def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     """Backward-Euler solve of ``∂_t u = L_λ u + f`` for several modes at once.
 
@@ -245,22 +292,30 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         (I − dt·L_λ) u_λ^{n+1} = u_λ^n + dt·f(t^{n+1}, ·)
 
     with the extrapolation row ``u_0 = w1·u_1 + w2·u_2`` at ``r_min`` and the
-    Dirichlet row at ``R``.  The inner row is eliminated into row 1, which
-    makes each mode's matrix tridiagonal; the modes' bands are concatenated
-    with a zero coupling between blocks, factored once with ``dgttrf``, and
-    every step solves all modes with one ``dgttrs`` call and rebuilds
-    ``u_0`` from the weights.  Pivoting does not cross the zero
-    couplings, so each mode gets the bits a one-mode solve would give.  The
-    inner exponent of each mode is α₊(λ); ``λ/r_min²`` and the entries of
-    ``dt·L_λ`` must be floats, or :class:`ValidationError` is raised.
+    Dirichlet row at ``R``.  The inner row is eliminated into row 1, and the
+    last interior row's coupling to the Dirichlet node is moved to the
+    right-hand side, so each mode's matrix is tridiagonal with identity end
+    rows.  The modes' bands are concatenated with a zero coupling between
+    blocks and factored once.
+
+    Where :func:`_symmetric_factor` finds a scaling ``D`` that makes every
+    block symmetric positive definite, the loop keeps the scaled state
+    ``y = D·u`` and each step is one ``dpttrs`` call; otherwise the whole run
+    takes ``dgttrf`` and one ``dgttrs`` call per step, with ``D = 1``.
+    ``u = y/D`` and ``u_0`` are formed only for the stored frames.  Neither
+    path crosses the zero couplings, so on one path each mode gets the bits
+    a one-mode solve would give.  The inner exponent of each mode
+    is α₊(λ); ``λ/r_min²`` and the entries of ``dt·L_λ`` must be floats, or
+    :class:`ValidationError` is raised.
 
     The forcing is evaluated at every step's time.  A forcing with a
     ``reads`` attribute, the set of variable names (``"t"``, ``"r"``) its
     value depends on, that omits ``"t"`` is evaluated once, at step 1's
-    time, after the factorisation; every step then adds the same ``dt·f``,
+    time, after the factorisation; every step then adds the same ``D·dt·f``,
     with the bits a per-step evaluation would give.  A forcing that raises
     or returns a non-finite value raises :class:`NumericalError` naming the
-    step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``.
+    step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``
+    or a step whose solution is not finite.
 
     ``specs`` may not be empty.  The steps are the fewest equal ones of size
     ``T/n ≤ dt`` (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
@@ -282,16 +337,30 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
                 "raise --store-every (0 keeps the first and last frames), or lower --T or --n")
     r = grid.nodes
     n = len(r)
-    lower, diag, upper, w = zip(*(_implicit_rows(spec, grid, dt) for spec in specs))
-    w = np.array(w)
-    # a zero between blocks: the last row of one mode and the first of the next do not couple
-    lower, upper = (np.concatenate([np.append(band, 0.0) for band in bands])[:-1]
-                    for bands in (lower, upper))
-    lower, diag, upper, upper2, ipiv, info = dgttrf(lower, np.concatenate(diag), upper)
-    if info > 0:
-        mode, node = divmod(info - 1, n)
-        raise NumericalError(f"implicit system is singular at step 0 "
-                             f"(zero pivot at node {node} of the λ={specs[mode].lam:g} mode)")
+    lower, diag, upper, w = map(np.array, zip(*(_implicit_rows(spec, grid, dt) for spec in specs)))
+    # row n−2 reads the Dirichlet value g from the right-hand side: outer·g is added there
+    outer = -upper[:, -1]
+    upper[:, -1] = 0.0
+    symmetric = _symmetric_factor(lower, diag, upper)
+    if symmetric is not None:
+        D, d, e = symmetric
+
+        def solve(b):
+            return dpttrs(d, e, b, overwrite_b=True)[0]
+    else:
+        D = np.ones(diag.shape)
+        dl, d, du, du2, ipiv, info = dgttrf(_stack(lower), diag.ravel(), _stack(upper))
+        if info > 0:
+            mode, node = divmod(info - 1, n)
+            raise NumericalError(f"implicit system is singular at step 0 "
+                                 f"(zero pivot at node {node} of the λ={specs[mode].lam:g} mode)")
+
+        def solve(b):
+            return dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
+    outer *= D[:, -2]
+    # D on the rows that take the forcing; the identity end rows take none
+    D_rows = D.copy()
+    D_rows[:, [0, -1]] = 0.0
 
     def dt_forcing(k, t):
         """``dt·f(t, ·)`` on the grid; a raise or a non-finite value names step ``k``."""
@@ -311,27 +380,33 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     reads = getattr(forcing, "reads", None)
     time_free = reads is not None and "t" not in reads
     if time_free:
-        dtf = dt_forcing(1, dt)
+        dtf = D_rows * dt_forcing(1, dt)
 
-    u = np.zeros((len(specs), n))
+    # the identity end rows keep y_0 = 0 and y_{n−1} = g
+    y = np.zeros((len(specs), n))
     times = [0.0]
-    frames = [u]
+    frames = [y.copy()]
     for k in range(1, n_steps + 1):
         t_new = k * dt if k < n_steps else T
         if forcing is None:
-            rhs = u.copy()
+            rhs = y
+        elif time_free:
+            rhs = y + dtf
         else:
-            rhs = u + (dtf if time_free else dt_forcing(k, t_new))
-        rhs[:, 0] = 0.0
-        rhs[:, -1] = float(outer_bc(t_new)) if outer_bc is not None else 0.0
-        u = dgttrs(lower, diag, upper, upper2, ipiv, rhs.ravel(), overwrite_b=True)[0]
-        u = u.reshape(rhs.shape)
-        u[:, 0] = w[:, 0] * u[:, 1] + w[:, 1] * u[:, 2]
-        if not np.isfinite(u).all():
-            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
+            rhs = y + D_rows * dt_forcing(k, t_new)
+        if outer_bc is not None:
+            g = float(outer_bc(t_new))
+            rhs[:, -1] = g
+            rhs[:, -2] += outer * g
+        y = solve(rhs.ravel()).reshape(rhs.shape)
+        last = y
         if (store_every and k % store_every == 0) or k == n_steps:
+            last = y / D
+            last[:, 0] = w[:, 0] * last[:, 1] + w[:, 1] * last[:, 2]
             times.append(t_new)
-            frames.append(u)
+            frames.append(last)
+        if not np.isfinite(last).all():
+            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
     times = np.array(times)
     values = np.stack(frames, axis=1)
     return [ModeSolution(grid, times, v, spec.lam) for spec, v in zip(specs, values)]

@@ -5,7 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import enum
+import fractions
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -22,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_modes
-from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, build_parser, compile_expression, main,
+from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _fmt, build_parser, compile_expression, main,
                             parse_args, parse_forcing, parse_initial_condition, write_columns,
                             write_csv, write_frames)
 from conic_lmcf.flow import grid_coordinates
@@ -388,6 +391,41 @@ def test_frame_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, k
               [(t, key, *values) for t, columns in frames
                for key, *values in zip(keys, *(c.tolist() for c in columns))])
     assert (path / "frames.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
+def _fmt_by_abc(value):
+    """A CSV field as ``_fmt`` wrote it when it asked the ``numbers`` ABCs alone."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return format(float(value), ".17g")
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+SCALARS = st.one_of(
+    st.booleans(), st.integers(), FLOATS, KEYS,
+    st.booleans().map(np.bool_), FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    FLOATS.map(np.longdouble), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8), st.integers(-2**31, 2**31 - 1).map(np.int32))
+
+
+@settings(max_examples=400, deadline=None)
+@given(SCALARS)
+def test_fmt_writes_what_the_abc_checks_wrote(value):
+    # _fmt asks float and int before the slower ABC checks; no field may change
+    assert _fmt(value) == _fmt_by_abc(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, _Level.HIGH, fractions.Fraction(1, 3),
+                                   np.float16(0.1), np.float64(-0.0), 2**70, -(2**70),
+                                   np.uint64(2**64 - 1), 1.5 + 2j, "1,5"])
+def test_fmt_writes_what_the_abc_checks_wrote_on_edge_scalars(value):
+    assert _fmt(value) == _fmt_by_abc(value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -66,16 +66,16 @@ GOLDEN = {
         "report.json": "769f48926c3126ef8f143f008c93e99edc8f29a61d2f9789a0374ca7a651d391",
     },
     "heat": {
-        "mode_0.csv": "8172810a78e96b518c6fc65d9db7a10ac0684211a89bc61006a1c6221e4a79fe",
-        "mode_2.csv": "0e516da44bda173334e74a801ae95add4243c7babbf6de16ad4cfdd70cb37428",
-        "profile_0.dat": "c25fcf1a975b286e69595ef6a92cd652e84d0a693ece5decdba412710692ea15",
-        "profile_2.dat": "a8bee4477cf36b3b4e8991c8bc5a47d0cdad362625837abe649f2e881af23428",
-        "report.json": "b74239434a11c35d61e5ad57eeff5af0916bf13ca85581a75af2c9f02abf68ce",
+        "mode_0.csv": "64ed34913cd3d427b395e0a7b0399db85e624d55eacce4ea301c599bce934a41",
+        "mode_2.csv": "a0fa6590442fdab8e5ac07f1bf1d4dbd2375926649e182ebbaee78089c015123",
+        "profile_0.dat": "51e93a93577e6276220c4adcd7bf0a359fbb2716fec2c18283b348314b32f222",
+        "profile_2.dat": "d70de820a6e46eac02d666dd49dee0b62437352219c3636d40d157ef0f17923a",
+        "report.json": "cc891ba20ddbfc1aeb238f6a9a63c07d8f2335e7791063776147f8b62c98de95",
     },
     "asymptotics": {
-        "asymptotics.json": "3cc1a8b48342e97598e06a3937482e3368dca2e3860adb091e3baeb0aff08d21",
-        "remainder.dat": "ca5f7ddeb8fec8cc8d2e91010ae645ca6674ce211ad61e3e37e6ec6bfc0670b7",
-        "report.json": "a1c878026a5138f2a7fd55b8e0cf509c8e92a36ec48bc7be415d17ed5f9babdd",
+        "asymptotics.json": "ec2e79c5102b028d1b8077b7b8b3cc7f6ef5f0ed17bc254a02a60173611e7bc7",
+        "remainder.dat": "a9a1c7df8e4838d2e140027c56ba785b2a83a2aa7218059ed941988b136d33f3",
+        "report.json": "b692d6f39eeaa0ce750d34ea744d7124f60ff2637cb4d2b699db06f1f3802651",
     },
     "flow": {
         "flow_snapshots.csv": "599f86f5be5ca81c1dcac9dd07b6b89c66c5b842011beea4e352254fa9f872c0",
@@ -95,11 +95,11 @@ GOLDEN = {
         "sup_theta.dat": "3a7327c894011214cf5e2ef07ace385928e92edca0df5b99f7e1f8967ff36d98",
     },
     "heat-expression": {
-        "mode_0.csv": "d37c5e9eb39a375cf424e15b7e110db48aa3aa6e413c1676b5c52dfd59fc6b11",
-        "mode_2.csv": "c535b95cb938b36dc12ef7b03c936d514554c4a33d0956cc0bbe526fd392e911",
-        "profile_0.dat": "52d58ced3307c1f93d6f0a864d4a2a2e35b5165331102169bd0a901d8ff19c27",
-        "profile_2.dat": "da1ebde5487b7d86ffebff737709971cf9c14308be3f581e0c490f3f4400b290",
-        "report.json": "5525b9bee2653cde5198410a2bfbf78db11adb5ff0ba34ff1f0127c4efb4a910",
+        "mode_0.csv": "818c3f015a641d62311cb18f64d66100e3c1beea3943695dafb1d5d177458134",
+        "mode_2.csv": "89a2bd23ea2cbc228c51f277739a5d0f29aee0520ec40827b9910438f719487e",
+        "profile_0.dat": "83d7aa0214b3e7b3949c5ad49084338fe4ca5cd9f376ee9d9a3fe690fe3063d9",
+        "profile_2.dat": "99b7624e4a76fb9ab76a7c85489f02ec2a709df08ac4d334397a525285c99b1d",
+        "report.json": "11fa3bb0c2e39b01e2dfab9665c89efb8341a0e87b8c47ffdeeb31abf0a61376",
     },
 }
 

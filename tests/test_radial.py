@@ -259,21 +259,60 @@ def _dense_backward_euler(spec, grid, times, forcing, outer_bc):
     return np.array(frames)
 
 
-@pytest.mark.parametrize("outer_bc", [None, lambda t: 1.0 + t])
-def test_solve_modes_matches_a_dense_solve_of_the_full_matrix(outer_bc):
-    grid = RadialGrid(R=1.0, n_cells=8)
-    lams = (0.0, 2.0, 6.0, 40.0, 5000.0)
+def _dense_forcing(t, r):
+    return np.sqrt(r) + t * r
 
-    def forcing(t, r):
-        return np.sqrt(r) + t * r
 
-    sols = solve_modes([LaplaceTypeSpec(lam=lam, m=3) for lam in lams], grid, T=0.1, dt=0.03,
-                       forcing=forcing, outer_bc=outer_bc)
-    for lam, sol in zip(lams, sols):
-        assert len(sol.times) == 5 and sol.times[-1] == 0.1
-        dense = _dense_backward_euler(LaplaceTypeSpec(lam=lam, m=3), grid, sol.times,
-                                      forcing, outer_bc)
+def assert_matches_dense_solves(specs, grid, outer_bc, T=0.1, dt=0.03):
+    sols = solve_modes(specs, grid, T=T, dt=dt, forcing=_dense_forcing, outer_bc=outer_bc)
+    for spec, sol in zip(specs, sols):
+        assert sol.times[-1] == T
+        dense = _dense_backward_euler(spec, grid, sol.times, _dense_forcing, outer_bc)
         assert np.max(np.abs(sol.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+    return sols
+
+
+# m = 3 takes the symmetric factor at q = 2, m = 4 the general one
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("outer_bc", [None, lambda t: 1.0 + t])
+def test_solve_modes_matches_a_dense_solve_of_the_full_matrix(m, outer_bc):
+    specs = [LaplaceTypeSpec(lam=lam, m=m) for lam in (0.0, 2.0, 6.0, 40.0, 5000.0)]
+    sols = assert_matches_dense_solves(specs, RadialGrid(R=1.0, n_cells=8), outer_bc)
+    assert all(len(sol.times) == 5 for sol in sols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 6]), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from([0.0, 2.0, 30.0]), st.sampled_from([8, 12]),
+       st.sampled_from([None, 0.75]))
+def test_both_factors_match_a_dense_solve(m, q, lam, n, outer):
+    assert_matches_dense_solves([LaplaceTypeSpec(lam=lam, m=m)], RadialGrid(R=1.0, n_cells=n, q=q),
+                                None if outer is None else lambda t: outer)
+
+
+def count_solves(monkeypatch):
+    """Count the ``dpttrs`` and ``dgttrs`` calls that ``solve_modes`` makes."""
+    import conic_lmcf.radial as radial
+
+    calls = {"dpttrs": 0, "dgttrs": 0}
+    for name in calls:
+        def counted(*args, _solve=getattr(radial, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(radial, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ms, path", [((3,), "dpttrs"), ((2,), "dpttrs"), ((3, 2), "dpttrs"),
+                                      ((4,), "dgttrs"), ((3, 4), "dgttrs")])
+def test_the_symmetric_factor_is_taken_where_every_product_is_positive(monkeypatch, ms, path):
+    # at q = 2 the first interior sub-diagonal entry is negative for m = 4, so one
+    # m = 4 mode sends the whole stack to dgttrs
+    calls = count_solves(monkeypatch)
+    specs = [LaplaceTypeSpec(lam=lam, m=m) for m in ms for lam in (0.0, 2.0)]
+    assert_matches_dense_solves(specs, RadialGrid(R=1.0, n_cells=12), lambda t: 0.5,
+                                T=0.1, dt=0.02)
+    assert calls == {"dpttrs": 0, "dgttrs": 0, path: 5}
 
 
 def test_zero_pivot_is_a_numerical_error_at_step_0():
