@@ -3,10 +3,10 @@
 import argparse
 import contextlib
 import csv
-import io
-import json
 import enum
 import fractions
+import io
+import json
 import math
 import numbers
 import os
