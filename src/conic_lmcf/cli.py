@@ -487,12 +487,10 @@ def cmd_stability(args, out: Path) -> dict:
     print(f"stability index: {report.index}")
     print(f"harmonic counts (orders 0/1/2): {counts[0]}/{counts[1]}/{counts[2]}")
     print(f"moment-map span: translations {report.rank_translations}/"
-          f"{report.expected_rank_translations}, "
-          f"su({cone.m}) {report.rank_su}/{report.expected_rank_su}")
-    if report.degenerate:
-        print("WARNING: moment-map images are degenerate (linearly dependent)")
+          f"{report.expected_rank_translations}, su({cone.m}) {report.rank_su}, "
+          f"so dim G = {report.dim_G}")
     for note in report.warnings:
-        print(f"note: {note}")
+        print(f"WARNING: {note}")
     payload = dataclasses.asdict(report)
     write_json(out / "stability.json", payload)
     return {"files": ["stability.json"], **payload}

@@ -24,7 +24,9 @@ dimensions forced by these restrictions yields the stability index
     index = M⁺_Σ(2) − m² − 2m + dim G,
 
 where ``M⁺_Σ(2)`` counts exponents in the *closed* interval [0, 2] and
-``G`` is the symmetry group of the cone (catalog data).
+``G ⊂ SU(m)`` is the symmetry group of the cone, measured: μ_X (X ∈ su(m))
+vanishes on C exactly when X̂ is tangent to C, so the kernel of X ↦ μ_X|_Σ is
+the Lie algebra of G, and dim G = m² − 1 − the rank of that restriction.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,13 +141,7 @@ def su_basis(m):
 
 def translation_basis(m):
     """Real basis of ℂᵐ as translations: e_j and i·e_j."""
-    out = []
-    for j in range(m):
-        for unit in (1.0, 1.0j):
-            v = np.zeros(m, dtype=complex)
-            v[j] = unit
-            out.append(v)
-    return out
+    return [unit * e for e in np.eye(m, dtype=complex) for unit in (1.0, 1.0j)]
 
 
 # --- cones -------------------------------------------------------------------
@@ -160,11 +157,10 @@ class SLCone:
     ``None`` link stands for the flat torus of a trig table's induced metric.
     """
 
-    def __init__(self, name, m, link, dim_G, trig_table=None):
+    def __init__(self, name, m, link, trig_table=None):
         self.name = name
         self.m = int(m)
         self.link = link
-        self.dim_G = int(dim_G)
         self.trig_table = trig_table
         if trig_table is not None:
             self._coeffs = [np.array([complex(c) for c, _ in coord])
@@ -268,13 +264,18 @@ class SLCone:
                                   f"{self.phase_theta:.6f} (dev {spec:.2e})")
         return {"unit_link": unit, "lagrangian": lag, "special": spec}
 
+    @cached_property
+    def dim_G(self):
+        """dim G, measured once: m² − 1 − the span rank of su(m)'s moment maps on the link."""
+        m = self.m
+        return m * m - 1 - _span_rank(self, [MomentElement(A, np.zeros(m)) for A in su_basis(m)])
+
     def to_json(self):
         if self.trig_table is None:
             raise ValidationError("only trig-table cones serialize to JSON")
         return {
             "name": self.name,
             "m": self.m,
-            "dim_G": self.dim_G,
             "coordinates": [
                 [{"c": [c.real, c.imag], "k": [int(x) for x in k]}
                  for c, k in zip(C, K)]
@@ -297,30 +298,29 @@ def harvey_lawson_torus():
         [(s, (-1, -1))],
     ]
     link = FlatTorus(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
-    return SLCone("hl-torus-3", 3, link, dim_G=2, trig_table=table)
+    return SLCone("hl-torus-3", 3, link, trig_table=table)
 
 
 def plane_cone():
     """The degenerate control case ℝ³ ⊂ ℂ³ (link S², dim G = dim SO(3) = 3)."""
-    return SLCone("plane-3", 3, RoundSphere(2), dim_G=3)
+    return SLCone("plane-3", 3, RoundSphere(2))
 
 
 def cone_from_json(path):
     """Build a cone, linked by its induced metric, from a JSON trig-monomial file.
 
-    Fields: ``name``, an integer ``m`` ≥ 3, an integer ``dim_G`` = dim G from 0 to
-    m² − 1 (G ⊂ SU(m); default 0) and ``coordinates``, one nonempty list of monomials
-    ``{"c": [re, im], "k": [k1, ..., k_{m−1}]}`` per coordinate.
+    Fields: ``name``, an integer ``m`` ≥ 3 and ``coordinates``, one nonempty list of
+    monomials ``{"c": [re, im], "k": [k1, ..., k_{m−1}]}`` per coordinate.
     The integer frequencies must span ``Z^{m−1}`` (their maximal minors have
-    gcd 1).  Any failure raises :class:`ValidationError` naming the file.
+    gcd 1).  An optional ``dim_G`` must be the integer :attr:`SLCone.dim_G`
+    measures.  Any failure raises :class:`ValidationError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        m, dim_G = data["m"], data.get("dim_G", 0)
-        if type(m) is not int or m < 3 or type(dim_G) is not int or not 0 <= dim_G < m * m:
-            raise ValidationError(f"need an integer m >= 3 and an integer dim_G from 0 to "
-                                  f"m^2 - 1, got m={m!r} and dim_G={dim_G!r}")
+        m = data["m"]
+        if type(m) is not int or m < 3:
+            raise ValidationError(f"need an integer m >= 3, got m={m!r}")
         table = [[(complex(mono["c"][0], mono["c"][1]), tuple(mono["k"])) for mono in coord]
                  for coord in data["coordinates"]]
         ks = [k for coord in table for _, k in coord]
@@ -334,7 +334,10 @@ def cone_from_json(path):
         if gcd != 1:
             raise ValidationError(f"the frequencies k must span all of Z^{m - 1}, but the gcd "
                                   f"of their minors is {gcd}")
-        return SLCone(data.get("name", "custom"), m, None, dim_G, trig_table=table)
+        cone = SLCone(data.get("name", "custom"), m, None, trig_table=table)
+        if "dim_G" in data and not (type(data["dim_G"]) is int and data["dim_G"] == cone.dim_G):
+            raise ValidationError(f"declared dim_G {data['dim_G']!r} != measured {cone.dim_G}")
+        return cone
     except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         # ValidationError is a ValueError: every failure is re-raised naming the file
         what = f"no field {exc}" if isinstance(exc, KeyError) else exc
@@ -360,6 +363,7 @@ class StabilityReport:
     harmonic_counts: dict
     rank_translations: int
     rank_su: int
+    dim_G: int
     expected_rank_translations: int
     expected_rank_su: int
     degenerate: bool
@@ -382,44 +386,40 @@ def _gap_rank(svals, name):
     return rank
 
 
+def _span_rank(cone, elements):
+    """Rank of the moment maps of ``elements`` restricted to ``cone.link_points``."""
+    rows = np.stack([moment_eval(X, cone.link_points) for X in elements])
+    return _gap_rank(np.linalg.svd(rows, compute_uv=False), cone.name)
+
+
 def stability_index(cone):
     """Stability index of a special Lagrangian cone, with rank diagnostics.
 
     The index is the multiplicity-weighted number of homogeneity exponents
-    in the closed interval [0, 2] minus ``m² + 2m − dim G``, the dimension
-    count of the harmonic functions generated by rigid motions and dilation;
-    the exponents come from the cone's link spectrum, enumerated once, up to
-    the eigenvalue of exponent 2.
-    The report also carries the numerically measured dimensions of the
-    spans of the moment maps restricted to the link, for generators ranging
-    over translations and over ``su(m)``; for a non-degenerate cone these
-    equal ``2m`` and ``m² − 1 − dim G``.  They are read on ``cone.link_points``:
-    that angle grid samples the moment maps (frequencies ≤ 2·max|k|) without
-    aliasing, and 144 sphere points exceed the dimension (10) of quadratics on ℝ³.
+    in the closed interval [0, 2] minus ``m² + 2m − dim G`` (dim G measured,
+    :attr:`SLCone.dim_G`), the dimension count of the harmonic functions
+    generated by rigid motions and dilation; the exponents come from the cone's
+    link spectrum, enumerated once, up to the eigenvalue of exponent 2.  The
+    report carries the ranks of the translation and ``su(m)`` moment maps on
+    ``cone.link_points`` (unaliased: frequencies ≤ 2·max|k| on the angle grid,
+    144 sphere points against 10 quadratics on ℝ³).  They restrict to order-1
+    and order-2 link eigenfunctions, so fewer harmonics than ranks raise
+    :class:`NumericalError` naming the cone; then only a translation rank
+    below 2m, a singularity that is not isolated, makes the index negative.
     """
     table = ExponentTable.for_link(cone.link)
     m = cone.m
     below_2 = table.count_M(2.0)  # the farthest query first, so the table grows once
     counts = {k: table.multiplicity(float(k)) for k in (0, 1, 2)}
+    rank_tr = _span_rank(cone, [MomentElement(np.zeros((m, m)), v) for v in translation_basis(m)])
+    rank_su = m * m - 1 - cone.dim_G
+    if counts[1] < rank_tr or counts[2] < rank_su:
+        raise NumericalError(f"cone {cone.name}: {counts[1]}/{counts[2]} order-1/2 link harmonics, "
+                             f"fewer than the moment-map ranks {rank_tr}/{rank_su}")
     # exponents in [0, 2) and at 2: together the closed interval [0, 2]
     count_up_to_2 = below_2 + counts[2]
     index = count_up_to_2 - m * m - 2 * m + cone.dim_G
-
-    def span_rank(elements):
-        rows = np.stack([moment_eval(X, cone.link_points) for X in elements])
-        return _gap_rank(np.linalg.svd(rows, compute_uv=False), cone.name)
-
-    rank_tr = span_rank([MomentElement(np.zeros((m, m)), v) for v in translation_basis(m)])
-    rank_su = span_rank([MomentElement(A, np.zeros(m)) for A in su_basis(m)])
-
-    exp_tr, exp_su = 2 * m, m * m - 1 - cone.dim_G
-    warnings = []
-    degenerate = rank_tr < exp_tr or rank_su < exp_su
-    if degenerate:
-        warnings.append(
-            f"moment-map restriction is not injective (ranks {rank_tr}/{exp_tr} "
-            f"translations, {rank_su}/{exp_su} su({m})); index may undercount")
-    if index < 0:
-        warnings.append("negative index: cone fails the stability count")
-    return StabilityReport(index, count_up_to_2, counts, rank_tr, rank_su,
-                           exp_tr, exp_su, degenerate, warnings)
+    degenerate = rank_tr < 2 * m
+    note = f"translations span {rank_tr}/{2 * m}: not an isolated singularity"
+    return StabilityReport(index, count_up_to_2, counts, rank_tr, rank_su, cone.dim_G,
+                           2 * m, rank_su, degenerate, [note] if degenerate else [])

@@ -365,7 +365,9 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     def dt_forcing(k, t):
         """``dt·f(t, ·)`` on the grid; a raise or a non-finite value names step ``k``."""
         try:
-            fvals = np.broadcast_to(np.asarray(forcing(t, r), dtype=float), r.shape)
+            fvals = np.asarray(forcing(t, r), dtype=float)
+            if fvals.shape != r.shape:
+                fvals = np.broadcast_to(fvals, r.shape)
             if not np.isfinite(fvals).all():
                 raise ValueError("a value is not finite")
         except (ArithmeticError, TypeError, ValueError) as exc:

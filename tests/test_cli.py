@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import enum
 import fractions
 import io
@@ -94,7 +95,8 @@ def test_stability_output(tmp_path, capsys):
     with open(tmp_path / "stability.json", encoding="utf-8") as fh:
         assert set(json.load(fh)) == {
             "index", "count_up_to_2", "harmonic_counts", "rank_translations", "rank_su",
-            "expected_rank_translations", "expected_rank_su", "degenerate", "warnings"}
+            "dim_G", "expected_rank_translations", "expected_rank_su", "degenerate",
+            "warnings"}
 
 
 def test_stability_plane_is_degenerate(tmp_path, capsys):
@@ -102,7 +104,9 @@ def test_stability_plane_is_degenerate(tmp_path, capsys):
     assert rc == 0
     report = read_report(tmp_path)
     assert report["outputs"]["index"] == -3
+    assert report["outputs"]["dim_G"] == 3
     assert report["outputs"]["degenerate"] is True
+    assert "WARNING: translations span 3/6: not an isolated singularity" in capsys.readouterr().out
 
 
 def test_fredholm_index(tmp_path, capsys):
@@ -1310,8 +1314,8 @@ M2_CONE = {"name": "m-2", "m": 2, "dim_G": 0, "coordinates": [
 
 # each exited 1 with a traceback, or 0 with indices of a different link or
 # of a cone that is not special (k·1.5: stability 6, fredholm -31; 2k:
-# stability 30), or of a symmetry group SU(3) cannot hold (dim_G 100: su(3)
-# 6/-92 and index 98; -4: index -6; 2.5 read as 2)
+# stability 30), or of a dim_G other than the measured 2 (100: su(3) 6/-92
+# and index 98; -4: index -6; 2.5 read as 2)
 BAD_CONE_FILES = {
     "missing.json": None,
     "not-json.json": "{not json",
@@ -1350,6 +1354,42 @@ def test_cone_file_off_the_unit_sphere_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["stability", "--cone-json", str(path), "--outdir", str(tmp_path / "out")]) == 2
     assert "off-unit-sphere.json: link leaves the unit sphere" in capsys.readouterr().err
+
+
+def test_a_declared_dim_g_other_than_the_measured_one_exits_2(tmp_path, capsys):
+    # "dim_G": 5 moved hl-torus-3's stability index to 3 (8: to 6) with exit 0
+    path = tmp_path / "dim-g-5.json"
+    path.write_text(json.dumps(dict(hl_cone_data(), dim_G=5)))
+    for argv in (["stability"], ["fredholm", "--gamma", "2.1"]):
+        rc = main(argv + ["--cone-json", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "dim-g-5.json: declared dim_G 5 != measured 2" in capsys.readouterr().err
+
+
+def test_a_cone_file_without_dim_g_reads_the_measured_one(tmp_path, capsys):
+    # a missing dim_G was read as 0: hl-torus-3 printed index -2 with a degeneracy warning
+    data = hl_cone_data()
+    assert "dim_G" not in data
+    path = tmp_path / "no-dim-g.json"
+    path.write_text(json.dumps(data))
+    assert main(["stability", "--cone-json", str(path), "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "stability index: 0\n" in out and "so dim G = 2\n" in out and "WARNING" not in out
+    with open(tmp_path / "stability.json", encoding="utf-8") as fh:
+        assert json.load(fh)["dim_G"] == 2
+
+
+def test_a_spectrum_short_of_the_moment_maps_exits_1(tmp_path, capsys, monkeypatch):
+    # one order-2 eigenvalue dropped from hl-torus-3's link printed index -1 with exit 0
+    spectrum = conic_lmcf.FlatTorus.spectrum
+
+    def short(link, lam_max):
+        return [dataclasses.replace(e, multiplicity=e.multiplicity - 1) if e.lam == 6.0 else e
+                for e in spectrum(link, lam_max)]
+
+    monkeypatch.setattr(conic_lmcf.FlatTorus, "spectrum", short)
+    assert main(["stability", "--cone", "hl-torus-3", "--outdir", str(tmp_path)]) == 1
+    assert "cone hl-torus-3: 6/5 order-1/2 link harmonics" in capsys.readouterr().err
 
 
 def test_round_tripped_cone_file_keeps_the_indices(tmp_path, capsys):

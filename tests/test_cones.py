@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from conic_lmcf import (
     stability_index,
     verify_hamiltonian,
 )
+from conic_lmcf import cones
 from conic_lmcf.cones import _gap_rank
 
 
@@ -238,7 +242,7 @@ def test_a_link_other_than_the_induced_one_is_refused():
     # hl-torus-3's table with the unit-square torus as its link
     table = harvey_lawson_torus().trig_table
     with pytest.raises(ValidationError, match="the embedding induces"):
-        SLCone("hl-wrong-link", 3, FlatTorus(np.eye(2)), 2, trig_table=table)
+        SLCone("hl-wrong-link", 3, FlatTorus(np.eye(2)), trig_table=table)
 
 
 @pytest.mark.skipif({"numpy": np.__version__, "scipy": scipy.__version__}
@@ -263,6 +267,7 @@ def test_stability_hl_torus_is_zero():
     assert report.harmonic_counts == {0: 1, 1: 6, 2: 6}
     assert report.rank_translations == 6
     assert report.rank_su == 6
+    assert report.dim_G == 2 == harvey_lawson_torus().dim_G
     assert not report.degenerate
     assert report.warnings == []
 
@@ -273,8 +278,9 @@ def test_stability_plane_degenerate():
     assert report.harmonic_counts == {0: 1, 1: 3, 2: 5}
     assert report.rank_translations == 3          # only Re(z) restricts nontrivially
     assert report.rank_su == 5
+    assert report.dim_G == 3                      # SO(3)
     assert report.degenerate
-    assert any("not injective" in w for w in report.warnings)
+    assert report.warnings == ["translations span 3/6: not an isolated singularity"]
 
 
 def test_stability_reads_the_sample_the_constructor_framed(monkeypatch):
@@ -289,6 +295,78 @@ def test_stability_reads_the_sample_the_constructor_framed(monkeypatch):
     report = stability_index(cone)
     assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
     assert (report.rank_translations, report.rank_su, report.degenerate) == (6, 6, False)
+
+
+HL_TORUS_4 = Path(__file__).parent / "data" / "hl-torus-4.json"
+
+
+def test_cone_file_without_dim_g_reproduces_the_catalog_report(tmp_path):
+    data = harvey_lawson_torus().to_json()
+    assert "dim_G" not in data
+    path = tmp_path / "hl.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    loaded = dataclasses.asdict(stability_index(cone_from_json(path)))
+    catalog = dataclasses.asdict(stability_index(harvey_lawson_torus()))
+    assert list(loaded) == list(catalog)
+    for name, value in catalog.items():
+        assert loaded[name] == value, name
+
+
+def test_harvey_lawson_t3_cone_in_c4_measures_dim_g_3():
+    # {(e^{iφ₁}, e^{iφ₂}, e^{iφ₃}, e^{−i(φ₁+φ₂+φ₃)})/2}: G is the diagonal 3-torus of SU(4)
+    cone = cone_from_json(HL_TORUS_4)
+    report = stability_index(cone)
+    assert (cone.m, cone.dim_G, report.dim_G) == (4, 3, 3)
+    assert report.index == 6
+    assert report.harmonic_counts == {0: 1, 1: 8, 2: 12}
+    assert (report.rank_translations, report.rank_su, report.degenerate) == (8, 12, False)
+
+
+@pytest.mark.parametrize("declared", [0, 1, 3, 5, 8, 2.0, 2.5, "2", True, None])
+def test_a_declared_dim_g_must_be_the_measured_integer(tmp_path, declared):
+    # a declared dim_G moved the index one for one: 5 gave index 3 and 8 index 6, with exit 0
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps(dict(harvey_lawson_torus().to_json(), dim_G=declared)))
+    with pytest.raises(ValidationError, match=rf"declared.json: declared dim_G "
+                                              rf"{re.escape(repr(declared))} != measured 2"):
+        cone_from_json(path)
+
+
+def test_only_a_declared_dim_g_is_measured_at_load(tmp_path, monkeypatch):
+    # catalog cones and files without the field measure dim G when a stability index asks
+    calls = []
+    span_rank = cones._span_rank
+    monkeypatch.setattr(cones, "_span_rank", lambda *a: calls.append(a) or span_rank(*a))
+    data = harvey_lawson_torus().to_json()
+    path = tmp_path / "hl.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    harvey_lawson_torus(), plane_cone(), cone_from_json(path)
+    assert calls == []
+    path.write_text(json.dumps(dict(data, dim_G=2)), encoding="utf-8")
+    cone = cone_from_json(path)
+    assert len(calls) == 1
+    assert stability_index(cone).dim_G == 2
+    assert len(calls) == 2     # the translations; dim G is not measured again
+
+
+def drop_one_order_2_eigenvalue(monkeypatch, link_type):
+    """Patch ``link_type.spectrum`` to lose one copy of λ = 6, exponent 2 on an m = 3 cone."""
+    spectrum = link_type.spectrum
+
+    def short(link, lam_max):
+        return [dataclasses.replace(e, multiplicity=e.multiplicity - 1) if e.lam == 6.0 else e
+                for e in spectrum(link, lam_max)]
+
+    monkeypatch.setattr(link_type, "spectrum", short)
+
+
+def test_a_spectrum_short_of_the_moment_maps_is_a_numerical_error(monkeypatch):
+    # with one order-2 harmonic dropped, hl-torus-3 read index -1 with no warning
+    cone = harvey_lawson_torus()
+    drop_one_order_2_eigenvalue(monkeypatch, FlatTorus)
+    with pytest.raises(NumericalError, match=r"cone hl-torus-3: 6/5 order-1/2 link harmonics, "
+                                             r"fewer than the moment-map ranks 6/6"):
+        stability_index(cone)
 
 
 @pytest.mark.parametrize("build", [harvey_lawson_torus, plane_cone])
@@ -355,6 +433,7 @@ def test_reparametrised_cone_file_keeps_spectrum_and_indices(tmp_path_factory, w
     report = stability_index(cone)
     assert (report.index, report.harmonic_counts) == (0, {0: 1, 1: 6, 2: 6})
     assert (report.rank_translations, report.rank_su) == (6, 6)
+    assert report.dim_G == cone.dim_G == 2
     tables = [ExponentTable.for_link(c.link) for c in (cone, hl)]
     for gamma in (-1.5, -0.5, 0.5, 1.5, 2.5):
         assert tables[0].count_M(gamma) == tables[1].count_M(gamma)

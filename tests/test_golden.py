@@ -58,8 +58,8 @@ GOLDEN = {
         "report.json": "5240c80c9ff0daa3a1ae40bb6a1b0d8399166b3ff98c49d516be1246c491b871",
     },
     "stability": {
-        "report.json": "3317bde5ff3081b3d6aa80e9390a9ef11bf56ef0ff05948ab5afcc960d92cf83",
-        "stability.json": "4da88407473ef92f173661f3bae4d2e6636b367e70a98ef7c279f6da1d190f12",
+        "report.json": "3f82254fdfac7c27b0b55b81087c1faa8d3ff307d270307431cba9e547e775f0",
+        "stability.json": "d4ae9d0e8132741e785a1c01eaf99f2052294f2e13067e4f95603d3807629c92",
     },
     "fredholm": {
         "fredholm.json": "f70119b9e8f2b55ff735b0b00a65d128244995669ebc8145a7db8aa982ed811f",

@@ -222,6 +222,21 @@ def test_invalid_forcing_reports_step_for_several_modes():
         solve_modes(specs, grid, T=0.1, dt=0.01, forcing=bad_forcing)
 
 
+def test_a_scalar_forcing_is_broadcast_over_the_grid():
+    # a forcing may return a scalar or an r-shaped array; anything else is refused
+    grid = RadialGrid(R=1.0, n_cells=50)
+    specs = [LaplaceTypeSpec(lam=lam, m=3) for lam in (0.0, 2.0)]
+    kwargs = dict(T=0.05, dt=0.01, store_every=1)
+    scalar = solve_modes(specs, grid, forcing=lambda t, r: 3.0 * t + 0.5, **kwargs)
+    array = solve_modes(specs, grid, forcing=lambda t, r: np.full_like(r, 3.0 * t + 0.5),
+                        **kwargs)
+    for a, b in zip(scalar, array):
+        assert np.array_equal(a.values, b.values)
+        assert np.abs(a.values).max() > 0
+    with pytest.raises(NumericalError, match="forcing invalid at step 1"):
+        solve_modes(specs, grid, forcing=lambda t, r: np.ones(len(r) + 1), **kwargs)
+
+
 def test_solve_modes_matches_one_mode_solves():
     # the block-diagonal system does not couple the modes: each gets the
     # bits of its own one-mode solve
