@@ -78,14 +78,24 @@ class MomentElement:
 
 
 def moment_eval(X, z):
-    """Evaluate ``μ_X`` at one point or a batch of points of ℂᵐ."""
+    """Evaluate ``μ_X`` at one point or a batch of points of ℂᵐ.
+
+    ``X`` is one element or a sequence of elements; a sequence gives one
+    row of values per element, all evaluated in one pass.
+    """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zb = z[None, :] if single else z
-    quad = np.real(0.5j * np.einsum("ij,ni,nj->n", X.A, zb, zb.conj()))
-    lin = -np.imag(np.einsum("i,ni->n", X.v, zb.conj()))
-    out = quad + lin + X.c
-    return float(out[0]) if single else out
+    elements = [X] if isinstance(X, MomentElement) else list(X)
+    A = np.stack([e.A for e in elements])
+    v = np.stack([e.v for e in elements])
+    c = np.array([e.c for e in elements])
+    quad = np.real(0.5j * np.einsum("eij,ni,nj->en", A, zb, zb.conj()))
+    lin = -np.imag(np.einsum("ei,ni->en", v, zb.conj()))
+    out = quad + lin + c[:, None]
+    if isinstance(X, MomentElement):
+        return float(out[0, 0]) if single else out[0]
+    return out[:, 0] if single else out
 
 
 def hamiltonian_field(X, z):
@@ -388,7 +398,7 @@ def _gap_rank(svals, name):
 
 def _span_rank(cone, elements):
     """Rank of the moment maps of ``elements`` restricted to ``cone.link_points``."""
-    rows = np.stack([moment_eval(X, cone.link_points) for X in elements])
+    rows = moment_eval(elements, cone.link_points)
     return _gap_rank(np.linalg.svd(rows, compute_uv=False), cone.name)
 
 

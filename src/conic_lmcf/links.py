@@ -278,9 +278,12 @@ class MeshLink:
     Stores faces plus, per face, the lengths of the edges opposite each
     corner.  Embedded meshes compute those from vertex positions; intrinsic
     meshes supply them directly.  Eigenvalues come from shift-invert Lanczos
-    on the cotangent stiffness ``K`` and lumped mass ``M``, with ``K + 0.5·M``
-    factored once by a symmetric-mode sparse LU and a fixed start vector, so
-    repeated solves return the same bits.
+    in standard form on the cotangent stiffness ``K`` and the diagonal lumped
+    mass ``M``, about σ = −1/area: ``K − σM`` is factored once by a
+    symmetric-mode sparse LU, the constant mode is deflated (its zero
+    eigenvalue is exact), and the start vector is fixed, so repeated solves
+    return the same bits and a mesh scaled by 2^k has its spectrum scaled by
+    exactly 4^−k.
     """
 
     dim = 2
@@ -380,7 +383,6 @@ class MeshLink:
 
         n = self.n_vertices
         rows, cols, vals = [], [], []
-        mass = np.zeros(n)
         for corner in range(3):
             i = faces[:, (corner + 1) % 3]
             j = faces[:, (corner + 2) % 3]
@@ -388,23 +390,31 @@ class MeshLink:
             rows.extend([i, j, i, j])
             cols.extend([j, i, i, j])
             vals.extend([-w, -w, w, w])
-            np.add.at(mass, faces[:, corner], area / 3.0)
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self.mass = sp.diags(mass)
+        # a third of each face's area to each of its corners, corner by corner
+        self.mass = sp.diags(np.bincount(faces.T.ravel(), np.tile(area / 3.0, 3), n))
 
     # -- spectrum
 
     def eigenvalues(self, count):
         """Lowest ``count`` eigenvalues of Δ_h (raw, with multiplicity).
 
-        Shift-invert Lanczos about σ = −0.5.  ``K + 0.5·M`` is symmetric
-        positive definite (a Gram matrix of P1 gradients plus a positive
-        lumped mass), so SuperLU factors it in symmetric mode: a minimum-degree
-        ordering of its symmetric pattern and no pivoting.  The Lanczos start
-        vector is fixed and is not the constant λ = 0 eigenvector.
+        Shift-invert Lanczos in standard form.  With ``S = M^½`` (the lumped
+        mass is diagonal), ``K x = λ M x`` becomes ``S⁻¹ K S⁻¹ y = λ y``, and
+        ARPACK's regular mode runs on ``OP = S·(K − σM)⁻¹·S``, whose largest
+        eigenvalues ``ν = 1/(λ − σ)`` are the lowest λ; no product with ``M``
+        is needed.  The shift σ = −1/area is in the mesh's units, so scaling a
+        mesh by 2^k scales every eigenvalue by exactly 4^−k.  ``K − σM`` is
+        symmetric positive definite (a Gram matrix of P1 gradients plus a
+        positive lumped mass), so SuperLU factors it in symmetric mode: a
+        minimum-degree ordering of its symmetric pattern and no pivoting.
+        On a closed mesh the constant is the exact kernel, ``S·1/‖S·1‖`` in
+        these coordinates: it is projected out of the fixed start vector and
+        out of every ``OP`` result, ARPACK finds the other ``count − 1``
+        values, and λ₀ = 0 is prepended exactly.
         """
         import scipy.sparse.linalg as spla
 
@@ -412,22 +422,33 @@ class MeshLink:
         if count < 1 or count >= n - 1:
             raise ValidationError(f"count must be between 1 and {n - 2} for a mesh "
                                   f"with {n} vertices, got {count}")
-        lu = spla.splu((self.stiffness + 0.5 * self.mass).tocsc(),
+        if count == 1:
+            return np.zeros(1)
+        mass = self.mass.diagonal()
+        sigma = -1.0 / mass.sum()
+        # K − σM is symmetric, so its CSR arrays are those of a CSC matrix
+        lu = spla.splu((self.stiffness - sigma * self.mass).T,
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        shift_inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        root = np.sqrt(mass)
+        kernel = root / np.linalg.norm(root)
+
+        def deflated(x):
+            return x - (kernel @ x) * kernel
+
+        shift_inverse = spla.LinearOperator(
+            (n, n), matvec=lambda x: deflated(root * lu.solve(root * x)), dtype=float)
+        start = deflated(np.random.default_rng(0).uniform(-1.0, 1.0, n))
         try:
-            vals = spla.eigsh(self.stiffness, k=count, M=self.mass, sigma=-0.5,
-                              which="LM", v0=start, OPinv=shift_inverse,
-                              return_eigenvectors=False)
+            nu = spla.eigsh(shift_inverse, k=count - 1, which="LA", v0=start,
+                            return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(
                 f"mesh eigen-solve (shift-invert Lanczos) did not converge: "
                 f"{len(exc.eigenvalues)} of {count} eigenvalues converged; "
                 f"change --count") from exc
-        vals = np.sort(vals)
-        return np.clip(vals, 0.0, None)
+        vals = np.sort(1.0 / nu + sigma)
+        return np.concatenate([[0.0], np.clip(vals, 0.0, None)])
 
     def spectrum(self, lam_max=None, count=10, group_tol=1e-4):
         """Grouped :class:`EigenEntry` rows for the lowest modes.

@@ -85,6 +85,15 @@ def test_moment_real_and_linear():
         assert np.all(np.isreal(lhs))
 
 
+def test_a_sequence_of_elements_gives_the_rows_of_one_element_at_a_time():
+    rng = np.random.default_rng(6)
+    elements = [random_moment_element(rng) for _ in range(5)]
+    z = random_points(rng, 40)
+    one_at_a_time = np.stack([moment_eval(X, z) for X in elements])
+    assert moment_eval(elements, z).tobytes() == one_at_a_time.tobytes()
+    assert moment_eval(elements, z[0]).tolist() == [moment_eval(X, z[0]) for X in elements]
+
+
 def test_moment_element_rejects_non_skew():
     with pytest.raises(ValidationError):
         MomentElement(np.eye(3), np.zeros(3))

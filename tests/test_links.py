@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from conic_lmcf import (
     sphere_multiplicity,
 )
 from conic_lmcf.errors import COUNT_LIMIT, check_count
+from test_package import load_clibench
 
 HEX_METRIC = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
 
@@ -485,12 +488,61 @@ MESH_SIMILARITIES = {
 def test_mesh_spectrum_is_invariant_under_similarities(kind, data):
     # the cotangent Laplacian and lumped mass read only edge lengths, so a
     # rotation or relabelling keeps the spectrum and a scaling divides it by s²;
-    # the zero eigenvalue reads 2.8e-15 at one scale and 0 at another, so the
-    # round-off is measured against λ_max
+    # the shift σ = −1/area scales with the mesh, so a scaling by 2^k changes
+    # every number of the solve by a power of 2 and the spectrum exactly by 4^−k
     move, undo = data.draw(MESH_SIMILARITIES[kind], label=kind)
     plain = MeshLink(TORUS_VERTICES, TORUS_FACES).eigenvalues(10)
     moved = MeshLink(*move(TORUS_VERTICES, TORUS_FACES)).eigenvalues(10)
-    assert np.max(np.abs(moved * undo - plain)) <= 1e-12 * plain.max()
+    if kind == "scale":
+        assert (moved * undo).tobytes() == plain.tobytes()
+    else:
+        assert np.max(np.abs(moved * undo - plain)) <= 1e-12 * plain.max()
+
+
+def test_mesh_eigen_solve_takes_as_many_solves_at_any_scale(monkeypatch):
+    # a shift fixed at σ = −0.5 in absolute units took 79 LU solves on the test
+    # torus and 201 on the same torus scaled by 100
+    solves = []
+    factor = scipy.sparse.linalg.splu
+
+    def counted_factor(*args, **kwargs):
+        lu = factor(*args, **kwargs)
+        return types.SimpleNamespace(solve=lambda x: solves.append(x) or lu.solve(x))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_factor)
+    counts = []
+    for scale in (1.0, 100.0):
+        solves.clear()
+        MeshLink(scale * TORUS_VERTICES, TORUS_FACES).eigenvalues(10)
+        counts.append(len(solves))
+    assert abs(counts[1] - counts[0]) <= 0.1 * counts[0], counts
+
+
+def benchmark_torus(tmp_path, monkeypatch):
+    """A 96 × 48 torus of revolution, rotated and relabelled, by the benchmark's generator."""
+    load_clibench("formulas", monkeypatch)  # workloads imports it as a sibling module
+    path = tmp_path / "torus.off"
+    load_clibench("workloads", monkeypatch).write_torus_off(path, 2.5, 0.8, 96, 48,
+                                                             random.Random(0))
+    return MeshLink.from_off(path)
+
+
+@pytest.mark.parametrize("build", [benchmark_torus,
+                                   lambda *_: FlatTorus(HEX_METRIC).triangulate(24)],
+                         ids=["benchmark-torus", "flat-torus"])
+def test_closed_mesh_spectrum_starts_with_an_exact_zero(tmp_path, monkeypatch, build):
+    # the constant mode is projected out of the Lanczos run and its λ₀ = 0
+    # prepended; computed by ARPACK it read 1.3e-15 on the benchmark torus and
+    # 1.2e-14 on the flat one
+    assert build(tmp_path, monkeypatch).eigenvalues(10)[0] == 0.0
+
+
+def test_one_mesh_eigenvalue_is_the_zero_without_a_lanczos_run(monkeypatch):
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh called for count 1")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+    assert MeshLink(TORUS_VERTICES, TORUS_FACES).eigenvalues(1).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("link", [RoundSphere(2), FlatTorus(np.eye(2))])
