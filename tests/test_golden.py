@@ -1,6 +1,11 @@
 """Golden digests: the SHA-256 of every artifact of one small run per subcommand.
 
-Two more runs pin the expression paths of ``--ic`` and ``--forcing``.
+Two more runs pin the expression paths of ``--ic`` and ``--forcing``, two
+``heat`` runs the general tridiagonal factor (m = 4, and q = 3), one of them
+with outer data and a ``dt`` that does not divide ``T``, and one a mesh
+spectrum of a committed OFF file.  The runs start in this file's folder, so
+the mesh file's path in ``report.json`` does not depend on where the
+checkout lives.
 
 A refactor that keeps the CLI's behaviour keeps these digests.  ``report.json``
 is hashed as written, byte for byte, but for the ``wall_time_s`` line and the
@@ -44,6 +49,13 @@ RUNS = {
                         "--ic=-(0.06*cos((x1+2*pi*5/16)+(x2+2*pi*3/16))+0.04*sin(x1-2*x2))"],
     "heat-expression": ["heat", "--lam", "0", "2", "--n", "50", "--T", "0.05",
                         "--forcing", " t^2*r^0.5 "],
+    # the dgttrf path, with outer data and a dt that does not divide T
+    "heat-general": ["heat", "--m", "4", "--lam", "0", "2", "6", "--n", "50", "--T", "0.1",
+                     "--dt", "0.03", "--outer", "0.25", "--forcing", "t*r^0.5",
+                     "--store-every", "1"],
+    "heat-q3": ["heat", "--q", "3", "--lam", "0", "2", "--n", "50", "--T", "0.05",
+                "--forcing", "r^1.5", "--store-every", "20"],
+    "spectrum-mesh": ["spectrum", "--link", "mesh", "--mesh-file", "data/torus-12x8.off"],
 }
 
 TOOLCHAIN = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -101,6 +113,26 @@ GOLDEN = {
         "profile_2.dat": "99b7624e4a76fb9ab76a7c85489f02ec2a709df08ac4d334397a525285c99b1d",
         "report.json": "11fa3bb0c2e39b01e2dfab9665c89efb8341a0e87b8c47ffdeeb31abf0a61376",
     },
+    "heat-general": {
+        "mode_0.csv": "6ded5700efc4973bb07bf37b0b902b1c1d47d08e668e5e5458791da8208eb530",
+        "mode_2.csv": "1473997991da9c5cedc3f2e92aeee568b1e6b54e16e4b29b31b5e9252dce9d19",
+        "mode_6.csv": "c75bf6b9a2e97ea2aa3679733ed447f5d143bac77bc5a453f317db68a5bedf6a",
+        "profile_0.dat": "01fbe9b227b502fb0c55de729c855ebb6cc6af73019739224f08eb1eec91a8f9",
+        "profile_2.dat": "f8fb2b3f3ce81f9bf37fec9ec3df960ae667abb1508ee78aeb128d3a73bb53a0",
+        "profile_6.dat": "1c43f61038562beffdf042e63f059220d0345bbdfb7becf0699534c669a27558",
+        "report.json": "2130e7d68c5228593e0bf57191e98919091480aa7199f5717019b89325ee877f",
+    },
+    "heat-q3": {
+        "mode_0.csv": "a8cd64f846756785f36cd543b550fb08d346f755a5ab3112b0a4545238797b7c",
+        "mode_2.csv": "a703ff0fd4ffcee23aca62dec27d307f899a6d9ccbe671173f57ec8b388e6724",
+        "profile_0.dat": "395d447462de9aacf87dda143400d09b9e507a49e57008c296dd383e649bb36a",
+        "profile_2.dat": "fd739de0ee17a37fd69c9d21dc2243f9e635406c3d4b170b32d5ba4e26d9921c",
+        "report.json": "ffda8fa9c3d89a62d556d08834dbf25d92ca5bec954fab661083fb87d6f184b8",
+    },
+    "spectrum-mesh": {
+        "report.json": "55265e500a9502b94878d75cbb45f6d2fbf503e6927140e77c2c65f1d157053b",
+        "spectrum.csv": "8a8c198d5f7842d7f021bfcc7ff5e1866fadb1163435956871de7aebf081f9db",
+    },
 }
 
 
@@ -121,9 +153,10 @@ def digests(outdir: Path) -> dict:
 
 
 def run_all(root: Path) -> None:
-    """Run every entry of ``RUNS``, each into ``root / <command>``."""
-    for name, argv in RUNS.items():
-        assert main(argv + ["--outdir", str(root / name)]) == 0, name
+    """Run every entry of ``RUNS`` from this file's folder, each into ``root / <command>``."""
+    with contextlib.chdir(Path(__file__).parent):
+        for name, argv in RUNS.items():
+            assert main(argv + ["--outdir", str(root.resolve() / name)]) == 0, name
 
 
 @pytest.fixture(scope="module")
