@@ -15,33 +15,34 @@ with ``u(0, ·) = 0``.  The discretization:
 * backward Euler in time (the r⁻² potential is stiff; damping beats
   second-order accuracy here).
 
-``L`` is kept as its three bands, with no matrix object.  The inner row is
-the only part of ``I − dt·L_λ`` outside them, and its right-hand side is
-always zero, so the implicit step substitutes ``u_0 = w1·u_1 + w2·u_2`` into
-row 1 and solves a tridiagonal system; ``u_0`` is rebuilt from the weights
-for the stored frames.  The last interior row's coupling to the Dirichlet
-node goes to the right-hand side, so both end rows are identity rows.  The
-modes of one run share the grid, the time step and the forcing, so
-:func:`solve_modes` stacks their bands with a zero coupling between blocks
-and factors the stacked system once.
+``L`` is kept as its three bands, with no matrix object.  The implicit
+system holds only the unknowns ``u_1 … u_{n−2}``: the inner row's
+right-hand side is always zero, so ``u_0 = w1·u_1 + w2·u_2`` is substituted
+into row 1, and the Dirichlet value ``g`` enters as ``outer·g`` on the last
+unknown's right-hand side.  So each mode's system is tridiagonal, and
+``u_0`` (from the weights) and ``u_{n−1} = g`` are written only into the
+stored frames.  The modes of one run share the grid, the time step and the
+forcing, so :func:`solve_modes` stacks their bands with a zero coupling
+between blocks and factors the stacked system once.
 
 The mode operator is self-adjoint in ``L²(r^{m−1} dr)``, and where every
-interior sub·super product of ``I − dt·L_λ`` is positive (for instance
-m = 2 at q ≤ 3, and m = 3 at q ≤ 2, the CLI's defaults) a diagonal scaling
-``D`` makes each block symmetric.  Then LAPACK's ``dpttrf`` factors the
-scaled system, the steps advance the scaled state ``D·u`` with one
-``dpttrs`` solve each, and ``u`` is recovered only for the stored frames.  Any other run (m = 4 at
-q = 2, m = 3 at q = 3, a scaling beyond the float range, or a scaled matrix
-that is not positive definite) takes ``dgttrf`` and one ``dgttrs`` solve per
-step.  Neither factor crosses a zero coupling, so within one path each mode
-gets the same bits as a one-mode solve.
+sub·super product of ``I − dt·L_λ`` is positive (for instance m = 2 at
+q ≤ 3, and m = 3 at q ≤ 2, the CLI's defaults) a diagonal scaling ``D``
+makes each block symmetric.  Then LAPACK's ``dpttrf`` factors the scaled
+system, the steps advance the scaled state ``D·u`` with one ``dpttrs``
+solve each, and ``u`` is recovered only for the stored frames.  Any other
+run (m = 4 at q = 2, m = 3 at q = 3, a scaling beyond the float range, or a
+scaled matrix that is not positive definite) takes ``dgttrf`` and one
+``dgttrs`` solve per step, with ``D = 1``.  Neither factor crosses a zero
+coupling, so within one path each mode gets the same bits as a one-mode
+solve.
 
 A forcing is evaluated once per step, unless it declares that it does not
 depend on time: a callable with a ``reads`` attribute (the set of variable
 names its value depends on, as the CLI's compiled ``--forcing`` expressions
 and one-time-row ``--forcing-csv`` tables carry) that omits ``"t"`` is
-evaluated and checked once per solve, and each step adds the same scaled
-``dt·f``.
+evaluated and checked once, at step 1, and each step adds the same scaled
+``D·dt·f``.
 """
 
 from __future__ import annotations
@@ -221,14 +222,15 @@ def apply_radial_operator(spec, grid, u):
 
 
 def _implicit_rows(spec, grid, dt):
-    """Bands ``(lower, diag, upper)`` of ``I − dt·L`` with ``u_0`` eliminated.
+    """``I − dt·L`` on the unknowns ``u_1 … u_{n−2}``: ``(lower, diag, upper, outer, w)``.
 
-    ``u_0 = w1·u_1 + w2·u_2`` is substituted into row 1, which leaves row 0 an
-    identity row with zero couplings (the step overwrites its solution from
-    the weights); the last row is the outer Dirichlet row.  The weights are
-    returned as a fourth item.  ``dt·λ/r_min²`` and ``dt`` times each band
-    entry must be floats, or the solve would turn an infinity into a silent
-    zero or a zero pivot.
+    ``lower``, ``diag`` and ``upper`` are the bands of rows 1..n−2, with
+    ``u_0 = w1·u_1 + w2·u_2`` substituted into row 1; the weights ``w`` are
+    the last item.  ``outer`` is row n−2's coupling to the Dirichlet node
+    with its sign moved to the right-hand side: a step adds ``outer·g`` to the
+    last unknown's right-hand side for ``u_{n−1} = g``.  ``dt·λ/r_min²`` and
+    ``dt`` times each band entry must be floats, or the solve would turn an
+    infinity into a silent zero or a zero pivot.
     """
     bands, w = radial_operator(spec, grid)
     # in Python floats, which overflow to inf without a numpy warning
@@ -241,9 +243,7 @@ def _implicit_rows(spec, grid, dt):
     diag += 1.0
     diag[1] += lower[0] * w[0]
     upper[1] += lower[0] * w[1]
-    diag[0] = diag[-1] = 1.0
-    lower[0] = lower[-1] = upper[0] = 0.0
-    return lower, diag, upper, w
+    return lower[1:-1], diag[1:-1], upper[1:-1], -upper[-1], w
 
 
 # D and 1/D stay below the square root of the largest float, so y = D·u is a
@@ -259,23 +259,20 @@ def _stack(bands):
 def _symmetric_factor(lower, diag, upper):
     """``(D, d, e)``: a scaling ``D`` and ``dpttrf``'s factor of ``D·A·D⁻¹``, or ``None``.
 
-    Each row of the arrays holds the bands of one tridiagonal block ``A`` with
-    identity end rows.  Where every interior ``lower[i]·upper[i]`` is positive,
-    ``D[i+1]/D[i] = sqrt(upper[i]/lower[i])`` makes the block symmetric, with
-    off-diagonal ``±sqrt(lower[i]·upper[i])``.  ``D`` is summed in logs and
-    centred on each block's interior rows; the end rows keep ``D = 1``.
-    ``None`` when a product is ≤ 0 (m = 4 at q = 2, m = 3 at q = 3), when
-    ``D`` or ``1/D`` exceeds the square root of the largest float, or when
-    ``dpttrf`` finds the scaled matrix not positive definite.
+    Each row of the arrays holds the bands of one tridiagonal block ``A``.
+    Where every ``lower[i]·upper[i]`` is positive, ``D[i+1]/D[i] =
+    sqrt(upper[i]/lower[i])`` makes the block symmetric, with off-diagonal
+    ``±sqrt(lower[i]·upper[i])``.  ``D`` is summed in logs and centred on
+    each block.  ``None`` when a product is ≤ 0 (m = 4 at q = 2, m = 3 at
+    q = 3), when ``D`` or ``1/D`` exceeds the square root of the largest
+    float, or when ``dpttrf`` finds the scaled matrix not positive definite.
     """
-    lo, up = lower[:, 1:-1], upper[:, 1:-1]
-    if not (np.sign(lo) * np.sign(up) > 0).all():
+    if not (np.sign(lower) * np.sign(upper) > 0).all():
         return None
     log_d = np.zeros(diag.shape)
-    np.cumsum(0.5 * (np.log(np.abs(up)) - np.log(np.abs(lo))), axis=1, out=log_d[:, 2:-1])
-    inner = log_d[:, 1:-1]
-    inner -= 0.5 * (inner.max(axis=1, keepdims=True) + inner.min(axis=1, keepdims=True))
-    if not np.abs(inner).max() <= _LOG_SCALE_LIMIT:
+    np.cumsum(0.5 * (np.log(np.abs(upper)) - np.log(np.abs(lower))), axis=1, out=log_d[:, 1:])
+    log_d -= 0.5 * (log_d.max(axis=1, keepdims=True) + log_d.min(axis=1, keepdims=True))
+    if not np.abs(log_d).max() <= _LOG_SCALE_LIMIT:
         return None
     e = np.copysign(np.sqrt(np.abs(lower)) * np.sqrt(np.abs(upper)), upper)
     d, e, info = dpttrf(diag.ravel(), _stack(e))
@@ -291,31 +288,31 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
 
         (I − dt·L_λ) u_λ^{n+1} = u_λ^n + dt·f(t^{n+1}, ·)
 
-    with the extrapolation row ``u_0 = w1·u_1 + w2·u_2`` at ``r_min`` and the
-    Dirichlet row at ``R``.  The inner row is eliminated into row 1, and the
-    last interior row's coupling to the Dirichlet node is moved to the
-    right-hand side, so each mode's matrix is tridiagonal with identity end
-    rows.  The modes' bands are concatenated with a zero coupling between
-    blocks and factored once.
+    with the extrapolation row ``u_0 = w1·u_1 + w2·u_2`` at ``r_min`` and
+    ``u_{n−1} = g`` at ``R``, on the unknowns ``u_1 … u_{n−2}``
+    (:func:`_implicit_rows`): the inner row is eliminated into row 1, and
+    ``g`` enters only as ``outer·g`` on the last unknown's right-hand side.
+    The modes' bands are concatenated with a zero coupling between blocks
+    and factored once.
 
     Where :func:`_symmetric_factor` finds a scaling ``D`` that makes every
     block symmetric positive definite, the loop keeps the scaled state
     ``y = D·u`` and each step is one ``dpttrs`` call; otherwise the whole run
     takes ``dgttrf`` and one ``dgttrs`` call per step, with ``D = 1``.
-    ``u = y/D`` and ``u_0`` are formed only for the stored frames.  Neither
-    path crosses the zero couplings, so on one path each mode gets the bits
-    a one-mode solve would give.  The inner exponent of each mode
-    is α₊(λ); ``λ/r_min²`` and the entries of ``dt·L_λ`` must be floats, or
-    :class:`ValidationError` is raised.
+    ``u = y/D``, ``u_0`` and ``u_{n−1} = g`` are formed only for the stored
+    frames.  Neither path crosses the zero couplings, so on one path each
+    mode gets the bits a one-mode solve would give.  The inner exponent of
+    each mode is α₊(λ); ``λ/r_min²`` and the entries of ``dt·L_λ`` must be
+    floats, or :class:`ValidationError` is raised.
 
     The forcing is evaluated at every step's time.  A forcing with a
     ``reads`` attribute, the set of variable names (``"t"``, ``"r"``) its
     value depends on, that omits ``"t"`` is evaluated once, at step 1's
-    time, after the factorisation; every step then adds the same ``D·dt·f``,
-    with the bits a per-step evaluation would give.  A forcing that raises
-    or returns a non-finite value raises :class:`NumericalError` naming the
-    step (step 1 for a forcing without ``t``), as does an overflowing ``dt·f``
-    or a step whose solution is not finite.
+    time; every step then adds the same ``D·dt·f``, with the bits a per-step
+    evaluation would give.  A forcing that raises or returns a non-finite
+    value on the grid raises :class:`NumericalError` naming the step (step 1
+    for a forcing without ``t``), as does an overflowing ``dt·f`` or a step
+    whose scaled state ``y`` is not finite.
 
     ``specs`` may not be empty.  The steps are the fewest equal ones of size
     ``T/n ≤ dt`` (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
@@ -336,11 +333,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
                 f"stored values ({stored} frames of {len(specs)} modes on {grid.n_cells} nodes)",
                 "raise --store-every (0 keeps the first and last frames), or lower --T or --n")
     r = grid.nodes
-    n = len(r)
-    lower, diag, upper, w = map(np.array, zip(*(_implicit_rows(spec, grid, dt) for spec in specs)))
-    # row n−2 reads the Dirichlet value g from the right-hand side: outer·g is added there
-    outer = -upper[:, -1]
-    upper[:, -1] = 0.0
+    lower, diag, upper, outer, w = map(np.array, zip(*(_implicit_rows(spec, grid, dt)
+                                                       for spec in specs)))
     symmetric = _symmetric_factor(lower, diag, upper)
     if symmetric is not None:
         D, d, e = symmetric
@@ -351,19 +345,16 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         D = np.ones(diag.shape)
         dl, d, du, du2, ipiv, info = dgttrf(_stack(lower), diag.ravel(), _stack(upper))
         if info > 0:
-            mode, node = divmod(info - 1, n)
-            raise NumericalError(f"implicit system is singular at step 0 "
-                                 f"(zero pivot at node {node} of the λ={specs[mode].lam:g} mode)")
+            mode, row = divmod(info - 1, diag.shape[1])
+            raise NumericalError(f"implicit system is singular at step 0 (zero pivot at "
+                                 f"node {row + 1} of the λ={specs[mode].lam:g} mode)")
 
         def solve(b):
             return dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
-    outer *= D[:, -2]
-    # D on the rows that take the forcing; the identity end rows take none
-    D_rows = D.copy()
-    D_rows[:, [0, -1]] = 0.0
+    outer *= D[:, -1]
 
     def dt_forcing(k, t):
-        """``dt·f(t, ·)`` on the grid; a raise or a non-finite value names step ``k``."""
+        """``D·dt·f(t, ·)`` on the unknowns; a raise or a non-finite value names step ``k``."""
         try:
             fvals = np.asarray(forcing(t, r), dtype=float)
             if fvals.shape != r.shape:
@@ -376,39 +367,34 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         if dt > 1.0 and not float(np.abs(fvals).max()) * float(dt) < math.inf:
             raise NumericalError(f"forcing times the time step leaves the float range at "
                                  f"step {k} (t={t:.6g}, dt={dt:g}); lower --dt")
-        return dt * fvals
+        return D * (dt * fvals[1:-1])
 
     # a forcing whose ``reads`` omits t is the same at every step: evaluate it at step 1 only
     reads = getattr(forcing, "reads", None)
     time_free = reads is not None and "t" not in reads
-    if time_free:
-        dtf = D_rows * dt_forcing(1, dt)
-
-    # the identity end rows keep y_0 = 0 and y_{n−1} = g
-    y = np.zeros((len(specs), n))
-    times = [0.0]
-    frames = [y.copy()]
+    dtf = None
+    g = 0.0
+    y = np.zeros(diag.shape)
+    times, states, outer_values = [0.0], [y], [g]
     for k in range(1, n_steps + 1):
         t_new = k * dt if k < n_steps else T
-        if forcing is None:
-            rhs = y
-        elif time_free:
-            rhs = y + dtf
-        else:
-            rhs = y + D_rows * dt_forcing(k, t_new)
+        if forcing is not None and (k == 1 or not time_free):
+            dtf = dt_forcing(k, t_new)
+        # the solve overwrites its right-hand side, and y may be a stored state
+        rhs = y.copy() if dtf is None else y + dtf
         if outer_bc is not None:
             g = float(outer_bc(t_new))
-            rhs[:, -1] = g
-            rhs[:, -2] += outer * g
+            rhs[:, -1] += outer * g
         y = solve(rhs.ravel()).reshape(rhs.shape)
-        last = y
-        if (store_every and k % store_every == 0) or k == n_steps:
-            last = y / D
-            last[:, 0] = w[:, 0] * last[:, 1] + w[:, 1] * last[:, 2]
-            times.append(t_new)
-            frames.append(last)
-        if not np.isfinite(last).all():
+        if not np.isfinite(y).all():
             raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
+        if (store_every and k % store_every == 0) or k == n_steps:
+            times.append(t_new)
+            states.append(y)
+            outer_values.append(g)
     times = np.array(times)
-    values = np.stack(frames, axis=1)
+    values = np.empty((len(specs), len(times), len(r)))
+    values[:, :, 1:-1] = np.stack(states, axis=1) / D[:, None]
+    values[:, :, 0] = w[:, :1] * values[:, :, 1] + w[:, 1:] * values[:, :, 2]
+    values[:, :, -1] = outer_values
     return [ModeSolution(grid, times, v, spec.lam) for spec, v in zip(specs, values)]
