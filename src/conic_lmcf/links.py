@@ -382,17 +382,12 @@ class MeshLink:
         ], axis=1) / (4.0 * area)[:, None]
 
         n = self.n_vertices
-        rows, cols, vals = [], [], []
-        for corner in range(3):
-            i = faces[:, (corner + 1) % 3]
-            j = faces[:, (corner + 2) % 3]
-            w = 0.5 * cots[:, corner]
-            rows.extend([i, j, i, j])
-            cols.extend([j, i, i, j])
-            vals.extend([-w, -w, w, w])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+        # corner c adds −w, −w, w, w (w = cot/2) at (i, j), (j, i), (i, i), (j, j) for its
+        # other corners i, j; CSR sums duplicates in this corner, entry, face order
+        i, j, w = faces[:, [1, 2, 0]].T, faces[:, [2, 0, 1]].T, 0.5 * cots.T
+        rows = np.stack([i, j, i, j], axis=1).ravel()
+        cols = np.stack([j, i, i, j], axis=1).ravel()
+        vals = np.stack([-w, -w, w, w], axis=1).ravel()
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         # a third of each face's area to each of its corners, corner by corner
         self.mass = sp.diags(np.bincount(faces.T.ravel(), np.tile(area / 3.0, 3), n))
@@ -445,7 +440,7 @@ class MeshLink:
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(
                 f"mesh eigen-solve (shift-invert Lanczos) did not converge: "
-                f"{len(exc.eigenvalues)} of {count} eigenvalues converged; "
+                f"{len(exc.eigenvalues) + 1} of {count} eigenvalues converged; "
                 f"change --count") from exc
         vals = np.sort(1.0 / nu + sigma)
         return np.concatenate([[0.0], np.clip(vals, 0.0, None)])

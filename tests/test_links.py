@@ -441,7 +441,7 @@ def test_unconverged_mesh_solve_is_a_numerical_error(monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(2), None)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(NumericalError, match="mesh eigen-solve.*2 of 5.*--count"):
+    with pytest.raises(NumericalError, match="mesh eigen-solve.*3 of 5.*--count"):
         FlatTorus(HEX_METRIC).triangulate(8).eigenvalues(5)
 
 
