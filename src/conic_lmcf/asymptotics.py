@@ -31,6 +31,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import NumericalError, ValidationError
+from .exponents import exponent_roots
 from .norms import decay_rate, dyadic_annulus_suprema
 
 __all__ = list(_EXPORTS["asymptotics"])
@@ -70,8 +71,10 @@ def extract_asymptotics(sol, table, gamma):
     ``gamma`` must be non-exceptional for the lifted exponent set.  The basis
     is the solved mode's own ladder ``α + 2k < γ``, where α is the
     nonnegative exponent of the table entry whose source eigenvalue is
-    nearest ``sol.lam`` (within 1e−9 relative; no match leaves the ladder
-    empty).  A mode has one nonnegative exponent, since α₋ = 2 − m − α₊ is
+    nearest ``sol.lam`` (within 1e−9 relative).  A ``sol.lam`` that matches
+    no link eigenvalue is refused, naming ``--lam`` and the link eigenvalues
+    next to it, unless α₊(λ) ≥ γ leaves the ladder empty anyway.  A mode has
+    one nonnegative exponent, since α₋ = 2 − m − α₊ is
     negative unless both are 0, and its ladder is 2 apart.  The returned
     expansion satisfies ``remainder_rate ≥ γ − 0.15`` for solver output with
     forcing ``O(r^{γ−2})``.  The rate is ``inf`` for a remainder below
@@ -89,12 +92,21 @@ def extract_asymptotics(sol, table, gamma):
     # a mode whose exponent reaches gamma has no term below it
     matches = [e for e in table.entries(gamma) if e.alpha >= -table.tol
                and abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)]
-    basis = []
     if matches:
         alpha = min(matches, key=lambda e: abs(e.lambda_source - lam)).alpha
-        basis = [(alpha + 2 * k, alpha, k)
-                 for k in range(math.ceil((gamma - alpha) / 2.0) + 1)
-                 if alpha + 2 * k < gamma - table.tol]
+    else:
+        alpha = exponent_roots(lam, table.m)[0]
+        if alpha < gamma - table.tol:
+            # the table holds every link eigenvalue up to λ(γ) > λ
+            eigs = sorted({e.lambda_source for e in table.entries(gamma)})
+            i = int(np.searchsorted(eigs, lam))
+            near = eigs[max(i - 1, 0):i + 1]
+            raise ValidationError(f"--lam {lam:.10g} is not an eigenvalue of the link; the "
+                                  f"link eigenvalues next to it are "
+                                  f"{' and '.join(f'{x:.10g}' for x in near)}")
+    basis = [(alpha + 2 * k, alpha, k)
+             for k in range(math.ceil((gamma - alpha) / 2.0) + 1)
+             if alpha + 2 * k < gamma - table.tol]
 
     scale = max(float(np.abs(u).max()), 1e-300)
     work = u.copy()

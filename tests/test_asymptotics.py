@@ -100,6 +100,16 @@ def test_uniform_grid_fit_matches_the_graded_one(table):
     assert fits[1.0].remainder_rate >= 1.5 - 0.15
 
 
+def test_a_mode_that_is_no_link_eigenvalue_is_refused_below_gamma(table):
+    # λ = 1.5 has α₊ ≈ 0.82 < γ: the empty ladder it got read as a slow remainder
+    grid = RadialGrid(R=1.0, n_cells=400)
+    with pytest.raises(ValidationError, match="--lam 1.5 is not an eigenvalue.*0 and 2"):
+        extract_asymptotics(fake_solution(grid, grid.nodes ** 0.82, lam=1.5), table, gamma=2.5)
+    # α₊(30) = 5 ≥ γ: the ladder is empty whether or not 30 is an eigenvalue
+    assert extract_asymptotics(fake_solution(grid, grid.nodes ** 5, lam=30.0), table,
+                               gamma=2.5).terms == []
+
+
 def test_exceptional_gamma_rejected(table):
     grid = RadialGrid(R=1.0, n_cells=200)
     sol = fake_solution(grid, grid.nodes**2, lam=6.0)

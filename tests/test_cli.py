@@ -289,6 +289,21 @@ def test_asymptotics_on_too_few_annuli_exits_2_naming_n(tmp_path, capsys):
     assert not (tmp_path / "asymptotics.json").exists()
 
 
+@pytest.mark.parametrize("link, lam, near", [([], "1.5", "0 and 2"), ([], "2.0000001", "2 and 6"),
+                                             (["--metric", "1,0;0,1"], "3", "2 and 4")])
+def test_asymptotics_of_a_lam_that_is_no_link_eigenvalue_exits_2(tmp_path, capsys, link, lam,
+                                                                  near):
+    # exited 0 with an empty ladder: --lam 1.5 printed only "remainder decay
+    # rate: 0.8343 (target >= 2.5)"
+    rc = main(["asymptotics", *link, "--lam", lam, "--n", "400", "--T", "0.1", "--gamma", "2.5",
+               "--forcing", "r^0.5", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--lam {lam} is not an eigenvalue of the link" in err, err
+    assert f"eigenvalues next to it are {near}" in err, err
+    assert not (tmp_path / "asymptotics.json").exists()
+
+
 def test_asymptotics_takes_the_cone_dimension_from_its_link(tmp_path):
     # the cone over T^3 has dimension 4, where lambda = 3 has alpha+ = 1; a
     # --m 3 default fitted r^1.30278, the root for dimension 3
