@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 # ``__all__ = list(_EXPORTS[...])`` from it, and the lazy lookup below maps a
 # name to its module without importing the module.
 _EXPORTS = {
-    "asymptotics": ("AsymptoticExpansion", "extract_asymptotics", "synthesize"),
+    "asymptotics": ("AsymptoticExpansion", "extract_asymptotics", "mode_exponent", "synthesize"),
     "cones": ("MomentElement", "SLCone", "StabilityReport", "catalog_cone", "cone_from_json",
               "hamiltonian_field", "harvey_lawson_torus", "moment_eval", "plane_cone",
               "stability_index", "su_basis", "translation_basis", "verify_hamiltonian"),

@@ -65,45 +65,50 @@ def synthesize(terms, r):
     return out
 
 
+def mode_exponent(table, lam, gamma):
+    """The base α of mode ``lam``'s ladder ``α + 2k < γ``: its one nonnegative exponent.
+
+    α is read from the table entry whose source eigenvalue is nearest ``lam``
+    (within 1e−9 relative).  A ``gamma`` exceptional for the lifted exponent
+    set is refused, and so is a ``lam`` that is no link eigenvalue, naming
+    ``--lam`` and the link eigenvalues next to it, unless α₊(λ) ≥ γ leaves
+    the ladder empty anyway.
+    """
+    if table.is_exceptional(gamma, lifted=True):
+        raise ValidationError(
+            f"gamma={gamma} is within tolerance of an exceptional exponent")
+    # a mode whose exponent reaches gamma has no term below it
+    matches = [e for e in table.entries(gamma) if e.alpha >= -table.tol
+               and abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)]
+    if matches:
+        return min(matches, key=lambda e: abs(e.lambda_source - lam)).alpha
+    alpha = exponent_roots(lam, table.m)[0]
+    if alpha < gamma - table.tol:
+        # the table holds every link eigenvalue up to λ(γ) > λ
+        eigs = sorted({e.lambda_source for e in table.entries(gamma)})
+        i = int(np.searchsorted(eigs, lam))
+        near = eigs[max(i - 1, 0):i + 1]
+        raise ValidationError(f"--lam {lam:.10g} is not an eigenvalue of the link; the "
+                              f"link eigenvalues next to it are "
+                              f"{' and '.join(f'{x:.10g}' for x in near)}")
+    return alpha
+
+
 def extract_asymptotics(sol, table, gamma):
     """Fit the discrete asymptotic expansion of a mode solution's final frame.
 
-    ``gamma`` must be non-exceptional for the lifted exponent set.  The basis
-    is the solved mode's own ladder ``α + 2k < γ``, where α is the
-    nonnegative exponent of the table entry whose source eigenvalue is
-    nearest ``sol.lam`` (within 1e−9 relative).  A ``sol.lam`` that matches
-    no link eigenvalue is refused, naming ``--lam`` and the link eigenvalues
-    next to it, unless α₊(λ) ≥ γ leaves the ladder empty anyway.  A mode has
-    one nonnegative exponent, since α₋ = 2 − m − α₊ is
-    negative unless both are 0, and its ladder is 2 apart.  The returned
+    The basis is the solved mode's own ladder ``α + 2k < γ``, with α from
+    :func:`mode_exponent`, which refuses an exceptional ``gamma`` and a
+    ``sol.lam`` that is no link eigenvalue.  The returned
     expansion satisfies ``remainder_rate ≥ γ − 0.15`` for solver output with
     forcing ``O(r^{γ−2})``.  The rate is ``inf`` for a remainder below
     1e−12·max|u|; a grid with nodes in fewer than 5 of its annuli is refused,
     naming ``--n``.
     """
-    if table.is_exceptional(gamma, lifted=True):
-        raise ValidationError(
-            f"gamma={gamma} is within tolerance of an exceptional exponent")
+    alpha = mode_exponent(table, sol.lam, gamma)
     R = sol.grid.R
     r = sol.grid.nodes / R  # in r/R, a dilation by 2^k keeps every bit of the fit
     u = np.asarray(sol.final(), dtype=float)
-
-    lam = sol.lam
-    # a mode whose exponent reaches gamma has no term below it
-    matches = [e for e in table.entries(gamma) if e.alpha >= -table.tol
-               and abs(e.lambda_source - lam) <= 1e-9 * max(1.0, lam)]
-    if matches:
-        alpha = min(matches, key=lambda e: abs(e.lambda_source - lam)).alpha
-    else:
-        alpha = exponent_roots(lam, table.m)[0]
-        if alpha < gamma - table.tol:
-            # the table holds every link eigenvalue up to λ(γ) > λ
-            eigs = sorted({e.lambda_source for e in table.entries(gamma)})
-            i = int(np.searchsorted(eigs, lam))
-            near = eigs[max(i - 1, 0):i + 1]
-            raise ValidationError(f"--lam {lam:.10g} is not an eigenvalue of the link; the "
-                                  f"link eigenvalues next to it are "
-                                  f"{' and '.join(f'{x:.10g}' for x in near)}")
     basis = [(alpha + 2 * k, alpha, k)
              for k in range(math.ceil((gamma - alpha) / 2.0) + 1)
              if alpha + 2 * k < gamma - table.tol]

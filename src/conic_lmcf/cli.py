@@ -544,16 +544,21 @@ def cmd_heat(args, out: Path) -> dict:
 
 def cmd_asymptotics(args, out: Path) -> dict:
     import dataclasses
-    from .asymptotics import extract_asymptotics, synthesize
+    from .asymptotics import extract_asymptotics, mode_exponent, synthesize
     from .exponents import ExponentTable
     forcing = parse_forcing(args.forcing, args.forcing_csv)
     lams = list(args.lam)
     if len(lams) != 1:
         raise ValidationError("asymptotics extraction works on a single --lam mode")
-    link = build_link(argparse.Namespace(link="torus" if args.metric else "hl-torus",
-                                         metric=args.metric, mesh_file=None, dim=None))
+    if args.metric is not None:
+        from .links import FlatTorus
+        link = FlatTorus(_parse_metric(args.metric))
+    else:
+        from .cones import harvey_lawson_torus
+        link = harvey_lawson_torus().link
     _check_cone_link(link, "--metric")
     table = ExponentTable.for_link(link)
+    mode_exponent(table, lams[0], args.gamma)  # refuse a bad --lam or --gamma before the solve
     # the fit reads the final frame only, so no intermediate frame is kept
     sol = _solve_modes(lams, table.m, args, forcing)[0]
     expansion = extract_asymptotics(sol, table, gamma=args.gamma)

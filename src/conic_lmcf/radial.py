@@ -15,7 +15,7 @@ with ``u(0, ·) = 0``.  The discretization:
 * backward Euler in time (the r⁻² potential is stiff; damping beats
   second-order accuracy here).
 
-``L`` is kept as its three bands, with no matrix object.  The implicit
+``L`` is kept as its interior rows, with no matrix object.  The implicit
 system holds only the unknowns ``u_1 … u_{n−2}``: the inner row's
 right-hand side is always zero, so ``u_0 = w1·u_1 + w2·u_2`` is substituted
 into row 1, and the Dirichlet value ``g`` enters as ``outer·g`` on the last
@@ -148,22 +148,14 @@ class ModeSolution:
 def _stencil(r):
     """Second-order first/second-derivative weights on a nonuniform grid.
 
-    Returns ``(c1, c2)`` arrays of shape (n, 3) holding the weights on
-    ``(u_{j−1}, u_j, u_{j+1})`` for interior nodes ``j = 1..n−2`` (end rows
-    are zero; boundary conditions replace them).
+    Returns ``(c1, c2)`` arrays of shape (n−2, 3): row ``j−1`` holds the
+    weights of interior node ``j`` on ``(u_{j−1}, u_j, u_{j+1})``.
     """
-    n = len(r)
-    c1 = np.zeros((n, 3))
-    c2 = np.zeros((n, 3))
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     den = hm + hp
-    c2[1:-1, 0] = 2.0 / (hm * den)
-    c2[1:-1, 1] = -2.0 / (hm * hp)
-    c2[1:-1, 2] = 2.0 / (hp * den)
-    c1[1:-1, 0] = -hp / (hm * den)
-    c1[1:-1, 1] = (hp - hm) / (hm * hp)
-    c1[1:-1, 2] = hm / (hp * den)
+    c1 = np.stack([-hp / (hm * den), (hp - hm) / (hm * hp), hm / (hp * den)], axis=1)
+    c2 = np.stack([2.0 / (hm * den), -2.0 / (hm * hp), 2.0 / (hp * den)], axis=1)
     return c1, c2
 
 
@@ -179,14 +171,13 @@ def _inner_weights(r, alpha):
 
 
 def radial_operator(spec, grid):
-    """Assemble the discrete operator ``L`` on the grid as its three bands.
+    """Assemble the interior rows of the discrete operator ``L`` on the grid.
 
-    Returns ``((lower, diag, upper), w)``: the sub-, main and super-
-    diagonals of ``L``, whose interior rows discretize the mode operator and
-    whose first/last rows are zero (boundary rows are imposed by the time
-    stepper), and the inner-boundary weights ``w`` of ``u_0 = w1 u_1 + w2 u_2``.
-    ``λ/r_min²``, the peak of the ``r⁻²`` potential, must be a float (else
-    ValidationError).
+    Returns ``(rows, w)``: ``rows`` has shape (n−2, 3), and ``rows[j−1]``
+    holds interior row j's weights on ``(u_{j−1}, u_j, u_{j+1})``; ``w`` are
+    the inner-boundary weights of ``u_0 = w1 u_1 + w2 u_2``.  The end nodes
+    take the boundary conditions, so there are no end rows.  ``λ/r_min²``,
+    the peak of the ``r⁻²`` potential, must be a float (else ValidationError).
     """
     # in Python floats, which overflow to inf without a numpy warning
     if not float(spec.lam) / float(grid.r_min) ** 2 < math.inf:
@@ -197,13 +188,9 @@ def radial_operator(spec, grid):
     c1, c2 = _stencil(r)
     coef1 = (spec.m - 1) / r + _profile_values(spec.drift, r, "drift")
     coef0 = -spec.lam / r ** 2 + _profile_values(spec.zeroth, r, "zeroth-order")
-
-    # weights on (u_{j-1}, u_j, u_{j+1}); the end rows of c1 and c2 are zero
-    rows = c2 + coef1[:, None] * c1
-    rows[1:-1, 1] += coef0[1:-1]
-
-    w = _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
-    return (rows[1:, 0], rows[:, 1], rows[:-1, 2]), w
+    rows = c2 + coef1[1:-1, None] * c1
+    rows[:, 1] += coef0[1:-1]
+    return rows, _inner_weights(r, exponent_roots(spec.lam, spec.m)[0])
 
 
 def apply_radial_operator(spec, grid, u):
@@ -211,10 +198,10 @@ def apply_radial_operator(spec, grid, u):
 
     End values are returned as zero; use for truncation/stationarity tests.
     """
-    (lower, diag, upper), _ = radial_operator(spec, grid)
+    rows, _ = radial_operator(spec, grid)
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    out[1:-1] = lower[:-1] * u[:-2] + diag[1:-1] * u[1:-1] + upper[1:] * u[2:]
+    out[1:-1] = rows[:, 0] * u[:-2] + rows[:, 1] * u[1:-1] + rows[:, 2] * u[2:]
     return out
 
 
@@ -224,26 +211,25 @@ def apply_radial_operator(spec, grid, u):
 def _implicit_rows(spec, grid, dt):
     """``I − dt·L`` on the unknowns ``u_1 … u_{n−2}``: ``(lower, diag, upper, outer, w)``.
 
-    ``lower``, ``diag`` and ``upper`` are the bands of rows 1..n−2, with
-    ``u_0 = w1·u_1 + w2·u_2`` substituted into row 1; the weights ``w`` are
-    the last item.  ``outer`` is row n−2's coupling to the Dirichlet node
-    with its sign moved to the right-hand side: a step adds ``outer·g`` to the
-    last unknown's right-hand side for ``u_{n−1} = g``.  ``dt·λ/r_min²`` and
-    ``dt`` times each band entry must be floats, or the solve would turn an
-    infinity into a silent zero or a zero pivot.
+    ``lower``, ``diag`` and ``upper`` are its bands on the ``rows`` of
+    :func:`radial_operator`, with ``u_0 = w1·u_1 + w2·u_2`` substituted into
+    row 1; the weights ``w`` are the last item.  ``outer`` is row n−2's coupling
+    to the Dirichlet node with its sign moved to the right-hand side: a step
+    adds ``outer·g`` to the last unknown's right-hand side for ``u_{n−1} = g``.
+    ``dt·λ/r_min²`` and ``dt`` times each entry of ``rows`` must be floats, or
+    the solve would turn an infinity into a silent zero or a zero pivot.
     """
-    bands, w = radial_operator(spec, grid)
+    rows, w = radial_operator(spec, grid)
     # in Python floats, which overflow to inf without a numpy warning
-    peak = max(float(np.abs(band).max()) for band in bands)
+    peak = float(np.abs(rows).max())
     if not float(dt) * max(peak, float(spec.lam) / float(grid.r_min) ** 2) < math.inf:
         raise ValidationError(f"dt={dt:g} times the radial operator of the λ={spec.lam:g} "
                               f"mode leaves the float range; lower --dt, or lower --lam, or "
                               f"raise --radius or lower --n")
-    lower, diag, upper = (-dt * band for band in bands)
-    diag += 1.0
-    diag[1] += lower[0] * w[0]
-    upper[1] += lower[0] * w[1]
-    return lower[1:-1], diag[1:-1], upper[1:-1], -upper[-1], w
+    A = -dt * rows
+    A[:, 1] += 1.0
+    A[0, 1:] += A[0, 0] * w
+    return A[1:, 0], A[:, 1], A[:-1, 2], -A[-1, 2], w
 
 
 # D and 1/D stay below the square root of the largest float, so y = D·u is a
@@ -311,7 +297,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     time; every step then adds the same ``D·dt·f``, with the bits a per-step
     evaluation would give.  A forcing that raises or returns a non-finite
     value on the grid raises :class:`NumericalError` naming the step (step 1
-    for a forcing without ``t``), as does an overflowing ``dt·f`` or a step
+    for a forcing without ``t``), as does an overflowing ``D·dt·f`` or a step
     whose scaled state ``y`` is not finite.
 
     ``specs`` may not be empty.  The steps are the fewest equal ones of size
@@ -352,6 +338,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         def solve(b):
             return dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
     outer *= D[:, -1]
+    d_max = float(D.max())  # D is centred in logs, so d_max >= 1
 
     def dt_forcing(k, t):
         """``D·dt·f(t, ·)`` on the unknowns; a raise or a non-finite value names step ``k``."""
@@ -363,8 +350,8 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
                 raise ValueError("a value is not finite")
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise NumericalError(f"forcing invalid at step {k} (t={t:.6g}): {exc}") from exc
-        # a finite f overflows dt·f only when dt > 1; Python floats do not warn
-        if dt > 1.0 and not float(np.abs(fvals).max()) * float(dt) < math.inf:
+        # a finite f overflows D·dt·f only when dt·max D > 1; Python floats do not warn
+        if dt * d_max > 1.0 and not float(np.abs(fvals).max()) * float(dt) * d_max < math.inf:
             raise NumericalError(f"forcing times the time step leaves the float range at "
                                  f"step {k} (t={t:.6g}, dt={dt:g}); lower --dt")
         return D * (dt * fvals[1:-1])

@@ -291,10 +291,15 @@ def test_asymptotics_on_too_few_annuli_exits_2_naming_n(tmp_path, capsys):
 
 @pytest.mark.parametrize("link, lam, near", [([], "1.5", "0 and 2"), ([], "2.0000001", "2 and 6"),
                                              (["--metric", "1,0;0,1"], "3", "2 and 4")])
-def test_asymptotics_of_a_lam_that_is_no_link_eigenvalue_exits_2(tmp_path, capsys, link, lam,
-                                                                  near):
+def test_asymptotics_of_a_lam_that_is_no_link_eigenvalue_exits_2(tmp_path, capsys, monkeypatch,
+                                                                  link, lam, near):
     # exited 0 with an empty ladder: --lam 1.5 printed only "remainder decay
-    # rate: 0.8343 (target >= 2.5)"
+    # rate: 0.8343 (target >= 2.5)"; then it was refused only after the solve
+    import conic_lmcf.radial
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the radial solve ran")
+    monkeypatch.setattr(conic_lmcf.radial, "solve_modes", no_solve)
     rc = main(["asymptotics", *link, "--lam", lam, "--n", "400", "--T", "0.1", "--gamma", "2.5",
                "--forcing", "r^0.5", "--outdir", str(tmp_path)])
     assert rc == 2

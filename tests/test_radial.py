@@ -257,9 +257,12 @@ def _dense_backward_euler(spec, grid, times, forcing, outer_bc):
     """Step the full ``I − dt·L`` matrix, inner row and corner included, densely."""
     r = grid.nodes
     n = len(r)
-    (lower, diag, upper), w = radial_operator(spec, grid)
+    rows, w = radial_operator(spec, grid)
+    L = np.zeros((n, n))
+    for j in range(1, n - 1):
+        L[j, j - 1:j + 2] = rows[j - 1]
     dt = times[-1] / (len(times) - 1)
-    A = np.eye(n) - dt * (np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1))
+    A = np.eye(n) - dt * L
     A[0, :3] = [1.0, -w[0], -w[1]]
     A[-1] = 0.0
     A[-1, -1] = 1.0
@@ -299,9 +302,13 @@ def test_solve_modes_matches_a_dense_solve_of_the_full_matrix(outer_bc):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 4, 6]), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        st.sampled_from([0.0, 2.0, 30.0]), st.sampled_from([8, 12]),
-       st.sampled_from([None, 0.75]))
-def test_both_factors_match_a_dense_solve(m, q, lam, n, outer):
-    assert_matches_dense_solves([LaplaceTypeSpec(lam=lam, m=m)], RadialGrid(R=1.0, n_cells=n, q=q),
+       st.sampled_from([None, 0.75]), st.booleans())
+def test_both_factors_match_a_dense_solve(m, q, lam, n, outer, lower_order):
+    # a drift X_r = 0.5·r and a potential b = −2·sqrt(r) put lower-order terms in every row
+    drift, zeroth = ((lambda r: 0.5 * r, lambda r: -2.0 * np.sqrt(r)) if lower_order
+                     else (None, None))
+    assert_matches_dense_solves([LaplaceTypeSpec(lam=lam, m=m, drift=drift, zeroth=zeroth)],
+                                RadialGrid(R=1.0, n_cells=n, q=q),
                                 None if outer is None else lambda t: outer)
 
 
@@ -375,11 +382,14 @@ def test_an_infinite_outer_value_fails_the_first_step():
 
 
 def test_a_forcing_whose_step_overflows_names_dt():
-    # a finite f = 1e308 times dt = 5 is not a float
-    grid = RadialGrid(R=1.0, n_cells=50)
-    with pytest.raises(NumericalError, match="leaves the float range at step 1.*lower --dt"):
-        solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=10.0, dt=5.0,
-                    forcing=lambda t, r: np.full_like(r, 1e308))
+    # a finite f = 1e308 times dt = 5 is not a float; at R = 100 the finite
+    # dt·f = 1e308 times the symmetric scaling D is not one either, and that
+    # warned of an overflow and failed as "linear solve failed at step 1"
+    for R, T, dt, f in ((1.0, 10.0, 5.0, 1e308), (100.0, 1e4, 1e3, 1e305)):
+        grid = RadialGrid(R=R, n_cells=50)
+        with pytest.raises(NumericalError, match="leaves the float range at step 1.*lower --dt"):
+            solve_modes([LaplaceTypeSpec(lam=0.0, m=3)], grid, T=T, dt=dt,
+                        forcing=lambda t, r, f=f: np.full_like(r, f))
 
 
 @pytest.mark.parametrize("T, dt", [(1e9, 1e-3), (1.0, 1e-300), (1e300, 1e-10)])
