@@ -56,49 +56,80 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _fields(values) -> list:
+    """``_fmt``'s text of each number in ``values``, from one ``%`` call.
+
+    ``values`` is a numpy array or a sequence of ints (bools too), written
+    with ``%d``, and floats (numpy's float64 too), written with ``%.17g``.
+    """
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    specs = ["%.17g" if isinstance(v, float) else "%d" for v in values]
+    # neither conversion writes a newline, so it parts the fields
+    return ("\n".join(specs) % tuple(values)).split("\n") if specs else []
+
+
 # rows per "%" call and per write in write_frames and write_columns, so a
 # large table never becomes one string
 _CHUNK_ROWS = 4096
 
 
+def _key_chunks(keys) -> list:
+    """The key field texts in lists of up to ``_CHUNK_ROWS``, ready for a row template.
+
+    A chunk's template is its keys joined by the row's tail (:func:`_tail`),
+    so a key's ``%`` is doubled to come back as it is.
+    """
+    if "%" in "".join(keys):
+        keys = [key.replace("%", "%%") for key in keys]
+    return [keys[a:a + _CHUNK_ROWS] for a in range(0, len(keys), _CHUNK_ROWS)]
+
+
+def _tail(sep: str, columns) -> str:
+    """A row template after its key: per column ``sep`` and ``%s`` for a list of field
+    texts or ``%.17g`` for a float array, then the newline."""
+    return "".join([sep + ("%s" if isinstance(c, list) else "%.17g") for c in columns]) + "\n"
+
+
 def _row_major(columns, n: int) -> list:
-    """The entries of ``columns``, each ``n`` long, row after row as Python numbers."""
+    """The entries of ``columns``, each ``n`` long, row after row: numbers or field texts."""
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns of lengths {[len(c) for c in columns]}, not {n}")
-    if len(columns) == 1:
-        return columns[0].tolist()
-    values = [None] * (n * len(columns))
-    for j, c in enumerate(columns):
-        values[j::len(columns)] = c.tolist()
+    lists = [c if isinstance(c, list) else c.tolist() for c in columns]
+    if len(lists) == 1:
+        return lists[0]
+    values = [None] * (n * len(lists))
+    for j, c in enumerate(lists):
+        values[j::len(lists)] = c
     return values
 
 
 def write_frames(path: Path, header, keys, frames) -> None:
     """write_csv's bytes for a long table written one frame at a time.
 
-    ``frames`` yields ``(t, columns)`` with numeric ``t`` and float arrays as
-    columns, each as long as ``keys``; the frame's rows are
-    ``(t, keys[j], columns[0][j], ...)``.  Keys are formatted once per table
-    into a row template, and ``t`` once per frame.  Each chunk of up to
-    ``_CHUNK_ROWS`` rows is the template joined by ``t``'s field, filled by
-    one ``%`` and written by one call.  A column of another length raises
-    ``ValueError``.
+    ``keys`` are the key column's field texts (``_fmt``'s, or :func:`_fields`
+    of numbers).  ``frames`` yields ``(t, columns)`` with numeric ``t``; each
+    column is as long as ``keys`` and is a float array or a list of field
+    texts, and the frame's rows are ``(t, keys[j], columns[0][j], ...)``.
+    The keys are chunked once per table, the row tail is rebuilt only when
+    the column kinds change, and ``t`` is formatted once per frame.  Each
+    chunk of up to ``_CHUNK_ROWS`` rows is its keys joined by the tail and
+    ``t``'s field, filled by one ``%`` and written by one call.  A column of
+    another length raises ``ValueError``.
     """
-    # a key's "%" is doubled so the template gives it back as it is
-    keys = ["," + _fmt(k).replace("%", "%%") for k in keys]
-    width, blocks = None, []
+    chunks, kinds = _key_chunks(keys), None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for t, columns in frames:
-            if len(columns) != width:
-                width, tail = len(columns), ",%.17g" * len(columns) + "\n"
-                blocks = [[key + tail for key in keys[a:a + _CHUNK_ROWS]]
-                          for a in range(0, len(keys), _CHUNK_ROWS)]
+            texts = [isinstance(c, list) for c in columns]
+            if texts != kinds:
+                kinds, tail = texts, _tail(",", columns)
             values = _row_major(columns, len(keys))
-            lead = _fmt(t)
-            step = _CHUNK_ROWS * width
-            for i, block in enumerate(blocks):
-                fh.write((lead + lead.join(block)) % tuple(values[i * step:(i + 1) * step]))
+            lead = _fmt(t) + ","
+            step = _CHUNK_ROWS * len(kinds)
+            for i, chunk in enumerate(chunks):
+                text = lead + (tail + lead).join(chunk) + tail
+                fh.write(text % tuple(values[i * step:(i + 1) * step]))
 
 
 def write_json(path: Path, payload) -> None:
@@ -121,20 +152,22 @@ def _json_values(value):
     return value
 
 
-def write_columns(path: Path, *columns) -> None:
-    """Whitespace-separated numeric columns (gnuplot-ready): ``%.17g`` fields, two spaces apart.
+def write_columns(path: Path, keys, *columns) -> None:
+    """Whitespace-separated columns (gnuplot-ready): fields two spaces apart.
 
+    ``keys`` are the first column's field texts (:func:`_fields`); every other
+    column is a list of field texts or numbers written with ``%.17g``, and
+    the rows come from the key chunks and row tail that :func:`write_frames` uses.
     Columns of different lengths raise ``ValueError`` naming the lengths.
     """
     import numpy as np
-    arrays = [np.asarray(c, dtype=float) for c in columns]
-    n = len(arrays[0]) if arrays else 0
-    values = _row_major(arrays, n)
-    row = "  ".join(["%.17g"] * len(arrays)) + "\n"
+    columns = [c if isinstance(c, list) and (not c or isinstance(c[0], str))
+               else np.asarray(c, dtype=float) for c in columns]
+    values = _row_major(columns, len(keys))
+    tail, step = _tail("  ", columns), _CHUNK_ROWS * len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for a in range(0, n, _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, n - a)
-            fh.write(row * rows % tuple(values[a * len(arrays):(a + rows) * len(arrays)]))
+        for i, chunk in enumerate(_key_chunks(keys)):
+            fh.write((tail.join(chunk) + tail) % tuple(values[i * step:(i + 1) * step]))
 
 
 def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: float) -> None:
@@ -531,11 +564,15 @@ def cmd_heat(args, out: Path) -> dict:
     lams = list(args.lam)
     sols = _solve_modes(lams, args.m, args, forcing, args.store_every)
     files, sup_final = [], {}
+    # the modes share one grid; each mode's final frame ends its CSV and is its profile
+    radii = _fields(sols[0].grid.nodes)
     for lam, sol in zip(lams, sols):
         tag = _fmt(float(lam))
-        write_frames(out / f"mode_{tag}.csv", ["t", "r", "u"], sol.grid.nodes,
-                     ((t, (u,)) for t, u in zip(sol.times.tolist(), sol.values)))
-        write_columns(out / f"profile_{tag}.dat", sol.grid.nodes, sol.final())
+        final = _fields(sol.final())
+        times = sol.times.tolist()
+        frames = [(t, (u,)) for t, u in zip(times[:-1], sol.values)] + [(times[-1], (final,))]
+        write_frames(out / f"mode_{tag}.csv", ["t", "r", "u"], radii, frames)
+        write_columns(out / f"profile_{tag}.dat", radii, final)
         files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]
         sup_final[tag] = float(abs(sol.final()).max())
         print(f"lambda={lam:g}: sup|u(T)| = {sup_final[tag]:.6e}")
@@ -569,7 +606,7 @@ def cmd_asymptotics(args, out: Path) -> dict:
     payload = dataclasses.asdict(expansion)
     write_json(out / "asymptotics.json", payload)
     remainder = sol.final() - synthesize(expansion.terms, sol.grid.nodes)
-    write_columns(out / "remainder.dat", sol.grid.nodes, abs(remainder))
+    write_columns(out / "remainder.dat", _fields(sol.grid.nodes), abs(remainder))
     return {"files": ["asymptotics.json", "remainder.dat"], **payload}
 
 
@@ -577,9 +614,9 @@ def cmd_flow(args, out: Path) -> dict:
     from .flow import run_flow
     u0 = args.amplitude * parse_initial_condition(args.ic, args.m, args.n)
     final, series, states = run_flow(u0, T=args.T, dt=args.dt, snapshots=args.snapshots)
-    write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], range(u0.size),
+    write_frames(out / "flow_snapshots.csv", ["t", "node", "u", "theta"], _fields(range(u0.size)),
                  ((st.t, (st.u.ravel(), st.theta.ravel())) for st in states))
-    write_columns(out / "sup_theta.dat", series["t"], series["sup_theta"])
+    write_columns(out / "sup_theta.dat", _fields(series["t"]), series["sup_theta"])
     write_json(out / "flow_summary.json", series)
     print(f"final time {final.t:g}: sup|u| = {abs(final.u).max():.6e}, "
           f"sup|theta| = {abs(final.theta).max():.6e}")
@@ -602,7 +639,7 @@ def cmd_defect(args, out: Path) -> dict:
         print(f"halving {i}: raw ratio {raw:.4f}, per-amplitude ratio {norm:.4f}")
     payload = dataclasses.asdict(report)
     write_json(out / "defect.json", payload)
-    write_columns(out / "defect.dat", report.epsilons, report.defects)
+    write_columns(out / "defect.dat", _fields(report.epsilons), report.defects)
     return {"files": ["defect.json", "defect.dat"], **payload}
 
 

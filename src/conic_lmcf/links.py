@@ -383,7 +383,11 @@ class MeshLink:
 
         n = self.n_vertices
         # corner c adds −w, −w, w, w (w = cot/2) at (i, j), (j, i), (i, i), (j, j) for its
-        # other corners i, j; CSR sums duplicates in this corner, entry, face order
+        # other corners i, j.  An off-diagonal entry sums two terms, so its order does not
+        # matter.  CSR sorts each row with an unstable sort before it sums duplicates, so
+        # the diagonal's order is SciPy's (on a 96×48 torus 2,440 of 4,608 diagonal
+        # entries equal the sum in triplet order), and the spectrum-mesh golden pins the
+        # SciPy build too
         i, j, w = faces[:, [1, 2, 0]].T, faces[:, [2, 0, 1]].T, 0.5 * cots.T
         rows = np.stack([i, j, i, j], axis=1).ravel()
         cols = np.stack([j, i, i, j], axis=1).ravel()

@@ -298,7 +298,9 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     evaluation would give.  A forcing that raises or returns a non-finite
     value on the grid raises :class:`NumericalError` naming the step (step 1
     for a forcing without ``t``), as does an overflowing ``D·dt·f`` or a step
-    whose scaled state ``y`` is not finite.
+    whose scaled state ``y`` is not finite.  The outer term ``outer·g`` is
+    checked in Python floats before it is added, and a failure at a step
+    with ``g ≠ 0`` names ``--outer``.
 
     ``specs`` may not be empty.  The steps are the fewest equal ones of size
     ``T/n ≤ dt`` (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
@@ -338,6 +340,7 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         def solve(b):
             return dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
     outer *= D[:, -1]
+    outer_max = float(np.abs(outer).max())
     d_max = float(D.max())  # D is centred in logs, so d_max >= 1
 
     def dt_forcing(k, t):
@@ -371,10 +374,20 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         rhs = y.copy() if dtf is None else y + dtf
         if outer_bc is not None:
             g = float(outer_bc(t_new))
+            # in Python floats, which overflow to inf without a numpy warning
+            if not float(np.abs(rhs[:, -1]).max()) + abs(g) * outer_max < math.inf:
+                raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g}): the "
+                                     f"outer Dirichlet value g={g:g} takes its right-hand side "
+                                     f"out of the float range; lower --outer")
             rhs[:, -1] += outer * g
         y = solve(rhs.ravel()).reshape(rhs.shape)
         if not np.isfinite(y).all():
-            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})")
+            # the solve is linear in its data and its factor is finite, so only large data
+            # overflow it; with no forcing that is g
+            flags = "--outer" if forcing is None else "--outer or the forcing"
+            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})" + (
+                "" if g == 0.0 else f": the state that the outer Dirichlet value g={g:g} "
+                                    f"drives leaves the float range; lower {flags}"))
         if (store_every and k % store_every == 0) or k == n_steps:
             times.append(t_new)
             states.append(y)

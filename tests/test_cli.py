@@ -26,9 +26,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conic_lmcf
 from conic_lmcf import LaplaceTypeSpec, RadialGrid, ValidationError, run_flow, solve_modes
-from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _fmt, build_parser, compile_expression, main,
-                            parse_args, parse_forcing, parse_initial_condition, write_columns,
-                            write_csv, write_frames)
+from conic_lmcf.cli import (_CHUNK_ROWS, COMMANDS, _fields, _fmt, build_parser, compile_expression,
+                            main, parse_args, parse_forcing, parse_initial_condition,
+                            write_columns, write_csv, write_frames)
 from conic_lmcf.flow import grid_coordinates
 
 
@@ -158,6 +158,17 @@ def test_mode_csv_matches_the_row_writer(tmp_path):
         write_csv(tmp_path / "expected.csv", ["t", "r", "u"], rows)
         assert ((tmp_path / f"mode_{lam:g}.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
+
+
+@pytest.mark.parametrize("store_every", ["0", "1"])
+def test_profile_has_the_bytes_of_the_last_mode_frame(tmp_path, store_every):
+    # the profile and the CSV's last frame share their field texts
+    assert main(["heat", "--lam", "0", "6", "--n", "40", "--T", "0.05", "--forcing", "t*r^0.5",
+                 "--store-every", store_every, "--outdir", str(tmp_path)]) == 0
+    for tag in ("0", "6"):
+        rows = (tmp_path / f"mode_{tag}.csv").read_text(encoding="utf-8").splitlines()[-40:]
+        expected = "".join("  ".join(row.split(",")[1:]) + "\n" for row in rows)
+        assert (tmp_path / f"profile_{tag}.dat").read_bytes() == expected.encode()
 
 
 def test_two_mode_run_equals_two_one_mode_runs(tmp_path):
@@ -403,18 +414,36 @@ def tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tables(), st.lists(KEYS, min_size=1, max_size=6),
-       st.lists(st.one_of(st.integers(), FLOATS), max_size=3))
-@example(OVER_A_CHUNK, [*MARKED_KEYS, 3, -0.0], [0.0, 7, math.nan])
-def test_frame_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, key_pool, times):
+       st.lists(st.one_of(st.integers(), FLOATS), max_size=3), st.integers(0, 2**9 - 1))
+@example(OVER_A_CHUNK, [*MARKED_KEYS, 3, -0.0], [0.0, 7, math.nan], 0b110100)
+def test_frame_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, key_pool, times,
+                                                      texts):
+    # bit 3i + j of ``texts`` hands column j of frame i over as field texts, so the
+    # column kinds change between frames
     n, width, column = table
     keys = [key_pool[j % len(key_pool)] for j in range(n)]
     frames = [(t, [column() for _ in range(width)]) for t in times]
+    given_frames = [(t, [_fields(c) if texts >> (3 * i + j) & 1 else c
+                         for j, c in enumerate(columns)])
+                    for i, (t, columns) in enumerate(frames)]
     path = tmp_path_factory.mktemp("frames")
-    write_frames(path / "frames.csv", ["t", "key", "a", "b", "c"][:width + 2], keys, frames)
+    write_frames(path / "frames.csv", ["t", "key", "a", "b", "c"][:width + 2],
+                 [_fmt(k) for k in keys], given_frames)
     write_csv(path / "rows.csv", ["t", "key", "a", "b", "c"][:width + 2],
               [(t, key, *values) for t, columns in frames
                for key, *values in zip(keys, *(c.tolist() for c in columns))])
     assert (path / "frames.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.booleans(), st.integers(), FLOATS), max_size=12))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan,
+          True, False, -(2**70)])
+def test_fields_write_the_text_of_fmt(values):
+    # one "%" call for the whole list, one _fmt call per value: the same field texts
+    assert _fields(values) == [_fmt(v) for v in values]
+    floats = [float(v) for v in values if isinstance(v, float)]
+    assert _fields(np.array(floats)) == [_fmt(v) for v in floats]
 
 
 def _fmt_by_abc(value):
@@ -459,7 +488,9 @@ def test_column_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table):
     n, width, column = table
     columns = [column() for _ in range(width)]
     path = tmp_path_factory.mktemp("columns") / "columns.dat"
-    write_columns(path, *columns)
+    # the keys as field texts, the middle column as field texts, the rest as numbers
+    write_columns(path, _fields(columns[0]),
+                  *(_fields(c) if j == 1 else c for j, c in enumerate(columns[1:], 1)))
     expected = "".join("  ".join("%.17g" % v for v in row) + "\n"
                        for row in zip(*(c.tolist() for c in columns)))
     assert path.read_bytes() == expected.encode()
@@ -467,10 +498,10 @@ def test_column_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table):
 
 def test_columns_of_different_lengths_are_refused(tmp_path):
     # zip cut every column to the shortest one and the file lost rows silently
-    with pytest.raises(ValueError, match=r"\[3, 2\]"):
-        write_columns(tmp_path / "x.dat", [1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"\[3, 2\], not 3"):
+        write_columns(tmp_path / "x.dat", _fields([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError, match=r"\[2\], not 3"):
-        write_frames(tmp_path / "x.csv", ["t", "r", "u"], [0.0, 0.5, 1.0],
+        write_frames(tmp_path / "x.csv", ["t", "r", "u"], _fields([0.0, 0.5, 1.0]),
                      [(0.0, (np.ones(2),))])
 
 
@@ -1123,6 +1154,12 @@ OUT_OF_RANGE = {
                                        "asymptotics require gamma > -1, got -1.5"),
     "defect-eps-increasing": (["defect", "--n", "16", "--T", "0.01", "--eps", "0.1", "0.2"],
                               "--eps must be positive and decreasing, got [0.1, 0.2]"),
+    # the next two exited 0 with per-amplitude ratios of 1.0000: defects of round-off
+    "defect-eps-round-off": (["defect", "--n", "16", "--T", "0.01", "--eps", "1e-12", "5e-13"],
+                             "--eps 1e-12 gives a defect of 1.262e-29, within the round-off"),
+    "defect-eps-round-off-ladder": (["defect", "--n", "16", "--T", "0.01",
+                                     "--eps", "1e-9", "5e-10", "2.5e-10"],
+                                    "--eps 1e-09 gives a defect"),
 }
 
 
@@ -1131,6 +1168,31 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, case):
     argv, needle = OUT_OF_RANGE[case]
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     assert needle in capsys.readouterr().err
+
+
+# each printed "overflow encountered in add" or blamed only the linear solve, at step 4,
+# 1, 219 and 322
+OUTER_OVERFLOWS = {
+    "rhs": ["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--outer", "1e308"],
+    "rhs-asymptotics": ["asymptotics", "--lam", "0", "--gamma", "2.5", "--n", "400", "--T", "0.1",
+                        "--outer", "1e307"],
+    "state": ["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--outer", "1e307"],
+    "state-m-4": ["heat", "--lam", "0", "--m", "4", "--n", "20", "--T", "0.1", "--outer", "1e308"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OUTER_OVERFLOWS)
+def test_an_outer_value_out_of_the_float_range_is_named(tmp_path, capsys, case):
+    assert main(OUTER_OVERFLOWS[case] + ["--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "lower --outer" in err and "at step" in err
+
+
+def test_an_outer_value_near_the_float_range_solves(tmp_path, capsys):
+    assert main(["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--outer", "1e306",
+                 "--outdir", str(tmp_path)]) == 0
+    assert "sup|u(T)| = 1.000000e+306" in capsys.readouterr().out
 
 
 def test_unknown_flag_is_an_argparse_error(tmp_path):
