@@ -77,7 +77,7 @@ _CHUNK_ROWS = 4096
 def _key_chunks(keys) -> list:
     """The key field texts in lists of up to ``_CHUNK_ROWS``, ready for a row template.
 
-    A chunk's template is its keys joined by the row's tail (:func:`_tail`),
+    A chunk's template is its keys joined by the row's tail (:func:`_write_rows`),
     so a key's ``%`` is doubled to come back as it is.
     """
     if "%" in "".join(keys):
@@ -85,23 +85,30 @@ def _key_chunks(keys) -> list:
     return [keys[a:a + _CHUNK_ROWS] for a in range(0, len(keys), _CHUNK_ROWS)]
 
 
-def _tail(sep: str, columns) -> str:
-    """A row template after its key: per column ``sep`` and ``%s`` for a list of field
-    texts or ``%.17g`` for a float array, then the newline."""
-    return "".join([sep + ("%s" if isinstance(c, list) else "%.17g") for c in columns]) + "\n"
+def _write_rows(fh, chunks, columns, lead: str, sep: str) -> None:
+    """Write the rows ``lead + key + (sep + field of each column)`` of one key chunking.
 
-
-def _row_major(columns, n: int) -> list:
-    """The entries of ``columns``, each ``n`` long, row after row: numbers or field texts."""
+    A column that is a list of ``str`` holds field texts, written as they
+    are; any other column (a float array, a list of numbers) is written with
+    ``%.17g``.  Each chunk of up to ``_CHUNK_ROWS`` rows is its keys joined
+    by ``lead`` and the row tail, filled by one ``%`` and written by one call.
+    A column of another length than the keys raises ``ValueError``.
+    """
+    n = sum(map(len, chunks))
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns of lengths {[len(c) for c in columns]}, not {n}")
-    lists = [c if isinstance(c, list) else c.tolist() for c in columns]
+    lists = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    tail = "".join([sep + ("%s" if c and isinstance(c[0], str) else "%.17g")
+                    for c in lists]) + "\n"
     if len(lists) == 1:
-        return lists[0]
-    values = [None] * (n * len(lists))
-    for j, c in enumerate(lists):
-        values[j::len(lists)] = c
-    return values
+        values = lists[0]
+    else:
+        values = [None] * (n * len(lists))
+        for j, c in enumerate(lists):
+            values[j::len(lists)] = c
+    step = _CHUNK_ROWS * len(lists)
+    for i, chunk in enumerate(chunks):
+        fh.write((lead + (tail + lead).join(chunk) + tail) % tuple(values[i * step:(i + 1) * step]))
 
 
 def write_frames(path: Path, header, keys, frames) -> None:
@@ -109,27 +116,15 @@ def write_frames(path: Path, header, keys, frames) -> None:
 
     ``keys`` are the key column's field texts (``_fmt``'s, or :func:`_fields`
     of numbers).  ``frames`` yields ``(t, columns)`` with numeric ``t``; each
-    column is as long as ``keys`` and is a float array or a list of field
-    texts, and the frame's rows are ``(t, keys[j], columns[0][j], ...)``.
-    The keys are chunked once per table, the row tail is rebuilt only when
-    the column kinds change, and ``t`` is formatted once per frame.  Each
-    chunk of up to ``_CHUNK_ROWS`` rows is its keys joined by the tail and
-    ``t``'s field, filled by one ``%`` and written by one call.  A column of
-    another length raises ``ValueError``.
+    column is as long as ``keys`` (see :func:`_write_rows`), and the frame's
+    rows are ``(t, keys[j], columns[0][j], ...)``.  The keys are chunked once
+    per table and ``t`` is formatted once per frame.
     """
-    chunks, kinds = _key_chunks(keys), None
+    chunks = _key_chunks(keys)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for t, columns in frames:
-            texts = [isinstance(c, list) for c in columns]
-            if texts != kinds:
-                kinds, tail = texts, _tail(",", columns)
-            values = _row_major(columns, len(keys))
-            lead = _fmt(t) + ","
-            step = _CHUNK_ROWS * len(kinds)
-            for i, chunk in enumerate(chunks):
-                text = lead + (tail + lead).join(chunk) + tail
-                fh.write(text % tuple(values[i * step:(i + 1) * step]))
+            _write_rows(fh, chunks, columns, _fmt(t) + ",", ",")
 
 
 def write_json(path: Path, payload) -> None:
@@ -156,18 +151,10 @@ def write_columns(path: Path, keys, *columns) -> None:
     """Whitespace-separated columns (gnuplot-ready): fields two spaces apart.
 
     ``keys`` are the first column's field texts (:func:`_fields`); every other
-    column is a list of field texts or numbers written with ``%.17g``, and
-    the rows come from the key chunks and row tail that :func:`write_frames` uses.
-    Columns of different lengths raise ``ValueError`` naming the lengths.
+    column is written as :func:`_write_rows` says, as in :func:`write_frames`.
     """
-    import numpy as np
-    columns = [c if isinstance(c, list) and (not c or isinstance(c[0], str))
-               else np.asarray(c, dtype=float) for c in columns]
-    values = _row_major(columns, len(keys))
-    tail, step = _tail("  ", columns), _CHUNK_ROWS * len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i, chunk in enumerate(_key_chunks(keys)):
-            fh.write((tail.join(chunk) + tail) % tuple(values[i * step:(i + 1) * step]))
+        _write_rows(fh, _key_chunks(keys), columns, "", "  ")
 
 
 def write_report(outdir: Path, command: str, inputs: dict, outputs: dict, t0: float) -> None:
@@ -564,13 +551,15 @@ def cmd_heat(args, out: Path) -> dict:
     lams = list(args.lam)
     sols = _solve_modes(lams, args.m, args, forcing, args.store_every)
     files, sup_final = [], {}
-    # the modes share one grid; each mode's final frame ends its CSV and is its profile
-    radii = _fields(sols[0].grid.nodes)
+    # the modes share one grid and one first frame, the zero state; each mode's final
+    # frame ends its CSV and is its profile
+    radii, zero = _fields(sols[0].grid.nodes), _fields(sols[0].values[0])
     for lam, sol in zip(lams, sols):
         tag = _fmt(float(lam))
         final = _fields(sol.final())
         times = sol.times.tolist()
-        frames = [(t, (u,)) for t, u in zip(times[:-1], sol.values)] + [(times[-1], (final,))]
+        frames = ([(times[0], (zero,))] + [(t, (u,)) for t, u in zip(times[1:-1], sol.values[1:])]
+                  + [(times[-1], (final,))])
         write_frames(out / f"mode_{tag}.csv", ["t", "r", "u"], radii, frames)
         write_columns(out / f"profile_{tag}.dat", radii, final)
         files += [f"mode_{tag}.csv", f"profile_{tag}.dat"]

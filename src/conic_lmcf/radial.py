@@ -299,8 +299,9 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
     value on the grid raises :class:`NumericalError` naming the step (step 1
     for a forcing without ``t``), as does an overflowing ``D·dt·f`` or a step
     whose scaled state ``y`` is not finite.  The outer term ``outer·g`` is
-    checked in Python floats before it is added, and a failure at a step
-    with ``g ≠ 0`` names ``--outer``.
+    checked in Python floats before it is added; a failure at a step with
+    ``g ≠ 0`` names ``--outer``, and one with ``g = 0`` and a forcing names
+    the forcing and ``--dt``.
 
     ``specs`` may not be empty.  The steps are the fewest equal ones of size
     ``T/n ≤ dt`` (:func:`~conic_lmcf.errors.time_steps`), and the last ends at ``T``.
@@ -383,11 +384,16 @@ def solve_modes(specs, grid, T, dt, forcing=None, outer_bc=None, store_every=1):
         y = solve(rhs.ravel()).reshape(rhs.shape)
         if not np.isfinite(y).all():
             # the solve is linear in its data and its factor is finite, so only large data
-            # overflow it; with no forcing that is g
-            flags = "--outer" if forcing is None else "--outer or the forcing"
-            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g})" + (
-                "" if g == 0.0 else f": the state that the outer Dirichlet value g={g:g} "
-                                    f"drives leaves the float range; lower {flags}"))
+            # overflow it: g, or the forcing
+            why = ""
+            if g != 0.0:
+                flags = "--outer" if forcing is None else "--outer or the forcing"
+                why = (f": the state that the outer Dirichlet value g={g:g} drives leaves "
+                       f"the float range; lower {flags}")
+            elif forcing is not None:
+                why = (f": the state that the forcing drives at dt={dt:g} leaves the float "
+                       f"range; lower --forcing or --dt")
+            raise NumericalError(f"linear solve failed at step {k} (t={t_new:.6g}){why}")
         if (store_every and k % store_every == 0) or k == n_steps:
             times.append(t_new)
             states.append(y)

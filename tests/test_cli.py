@@ -145,19 +145,21 @@ def test_radial_frames_end_at_T(tmp_path):
 
 
 def test_mode_csv_matches_the_row_writer(tmp_path):
-    # mode_*.csv is byte-identical to the solution written row by row
-    rc = main(["heat", "--lam", "0", "6", "--n", "40", "--T", "0.05", "--forcing", "t*r^0.5",
-               "--store-every", "3", "--outdir", str(tmp_path)])
-    assert rc == 0
+    # mode_*.csv is byte-identical to the solution written row by row, with frames
+    # between the first and the last one and without
     grid = RadialGrid(R=1.0, n_cells=40)
-    for lam in (0.0, 6.0):
-        sol = solve_modes([LaplaceTypeSpec(lam=lam, m=3)], grid, T=0.05, dt=0.05 / 400,
-                          forcing=lambda t, r: t * r**0.5, store_every=3)[0]
-        rows = [(t, r, u) for t, frame in zip(sol.times, sol.values)
-                for r, u in zip(grid.nodes, frame)]
-        write_csv(tmp_path / "expected.csv", ["t", "r", "u"], rows)
-        assert ((tmp_path / f"mode_{lam:g}.csv").read_bytes()
-                == (tmp_path / "expected.csv").read_bytes())
+    for store_every in (3, 0):
+        rc = main(["heat", "--lam", "0", "6", "--n", "40", "--T", "0.05", "--forcing", "t*r^0.5",
+                   "--store-every", str(store_every), "--outdir", str(tmp_path)])
+        assert rc == 0
+        for lam in (0.0, 6.0):
+            sol = solve_modes([LaplaceTypeSpec(lam=lam, m=3)], grid, T=0.05, dt=0.05 / 400,
+                              forcing=lambda t, r: t * r**0.5, store_every=store_every)[0]
+            rows = [(t, r, u) for t, frame in zip(sol.times, sol.values)
+                    for r, u in zip(grid.nodes, frame)]
+            write_csv(tmp_path / "expected.csv", ["t", "r", "u"], rows)
+            assert ((tmp_path / f"mode_{lam:g}.csv").read_bytes()
+                    == (tmp_path / "expected.csv").read_bytes())
 
 
 @pytest.mark.parametrize("store_every", ["0", "1"])
@@ -414,16 +416,18 @@ def tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tables(), st.lists(KEYS, min_size=1, max_size=6),
-       st.lists(st.one_of(st.integers(), FLOATS), max_size=3), st.integers(0, 2**9 - 1))
-@example(OVER_A_CHUNK, [*MARKED_KEYS, 3, -0.0], [0.0, 7, math.nan], 0b110100)
+       st.lists(st.one_of(st.integers(), FLOATS), max_size=3), st.integers(0, 2**9 - 1),
+       st.integers(0, 2**9 - 1))
+@example(OVER_A_CHUNK, [*MARKED_KEYS, 3, -0.0], [0.0, 7, math.nan], 0b110100, 0b001001001)
 def test_frame_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, key_pool, times,
-                                                      texts):
-    # bit 3i + j of ``texts`` hands column j of frame i over as field texts, so the
-    # column kinds change between frames
+                                                      texts, lists):
+    # bit 3i + j of ``texts`` hands column j of frame i over as field texts, and else
+    # bit 3i + j of ``lists`` as a list of floats, so the column kinds change between frames
     n, width, column = table
     keys = [key_pool[j % len(key_pool)] for j in range(n)]
     frames = [(t, [column() for _ in range(width)]) for t in times]
-    given_frames = [(t, [_fields(c) if texts >> (3 * i + j) & 1 else c
+    given_frames = [(t, [_fields(c) if texts >> (3 * i + j) & 1
+                         else c.tolist() if lists >> (3 * i + j) & 1 else c
                          for j, c in enumerate(columns)])
                     for i, (t, columns) in enumerate(frames)]
     path = tmp_path_factory.mktemp("frames")
@@ -482,15 +486,18 @@ def test_fmt_writes_what_the_abc_checks_wrote_on_edge_scalars(value):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables())
-@example(OVER_A_CHUNK)
-def test_column_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table):
+@given(tables(), st.integers(0, 2**2 - 1), st.integers(0, 2**2 - 1))
+@example(OVER_A_CHUNK, 0b01, 0b00)
+@example(OVER_A_CHUNK, 0b00, 0b01)
+def test_column_writer_has_the_bytes_of_the_row_writer(tmp_path_factory, table, texts, lists):
     n, width, column = table
     columns = [column() for _ in range(width)]
     path = tmp_path_factory.mktemp("columns") / "columns.dat"
-    # the keys as field texts, the middle column as field texts, the rest as numbers
+    # the keys as field texts; bit j − 1 of ``texts`` hands column j over as field texts,
+    # and else bit j − 1 of ``lists`` as a list of floats
     write_columns(path, _fields(columns[0]),
-                  *(_fields(c) if j == 1 else c for j, c in enumerate(columns[1:], 1)))
+                  *(_fields(c) if texts >> (j - 1) & 1 else c.tolist() if lists >> (j - 1) & 1
+                    else c for j, c in enumerate(columns[1:], 1)))
     expected = "".join("  ".join("%.17g" % v for v in row) + "\n"
                        for row in zip(*(c.tolist() for c in columns)))
     assert path.read_bytes() == expected.encode()
@@ -1187,6 +1194,29 @@ def test_an_outer_value_out_of_the_float_range_is_named(tmp_path, capsys, case):
     assert main(OUTER_OVERFLOWS[case] + ["--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "lower --outer" in err and "at step" in err
+
+
+# each blamed only the linear solve, at step 1 and 4
+FORCING_OVERFLOWS = {
+    "dt-0.05": ["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--dt", "0.05",
+                "--forcing", "1e308"],
+    "dt-0.02": ["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--dt", "0.02",
+                "--forcing", "1e308"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", FORCING_OVERFLOWS)
+def test_a_forcing_that_overflows_the_state_is_named(tmp_path, capsys, case):
+    assert main(FORCING_OVERFLOWS[case] + ["--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "lower --forcing or --dt" in err and "at step" in err
+
+
+def test_a_forcing_near_the_float_range_solves(tmp_path, capsys):
+    assert main(["heat", "--lam", "0", "--n", "20", "--T", "0.1", "--dt", "0.05",
+                 "--forcing", "5e307", "--outdir", str(tmp_path)]) == 0
+    assert "sup|u(T)| = 4.035211e+306" in capsys.readouterr().out
 
 
 def test_an_outer_value_near_the_float_range_solves(tmp_path, capsys):
